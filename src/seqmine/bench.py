@@ -103,20 +103,11 @@ def run_algorithm(
     stream_config: Optional[StreamConfig] = None,
     threads: int = 1,
 ) -> BenchRow:
-    if algorithm == "gsp":
-        result = gsp_mine(db, constraints, threads=threads)
-        store = sum(deep_sizeof(sp.pattern) for sp in result.patterns)
-        return BenchRow(
-            algorithm,
-            len(db.sequences),
-            _avg_transactions(db),
-            _describe(constraints),
-            len(result.patterns),
-            result.stats.elapsed,
-            store,
-        )
-    if algorithm == "prefixspan":
-        result = prefixspan_mine(db, constraints)
+    if algorithm in ("gsp", "prefixspan"):
+        if algorithm == "gsp":
+            result = gsp_mine(db, constraints, threads=threads)
+        else:
+            result = prefixspan_mine(db, constraints)
         store = sum(deep_sizeof(sp.pattern) for sp in result.patterns)
         return BenchRow(
             algorithm,
@@ -136,14 +127,17 @@ def run_algorithm(
         )
         state = StreamState()
         peak = 0
-        started = time.perf_counter()
+        elapsed = 0.0
         seqs = db.sequences
         full = len(seqs) // config.batch_size * config.batch_size
         for lo in range(0, full, config.batch_size):
+            started = time.perf_counter()
             process_batch(state, seqs[lo : lo + config.batch_size], config)
+            elapsed += time.perf_counter() - started
             peak = max(peak, state.tree.approx_bytes())
+        started = time.perf_counter()
         out = flush(state, seqs[full:], config)
-        elapsed = time.perf_counter() - started
+        elapsed += time.perf_counter() - started
         peak = max(peak, state.tree.approx_bytes())
         desc = (
             f"sigma={config.sigma} epsilon={config.epsilon} "

@@ -3,9 +3,9 @@
 Subcommands: mine-itemsets, mine-seq, mine-stream, analyze-results, bench.
 Exit codes: 0 ok, 2 input parse error, 3 usage/flag error, 4 internal
 invariant failure. Every failure prints one line starting with ``error:``
-to stderr. Outputs are byte-deterministic for fixed inputs and flags; the
-SEQMINE_THREADS environment variable caps worker threads (0 = auto) without
-changing any output.
+to stderr. Outputs are byte-deterministic for fixed inputs and flags. The
+SEQMINE_THREADS environment variable (0 = auto) is reserved: it is validated,
+and a bad value exits 3, but it has no effect on how or what is mined.
 """
 
 from __future__ import annotations
@@ -113,20 +113,25 @@ def _cmd_mine_seq(args) -> int:
 
 def _stream_lines(path: str, watch: bool, idle_timeout: float) -> Iterator[str]:
     """Yield lines from a file; with watch, keep polling for appended lines
-    until none arrive for idle_timeout seconds."""
+    until none arrive for idle_timeout seconds. A line is held until its
+    newline arrives, or until EOF or the idle timeout ends the stream."""
     with open(path, "r", encoding="utf-8") as handle:
         idle = 0.0
         poll = 0.05
+        pending = ""
         while True:
-            line = handle.readline()
-            if line:
+            pending += handle.readline()
+            if pending.endswith("\n"):
                 idle = 0.0
-                yield line
+                yield pending
+                pending = ""
                 continue
             if not watch or idle >= idle_timeout:
                 break
             time.sleep(poll)
             idle += poll
+        if pending:
+            yield pending
 
 
 def _cmd_mine_stream(args) -> int:

@@ -10,8 +10,9 @@ optionally honors gap constraints between consecutive matched elements:
 * ``max_gap``   -- inclusive upper bound on the time difference,
 * ``max_index_gap`` -- maximum number of transactions skipped in between.
 
-All types are immutable after construction; every function here is pure, so
-shared read-only databases can be queried from many threads.
+:func:`reach_masks` is the one reader of these rules. All types are immutable
+after construction and every function here is pure; the miners' ``threads``
+option is reserved, as counting runs in one thread.
 """
 
 from __future__ import annotations
@@ -122,6 +123,15 @@ class DataSequence:
     @cached_property
     def times(self) -> tuple[int, ...]:
         return tuple(t.time for t in self.transactions)
+
+    @cached_property
+    def item_masks(self) -> dict[int, int]:
+        """Item -> bitmask of the transaction indices holding it."""
+        masks: dict[int, int] = {}
+        for j, t in enumerate(self.transactions):
+            for item in t.items:
+                masks[item] = masks.get(item, 0) | 1 << j
+        return masks
 
 
 @dataclass(frozen=True)
@@ -235,14 +245,38 @@ def min_count(min_support, db_size: int) -> int:
     return math.ceil(exact_fraction(min_support) * db_size)
 
 
-def _gap_ok(constraints: Constraints, dt: int, skipped: int) -> bool:
-    if dt <= constraints.min_gap:
-        return False
-    if constraints.max_gap is not None and dt > constraints.max_gap:
-        return False
-    if constraints.max_index_gap is not None and skipped > constraints.max_index_gap:
-        return False
-    return True
+def reach_masks(times: Sequence[int], constraints: Constraints) -> Optional[tuple[int, ...]]:
+    """Bit j of ``reach[i]`` is set iff an element matched at transaction i
+    may be followed by one at transaction j; None when gaps are unbounded."""
+    c = constraints
+    if c.gaps_unbounded:
+        return None
+    reach = []
+    for i, t in enumerate(times):
+        stop = len(times) if c.max_index_gap is None else min(len(times), i + 2 + c.max_index_gap)
+        mask = 0
+        for j in range(i + 1, stop):
+            dt = times[j] - t
+            if c.max_gap is not None and dt > c.max_gap:
+                break
+            if dt > c.min_gap:
+                mask |= 1 << j
+        reach.append(mask)
+    return tuple(reach)
+
+
+def extend(frontier: int, reach: Optional[Sequence[int]]) -> int:
+    """Positions the next element may take, given the ``frontier`` of end
+    positions; unbounded, every position after the first end (a negative
+    int: AND it with an item mask)."""
+    if reach is None:
+        return -((frontier & -frontier) << 1)
+    out = 0
+    while frontier:
+        low = frontier & -frontier
+        out |= reach[low.bit_length() - 1]
+        frontier ^= low
+    return out
 
 
 def contains(pattern: Pattern, seq: DataSequence, constraints: Optional[Constraints] = None) -> bool:
@@ -254,45 +288,17 @@ def contains(pattern: Pattern, seq: DataSequence, constraints: Optional[Constrai
     full frontier of feasible end positions per element, because with an
     active ``max_gap`` a greedy earliest match is not sound.
     """
-    c = constraints if constraints is not None else UNCONSTRAINED
-    sets = seq.item_sets
-    n = len(sets)
-    elements = [frozenset(e) for e in pattern]
-
-    if c.gaps_unbounded:
-        i = 0
-        for es in elements:
-            while i < n and not es <= sets[i]:
-                i += 1
-            if i == n:
-                return False
-            i += 1
-        return True
-
-    times = seq.times
-    cur = [i for i in range(n) if elements[0] <= sets[i]]
-    for es in elements[1:]:
-        if not cur:
+    masks = seq.item_masks
+    reach = reach_masks(seq.times, constraints or UNCONSTRAINED)
+    allowed = -1
+    for element in pattern:
+        frontier = allowed
+        for item in element:
+            frontier &= masks.get(item, 0)
+        if not frontier:
             return False
-        nxt = []
-        for j in range(cur[0] + 1, n):
-            if not es <= sets[j]:
-                continue
-            for i in cur:
-                if i >= j:
-                    break
-                dt = times[j] - times[i]
-                if dt <= c.min_gap:
-                    # later candidates are even closer in time
-                    break
-                if c.max_gap is not None and dt > c.max_gap:
-                    continue
-                if c.max_index_gap is not None and j - i - 1 > c.max_index_gap:
-                    continue
-                nxt.append(j)
-                break
-        cur = nxt
-    return bool(cur)
+        allowed = extend(frontier, reach)
+    return True
 
 
 def support(

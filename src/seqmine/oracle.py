@@ -2,13 +2,13 @@
 
 These are deliberately naive: enumerate everything within hard caps, count
 by direct containment, refuse anything bigger. They are the ground truth
-the real miners are checked against.
+the real miners are checked against, so they share no containment code.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from seqmine.errors import (
     AlphabetTooLargeError,
@@ -24,7 +24,6 @@ from seqmine.model import (
     SequenceDatabase,
     SupportedPattern,
     anonymous_alphabet,
-    contains,
     min_count,
     pattern_length,
     pattern_sort_key,
@@ -33,6 +32,31 @@ from seqmine.model import (
 MAX_ITEMSET_ALPHABET = 16
 MAX_SEQUENCE_ALPHABET = 6
 MAX_SEQUENCE_PATTERN_LENGTH = 4
+
+
+def contains_by_enumeration(
+    pattern: Pattern, seq: DataSequence, constraints: Optional[Constraints] = None
+) -> bool:
+    """Independent containment oracle: try every index combination."""
+    c = constraints or Constraints()
+    txns = seq.transactions
+    for idxs in combinations(range(len(txns)), len(pattern)):
+        if not all(set(e) <= set(txns[i].items) for e, i in zip(pattern, idxs)):
+            continue
+        ok = True
+        for i, j in zip(idxs, idxs[1:]):
+            dt = txns[j].time - txns[i].time
+            if dt <= c.min_gap:
+                ok = False
+            elif c.max_gap is not None and dt > c.max_gap:
+                ok = False
+            elif c.max_index_gap is not None and j - i - 1 > c.max_index_gap:
+                ok = False
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
 
 
 def brute_itemsets(transactions: Sequence[Itemset], min_support: float) -> list[FrequentItemset]:
@@ -105,7 +129,7 @@ def brute_sequences(db: SequenceDatabase, constraints: Constraints) -> list[Supp
     minc = min_count(constraints.min_support, n)
     out = []
     for pattern in iter_canonical_patterns(present, constraints.max_length):
-        count = sum(1 for seq in db.sequences if contains(pattern, seq, constraints))
+        count = sum(1 for seq in db.sequences if contains_by_enumeration(pattern, seq, constraints))
         if count >= minc:
             out.append(SupportedPattern(pattern, count, count / n))
     out.sort(key=lambda sp: pattern_sort_key(sp.pattern))

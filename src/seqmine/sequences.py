@@ -3,7 +3,8 @@
 Two independent miners with an identical contract:
 
 * :func:`gsp_mine` grows patterns level by level (m items per level) and
-  verifies every candidate by counting against the database.
+  counts a level in one walk per sequence over the candidates' prefix tree,
+  carrying each node's end positions as a bitmask (SPAM's item bitmaps).
 * :func:`prefixspan_mine` grows patterns depth-first, carrying for every
   sequence the set of transaction indices where the pattern's last element
   can end; that frontier is exact even with gap constraints.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,10 +37,11 @@ from seqmine.model import (
     Pattern,
     SequenceDatabase,
     SupportedPattern,
-    contains,
+    extend,
     min_count,
     pattern_length,
     pattern_sort_key,
+    reach_masks,
 )
 
 
@@ -80,7 +82,7 @@ def _finalize(pairs: dict[Pattern, int], n: int, stats: MiningStats, started: fl
 
 
 def resolve_threads(value: Optional[int] = None) -> int:
-    """Worker count for support counting; SEQMINE_THREADS caps it (0 = auto)."""
+    """Validated SEQMINE_THREADS value (0 = auto); reserved, it has no effect."""
     if value is None:
         raw = os.environ.get("SEQMINE_THREADS", "1")
         try:
@@ -94,35 +96,47 @@ def resolve_threads(value: Optional[int] = None) -> int:
     return value
 
 
-# below this much candidate x sequence work, thread-pool overhead wins
-_THREAD_WORK_THRESHOLD = 20000
+def _candidate_tree(candidates: list[Pattern]) -> tuple[list, list]:
+    """Prefix tree of the candidates: an inner node is a pair of (item, child)
+    lists, s- then i-extensions; a leaf is the candidate's index."""
+    inner: dict[Pattern, tuple[list, list]] = {(): ([], [])}
+
+    def attach(pattern: Pattern, child) -> None:
+        prefix = _delete_last_item(pattern)
+        parent = inner.get(prefix)
+        if parent is None:
+            parent = inner[prefix] = ([], [])
+            attach(prefix, parent)
+        parent[len(pattern[-1]) > 1].append((pattern[-1][-1], child))
+
+    for index, candidate in enumerate(candidates):
+        attach(candidate, index)
+    return inner[()]
 
 
 def _count_candidates(
-    candidates: list[Pattern],
-    sequences: Sequence[DataSequence],
-    constraints: Constraints,
-    threads: int,
+    candidates: list[Pattern], sequences: Sequence[DataSequence], constraints: Constraints
 ) -> list[int]:
-    """Per-candidate support counts; chunked over sequences when threaded.
-
-    Counts are integer sums over disjoint sequence chunks, so the result is
-    identical for every thread count.
-    """
-
-    def count_chunk(chunk):
-        return [sum(1 for s in chunk if contains(c, s, constraints)) for c in candidates]
-
-    if threads <= 1 or len(candidates) * len(sequences) < _THREAD_WORK_THRESHOLD:
-        return count_chunk(sequences)
-    step = max(1, (len(sequences) + threads - 1) // threads)
-    chunks = [sequences[i : i + step] for i in range(0, len(sequences), step)]
-    totals = [0] * len(candidates)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for partial in pool.map(count_chunk, chunks):
-            for i, c in enumerate(partial):
-                totals[i] += c
-    return totals
+    """Per-candidate support counts, in one tree walk per sequence."""
+    root = _candidate_tree(candidates)
+    counts = [0] * len(candidates)
+    for seq in sequences:
+        masks = seq.item_masks
+        reach = reach_masks(seq.times, constraints)
+        # (node, positions an s-extension may take, positions the node ends at)
+        stack = [(root, -1, 0)]
+        while stack:
+            (s_ext, i_ext), allowed, ends = stack.pop()
+            for children, base in ((s_ext, allowed), (i_ext, ends)):
+                for item, child in children:
+                    found = base & masks.get(item, 0)
+                    if not found:
+                        continue
+                    if isinstance(child, int):
+                        counts[child] += 1
+                    else:
+                        stack.append((child, extend(found, reach) if child[0] else 0, found))
+    return counts
 
 
 def gsp_mine(
@@ -134,7 +148,8 @@ def gsp_mine(
     either as a new trailing element or into the last element (keeping the
     element sorted); a candidate is counted only if deleting its first item
     also leaves a frequent pattern. ``stats.database_passes`` counts one
-    counting sweep per level attempted.
+    counting sweep per level attempted. ``threads`` is reserved and has no
+    effect.
     """
     started = time.perf_counter()
     constraints.validate()
@@ -145,10 +160,7 @@ def gsp_mine(
     max_len = constraints.max_length
     stats = MiningStats()
 
-    item_counts: dict[int, int] = {}
-    for seq in db.sequences:
-        for item in frozenset().union(*seq.item_sets):
-            item_counts[item] = item_counts.get(item, 0) + 1
+    item_counts = Counter(item for seq in db.sequences for item in seq.item_masks)
     stats.candidates_generated += len(item_counts)
     stats.database_passes += 1
 
@@ -172,7 +184,7 @@ def gsp_mine(
                         candidates.append(grown)
         stats.database_passes += 1
         stats.candidates_generated += len(candidates)
-        counts = _count_candidates(candidates, db.sequences, constraints, threads)
+        counts = _count_candidates(candidates, db.sequences, constraints)
         level = [c for c, cnt in zip(candidates, counts) if cnt >= minc]
         frequent.update((c, cnt) for c, cnt in zip(candidates, counts) if cnt >= minc)
         prev_level = sorted(level, key=pattern_sort_key)
@@ -181,30 +193,12 @@ def gsp_mine(
     return _finalize(frequent, n, stats, started)
 
 
-def _reachable(
-    positions: Sequence[int],
-    times: Sequence[int],
-    n: int,
-    constraints: Constraints,
-) -> range | list[int]:
+def _reachable(positions: Sequence[int], reach: Optional[Sequence[int]], n: int) -> Sequence[int]:
     """Transaction indices a next element may match, given the current ends."""
-    if constraints.gaps_unbounded:
+    if reach is None:
         return range(positions[0] + 1, n)
-    reach = []
-    for j in range(positions[0] + 1, n):
-        for i in positions:
-            if i >= j:
-                break
-            dt = times[j] - times[i]
-            if dt <= constraints.min_gap:
-                break
-            if constraints.max_gap is not None and dt > constraints.max_gap:
-                continue
-            if constraints.max_index_gap is not None and j - i - 1 > constraints.max_index_gap:
-                continue
-            reach.append(j)
-            break
-    return reach
+    allowed = extend(sum(1 << i for i in positions), reach)
+    return [j for j in range(positions[0] + 1, n) if allowed >> j & 1]
 
 
 def _prefixspan(
@@ -219,7 +213,7 @@ def _prefixspan(
     found: dict[Pattern, int] = {}
 
     seq_sets = [s.item_sets for s in sequences]
-    seq_times = [s.times for s in sequences]
+    seq_reach = [reach_masks(s.times, constraints) for s in sequences]
 
     first: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for s, sets in enumerate(seq_sets):
@@ -250,7 +244,7 @@ def _prefixspan(
         for s, positions in projection:
             sets = seq_sets[s]
             local_seq: dict[int, list[int]] = {}
-            for j in _reachable(positions, seq_times[s], len(sets), constraints):
+            for j in _reachable(positions, seq_reach[s], len(sets)):
                 for item in sets[j]:
                     local_seq.setdefault(item, []).append(j)
             for item, js in local_seq.items():

@@ -231,6 +231,39 @@ class TestMineStream:
         assert proc.returncode == 0
         assert "# final batches=2 sequences=10" in stdout
 
+    def test_watch_mode_waits_for_torn_line(self, tmp_path):
+        import time
+
+        path = tmp_path / "torn.csv"
+        path.write_text("s1,2,b")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "seqmine", "mine-stream", str(path),
+             "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "1",
+             "--watch", "--idle-timeout", "2.0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        time.sleep(0.5)
+        with open(path, "a") as handle:
+            handle.write("c\n")
+        stdout, stderr = proc.communicate(timeout=30)
+        assert proc.returncode == 0, stderr
+        assert "error:" not in stderr
+        assert "<{bc}> count=1 support=1.0000" in stdout
+        assert "<{b}>" not in stdout
+
+    def test_unterminated_last_line_is_read(self, tmp_path):
+        path = tmp_path / "tail.csv"
+        path.write_text("s1,1,a\ns2,1,a")
+        proc = run_cli(
+            "mine-stream", str(path), "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "10",
+            "--watch", "--idle-timeout", "0.1",
+        )
+        assert proc.returncode == 0
+        assert "# final batches=1 sequences=2" in proc.stdout
+        assert "<{a}> count=2 support=1.0000" in proc.stdout
+
 
 class TestAnalyzeResults:
     def test_bundled_five_svgs(self, tmp_path):

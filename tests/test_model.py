@@ -1,7 +1,6 @@
 """Core model: canonicalization, containment, support counting."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
@@ -28,30 +27,7 @@ from seqmine.model import (
     pattern_length,
     support,
 )
-
-
-def contains_by_enumeration(pattern, seq, constraints=None):
-    """Independent containment oracle: try every index combination."""
-    c = constraints or Constraints()
-    txns = seq.transactions
-    k = len(pattern)
-    for idxs in combinations(range(len(txns)), k):
-        if not all(set(e) <= set(txns[i].items) for e, i in zip(pattern, idxs)):
-            continue
-        ok = True
-        for i, j in zip(idxs, idxs[1:]):
-            dt = txns[j].time - txns[i].time
-            if dt <= c.min_gap:
-                ok = False
-            elif c.max_gap is not None and dt > c.max_gap:
-                ok = False
-            elif c.max_index_gap is not None and j - i - 1 > c.max_index_gap:
-                ok = False
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+from seqmine.oracle import contains_by_enumeration
 
 
 class TestCanonicalize:
@@ -113,6 +89,33 @@ class TestContains:
                 st.lists(st.integers(0, n_items - 1), min_size=1, max_size=2),
                 min_size=1,
                 max_size=3,
+            )
+        )
+        pattern = canonicalize(raw)
+        for seq in db.sequences:
+            assert contains(pattern, seq, constraints) == contains_by_enumeration(
+                pattern, seq, constraints
+            )
+
+    @settings(max_examples=150)
+    @given(
+        sequence_dbs(max_items=3, max_seqs=2, max_txns=10),
+        st.integers(0, 3),
+        st.one_of(st.none(), st.integers(1, 5)),
+        st.one_of(st.none(), st.integers(0, 3)),
+        st.data(),
+    )
+    def test_gap_kernel_matches_enumeration_on_long_sequences(
+        self, db, min_gap, max_gap_span, max_index_gap, data
+    ):
+        max_gap = None if max_gap_span is None else min_gap + max_gap_span
+        constraints = Constraints(min_gap=min_gap, max_gap=max_gap, max_index_gap=max_index_gap)
+        n_items = len(db.alphabet)
+        raw = data.draw(
+            st.lists(
+                st.lists(st.integers(0, n_items - 1), min_size=1, max_size=2),
+                min_size=1,
+                max_size=4,
             )
         )
         pattern = canonicalize(raw)

@@ -79,13 +79,21 @@ class TestGspMine:
         result = gsp_mine(db1, Constraints(min_support=0.5, max_length=1))
         assert all(len(sp.pattern) == 1 and len(sp.pattern[0]) == 1 for sp in result.patterns)
 
-    def test_threaded_counting_identical(self, db1, monkeypatch):
-        import seqmine.sequences as seq_mod
+    def test_threaded_counting_identical(self, db1):
+        # threads is reserved: any value gives the single-threaded result
+        assert pairs(gsp_mine(db1, HALF, threads=4)) == pairs(gsp_mine(db1, HALF, threads=1))
 
-        serial = gsp_mine(db1, HALF, threads=1)
-        monkeypatch.setattr(seq_mod, "_THREAD_WORK_THRESHOLD", 0)
-        threaded = gsp_mine(db1, HALF, threads=4)
-        assert pairs(serial) == pairs(threaded)
+    def test_later_prefix_embedding_extends_under_max_gap(self):
+        # <a,b> first ends at time 2, but c (time 7) is only within max_gap
+        # of the later embedding a@5, b@6: counting must keep every end
+        # position of a prefix, not just the earliest
+        seq = make_sequence("s0", (1, (A,)), (2, (B,)), (5, (A,)), (6, (B,)), (7, (C,)))
+        db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
+        constraints = Constraints(min_support=1.0, max_gap=2, max_length=3)
+        expected = [(sp.pattern, sp.count) for sp in brute_sequences(db, constraints)]
+        assert (((A,), (B,), (C,)), 1) in expected
+        assert pairs(gsp_mine(db, constraints)) == expected
+        assert pairs(prefixspan_mine(db, constraints)) == expected
 
     def test_resolve_threads(self, monkeypatch):
         from seqmine.sequences import resolve_threads

@@ -10,9 +10,11 @@ optionally honors gap constraints between consecutive matched elements:
 * ``max_gap``   -- inclusive upper bound on the time difference,
 * ``max_index_gap`` -- maximum number of transactions skipped in between.
 
-:func:`reach_masks` is the one reader of these rules. All types are immutable
-after construction and every function here is pure; the miners' ``threads``
-option is reserved, as counting runs in one thread.
+:func:`reach_masks` is the one reader of these rules and :func:`extend` the
+one kernel that applies them: :func:`contains`, GSP and PrefixSpan all grow
+end-position bitmasks over ``DataSequence.item_masks`` with it. All types
+are immutable after construction and every function here is pure; the
+miners' ``threads`` option is reserved, as counting runs in one thread.
 """
 
 from __future__ import annotations
@@ -115,10 +117,6 @@ class DataSequence:
         times = [t.time for t in self.transactions]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError(f"data-sequence {self.seq_id!r} times not strictly increasing")
-
-    @cached_property
-    def item_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(t.items) for t in self.transactions)
 
     @cached_property
     def times(self) -> tuple[int, ...]:

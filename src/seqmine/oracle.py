@@ -142,7 +142,7 @@ def brute_stream(
     """Offline exact mining of a whole stream, for stream-guarantee checks."""
     if not stream:
         return []
-    max_item = max(item for seq in stream for items in seq.item_sets for item in items)
+    max_item = max(item for seq in stream for t in seq.transactions for item in t.items)
     db = SequenceDatabase(tuple(stream), anonymous_alphabet(max_item + 1))
     return brute_sequences(db, Constraints(min_support=sigma, max_length=max_length))
 

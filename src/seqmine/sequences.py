@@ -6,8 +6,11 @@ Two independent miners with an identical contract:
   counts a level in one walk per sequence over the candidates' prefix tree,
   carrying each node's end positions as a bitmask (SPAM's item bitmaps).
 * :func:`prefixspan_mine` grows patterns depth-first, carrying for every
-  sequence the set of transaction indices where the pattern's last element
-  can end; that frontier is exact even with gap constraints.
+  sequence the bitmask of transaction indices where the pattern's last
+  element can end; that frontier is exact even with gap constraints.
+
+Both grow a frontier the same way: an s-extension is ``extend(ends, reach)
+& mask`` and an i-extension ``ends & mask``, over ``DataSequence.item_masks``.
 
 Both return the same pattern set with the same counts; the test suite and
 the acceptance suite hold them to that.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -193,39 +196,33 @@ def gsp_mine(
     return _finalize(frequent, n, stats, started)
 
 
-def _reachable(positions: Sequence[int], reach: Optional[Sequence[int]], n: int) -> Sequence[int]:
-    """Transaction indices a next element may match, given the current ends."""
-    if reach is None:
-        return range(positions[0] + 1, n)
-    allowed = extend(sum(1 << i for i in positions), reach)
-    return [j for j in range(positions[0] + 1, n) if allowed >> j & 1]
-
-
 def _prefixspan(
     sequences: Sequence[DataSequence],
     minc: int,
     constraints: Constraints,
     stats: Optional[MiningStats] = None,
 ) -> dict[Pattern, int]:
-    """Pattern-growth over end-position projections; returns pattern -> count."""
+    """Pattern-growth over end-position projections; returns pattern -> count.
+
+    A projection entry is ``(s, ends)``: sequence index and the bitmask of
+    transactions where the pattern's last element can end (pseudo-projection
+    carried as SPAM's item bitmaps). Every pattern is added after its parent
+    (the pattern minus its last item), so the result is parents-first.
+    """
     stats = stats if stats is not None else MiningStats()
     max_len = constraints.max_length
     found: dict[Pattern, int] = {}
 
-    seq_sets = [s.item_sets for s in sequences]
+    seq_masks = [s.item_masks for s in sequences]
     seq_reach = [reach_masks(s.times, constraints) for s in sequences]
 
-    first: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for s, sets in enumerate(seq_sets):
-        positions_by_item: dict[int, list[int]] = {}
-        for j, items in enumerate(sets):
-            for item in items:
-                positions_by_item.setdefault(item, []).append(j)
-        for item, js in positions_by_item.items():
-            first.setdefault(item, []).append((s, tuple(js)))
+    first: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+    for s, masks in enumerate(seq_masks):
+        for item, bits in masks.items():
+            first[item].append((s, bits))
     stats.candidates_generated += len(first)
 
-    stack: list[tuple[Pattern, list[tuple[int, tuple[int, ...]]]]] = []
+    stack: list[tuple[Pattern, list[tuple[int, int]]]] = []
     for item in sorted(first):
         entries = first[item]
         if len(entries) >= minc:
@@ -239,26 +236,18 @@ def _prefixspan(
         plen = pattern_length(pattern)
         last_max = pattern[-1][-1]
 
-        seq_ext: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        set_ext: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        for s, positions in projection:
-            sets = seq_sets[s]
-            local_seq: dict[int, list[int]] = {}
-            for j in _reachable(positions, seq_reach[s], len(sets)):
-                for item in sets[j]:
-                    local_seq.setdefault(item, []).append(j)
-            for item, js in local_seq.items():
-                seq_ext.setdefault(item, []).append((s, tuple(js)))
-            local_set: dict[int, list[int]] = {}
-            for j in positions:
-                for item in sets[j]:
-                    if item > last_max:
-                        local_set.setdefault(item, []).append(j)
-            for item, js in local_set.items():
-                set_ext.setdefault(item, []).append((s, tuple(js)))
+        seq_ext: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        set_ext: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        for s, ends in projection:
+            allowed = extend(ends, seq_reach[s])
+            for item, bits in seq_masks[s].items():
+                if allowed & bits:
+                    seq_ext[item].append((s, allowed & bits))
+                if item > last_max and ends & bits:
+                    set_ext[item].append((s, ends & bits))
 
         stats.candidates_generated += len(seq_ext) + len(set_ext)
-        grown: list[tuple[Pattern, list[tuple[int, tuple[int, ...]]]]] = []
+        grown: list[tuple[Pattern, list[tuple[int, int]]]] = []
         for item in sorted(seq_ext):
             entries = seq_ext[item]
             if len(entries) >= minc:
@@ -305,19 +294,17 @@ def filter_closed(result: MiningResult) -> MiningResult:
     """Keep only patterns with no equal-count strict superpattern in the result.
 
     Containment here ignores gap constraints; closedness compacts the result
-    set, it is not re-checked against the database.
+    set, it is not re-checked against the database. Patterns are visited
+    longest first and each is compared only against kept, strictly longer
+    patterns of its count: containment is transitive, so the longest pattern
+    absorbing any other is itself kept.
     """
-    by_count: dict[int, list[SupportedPattern]] = {}
-    for sp in result.patterns:
-        by_count.setdefault(sp.count, []).append(sp)
-    kept = []
-    for sp in result.patterns:
-        peers = by_count[sp.count]
-        absorbed = any(
-            pattern_length(other.pattern) > pattern_length(sp.pattern)
-            and pattern_in_pattern(sp.pattern, other.pattern)
-            for other in peers
-        )
-        if not absorbed:
-            kept.append(sp)
-    return MiningResult(kept, result.stats)
+    kept_by_count: dict[int, list[tuple[int, Pattern]]] = {}
+    closed: set[Pattern] = set()
+    for sp in sorted(result.patterns, key=lambda sp: -pattern_length(sp.pattern)):
+        length = pattern_length(sp.pattern)
+        peers = kept_by_count.setdefault(sp.count, [])
+        if not any(n > length and pattern_in_pattern(sp.pattern, q) for n, q in peers):
+            peers.append((length, sp.pattern))
+            closed.add(sp.pattern)
+    return MiningResult([sp for sp in result.patterns if sp.pattern in closed], result.stats)

@@ -177,8 +177,7 @@ def _absorb_batch(state: StreamState, batch: Sequence[DataSequence], config: Str
     insert_delta = math.floor(eps * n_before)
     batch_no = state.batches_seen + 1
     touched: set[int] = set()
-    for pattern in sorted(mined, key=pattern_sort_key):
-        count = mined[pattern]
+    for pattern, count in mined.items():  # parents-first, as insert needs
         node = state.tree.lookup(pattern)
         if node is None:
             node = state.tree.insert(pattern, count, insert_delta, batch_no)

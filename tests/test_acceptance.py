@@ -248,19 +248,22 @@ def test_criterion_5_stream_linearity():
     sizes = [1000, 2000, 4000, 8000]
     config = StreamConfig(sigma=0.08, epsilon=0.02, batch_size=200, max_length=5)
     started = time.perf_counter()
-    medians = []
-    for size in sizes:
-        db = generate_db(size, alphabet_size=8, seed=55, geometric_p=0.65, max_txns=10)
-        reps = []
-        for _ in range(3):  # median of 3 to keep scheduler noise out of the fit
+    dbs = [
+        generate_db(size, alphabet_size=8, seed=55, geometric_p=0.65, max_txns=10)
+        for size in sizes
+    ]
+    reps = [[] for _ in sizes]
+    # median of 3, one repetition of every size per round, so that CPU speed
+    # drift hits every size alike instead of skewing one point of the fit
+    for _ in range(3):
+        for size, db, times in zip(sizes, dbs, reps):
             state = StreamState()
             t0 = time.perf_counter()
             for lo in range(0, size, config.batch_size):
                 process_batch(state, db.sequences[lo : lo + config.batch_size], config)
             query_output(state, config)
-            reps.append(time.perf_counter() - t0)
-        reps.sort()
-        medians.append(reps[1])
+            times.append(time.perf_counter() - t0)
+    medians = [sorted(times)[1] for times in reps]
     total = time.perf_counter() - started
     slope, _, r2 = linear_fit([float(s) for s in sizes], medians)
     ratio = medians[-1] / medians[0]

@@ -13,6 +13,8 @@ from seqmine.sequences import (
     MiningResult,
     MiningStats,
     SupportedPattern,
+    _delete_last_item,
+    _prefixspan,
     filter_closed,
     gsp_mine,
     pattern_in_pattern,
@@ -95,6 +97,18 @@ class TestGspMine:
         assert pairs(gsp_mine(db, constraints)) == expected
         assert pairs(prefixspan_mine(db, constraints)) == expected
 
+    @pytest.mark.parametrize("max_gap", [None, 2])
+    def test_item_extension_needs_later_end_positions(self, max_gap):
+        # <a,b> ends at t2 and t3, but c only sits with b at t3: an
+        # i-extension must keep every end position, not just the lowest
+        seq = make_sequence("s0", (1, (A,)), (2, (B,)), (3, (B, C)))
+        db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
+        constraints = Constraints(min_support=1.0, max_gap=max_gap, max_length=3)
+        expected = [(sp.pattern, sp.count) for sp in brute_sequences(db, constraints)]
+        assert (((A,), (B, C)), 1) in expected
+        assert pairs(gsp_mine(db, constraints)) == expected
+        assert pairs(prefixspan_mine(db, constraints)) == expected
+
     def test_resolve_threads(self, monkeypatch):
         from seqmine.sequences import resolve_threads
 
@@ -141,6 +155,16 @@ class TestPrefixspanMine:
         for sp in prefixspan_mine(db, constraints).patterns:
             assert support(sp.pattern, db, constraints).count == sp.count
 
+    @given(sequence_dbs(), constraint_grid())
+    def test_result_is_parents_first(self, db, constraints):
+        # the stream inserts mined patterns into its tree in this order
+        found = list(_prefixspan(db.sequences, 1, constraints))
+        seen = set()
+        for pattern in found:
+            parent = _delete_last_item(pattern)
+            assert not parent or parent in seen
+            seen.add(pattern)
+
     @given(sequence_dbs())
     def test_tighter_threshold_shrinks_output(self, db):
         loose = {sp.pattern for sp in prefixspan_mine(db, Constraints(0.25, max_length=3)).patterns}
@@ -156,6 +180,13 @@ class TestFilterClosed:
     def test_equal_support_superpattern_absorbs(self):
         result = self._result([(((A,),), 4), (((A,), (B,)), 4)])
         assert [sp.pattern for sp in filter_closed(result).patterns] == [((A,), (B,))]
+
+    def test_equal_count_chain_keeps_only_longest(self):
+        p, q, r = ((A,),), ((A,), (B,)), ((A,), (B, C))
+        result = self._result([(p, 3), (((B,),), 4), (q, 3), (r, 3)])
+        closed = filter_closed(result)
+        assert pairs(closed) == [(((B,),), 4), (r, 3)]
+        assert closed.patterns == brute_closed(result.patterns)
 
     def test_differing_support_keeps_both(self):
         result = self._result([(((A,),), 4), (((A,), (B,)), 3)])

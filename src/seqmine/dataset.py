@@ -60,6 +60,14 @@ def _parse_sequence_line(line_no: int, line: str, alphabet: Alphabet):
     return seq_id, time, [alphabet.intern(t) for t in tokens]
 
 
+def _build_sequence(seq_id: str, by_time: dict[int, set[int]]) -> DataSequence:
+    """A data-sequence from its items per time, transactions in time order."""
+    return DataSequence(
+        seq_id,
+        tuple(Transaction(time, tuple(sorted(by_time[time]))) for time in sorted(by_time)),
+    )
+
+
 def load_sequence_db(source) -> SequenceDatabase:
     """Parse sequence-CSV text into a database with dense interned item ids."""
     alphabet = Alphabet()
@@ -67,36 +75,27 @@ def load_sequence_db(source) -> SequenceDatabase:
     for line_no, line in _lines(source):
         seq_id, time, items = _parse_sequence_line(line_no, line, alphabet)
         by_seq.setdefault(seq_id, {}).setdefault(time, set()).update(items)
-    sequences = []
-    for seq_id, by_time in by_seq.items():
-        transactions = tuple(
-            Transaction(time, tuple(sorted(by_time[time]))) for time in sorted(by_time)
-        )
-        sequences.append(DataSequence(seq_id, transactions))
-    return SequenceDatabase(tuple(sequences), alphabet)
+    sequences = tuple(_build_sequence(seq_id, by_time) for seq_id, by_time in by_seq.items())
+    return SequenceDatabase(sequences, alphabet)
 
 
 def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[DataSequence]:
     """Incremental sequence-CSV reader for stream replay.
 
     Transactions of one sequence must be contiguous; a sequence is emitted
-    when its seq_id run ends. A seq_id reappearing later is an error.
+    when its seq_id run ends. A seq_id reappearing later is an error. To
+    detect that, the reader keeps the seq_id of every finished sequence, so
+    its memory grows by one id per sequence read; only the transactions of
+    the current sequence are held.
     """
     current_id: Optional[str] = None
     by_time: dict[int, set[int]] = {}
     done: set[str] = set()
-
-    def build() -> DataSequence:
-        transactions = tuple(
-            Transaction(time, tuple(sorted(by_time[time]))) for time in sorted(by_time)
-        )
-        return DataSequence(current_id, transactions)  # type: ignore[arg-type]
-
     for line_no, line in _lines(source):
         seq_id, time, items = _parse_sequence_line(line_no, line, alphabet)
         if seq_id != current_id:
             if current_id is not None:
-                yield build()
+                yield _build_sequence(current_id, by_time)
                 done.add(current_id)
             if seq_id in done:
                 raise ParseError(line_no, f"seq_id {seq_id!r} reappears after its run ended")
@@ -104,7 +103,7 @@ def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[DataSequence]:
             by_time = {}
         by_time.setdefault(time, set()).update(items)
     if current_id is not None:
-        yield build()
+        yield _build_sequence(current_id, by_time)
 
 
 def serialize_sequence_db(db: SequenceDatabase) -> str:

@@ -1,9 +1,10 @@
 """One-pass batched sequential-pattern mining over a stream of data-sequences.
 
-Bookkeeping is a lossy-counting pattern tree. Every tracked pattern holds an
-observed count plus a ``delta``, an upper bound on how many supporting
-sequences the tracker can possibly have missed. The maintained invariant,
-checked at every batch boundary by the test suite, is the count sandwich::
+Bookkeeping is lossy counting (Manku & Motwani, VLDB 2002) over a table of
+tracked patterns, keyed by pattern. Every tracked pattern holds an observed
+count plus a ``delta``, an upper bound on how many supporting sequences the
+tracker can possibly have missed. The maintained invariant, checked at every
+batch boundary by the test suite, is the count sandwich::
 
     count <= true count <= count + delta
 
@@ -15,10 +16,17 @@ batch go unobserved, so:
   which bounds everything it may have accumulated while untracked;
 * when T > 1, every tracked pattern that was not seen in a batch gets its
   delta bumped by T - 1, the most it could have occurred while unreported;
-* after each batch, any node (and its whole subtree) with
-  ``count + delta <= floor(epsilon * N)`` is evicted.
+* after each batch, every node with ``count + delta <= floor(epsilon * N)``
+  is evicted.
 
-Those three rules give the two query guarantees: every pattern with true
+A node's ``count + delta`` never exceeds its parent's (the pattern minus its
+last item): a batch that mines the child mines the parent with at least the
+child's count, one that mines only the parent adds at least T to it and
+T - 1 to the child, one that mines neither bumps both by T - 1, and a child
+is inserted with a delta below what its parent survived the last eviction
+with. So evicting node by node keeps the table prefix-closed.
+
+The three rules give the two query guarantees: every pattern with true
 support >= sigma is output, and every output pattern has true support
 >= sigma - epsilon. Gap constraints are not applied in stream mode.
 """
@@ -28,7 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import ItemsView, Iterable, Iterator, Optional, Sequence, ValuesView
 
 from seqmine.errors import BadBatchSizeError, InvalidStreamConfigError
 from seqmine.model import (
@@ -41,91 +49,57 @@ from seqmine.model import (
 )
 from seqmine.sequences import _prefixspan
 
-# A tree edge either starts a new element ("s") or extends the last one ("i").
-Step = tuple[str, int]
-
-
-def pattern_steps(pattern: Pattern) -> tuple[Step, ...]:
-    steps: list[Step] = []
-    for element in pattern:
-        steps.append(("s", element[0]))
-        steps.extend(("i", item) for item in element[1:])
-    return tuple(steps)
-
 
 class _Node:
-    __slots__ = ("count", "delta", "inserted_at_batch", "children")
+    __slots__ = ("count", "delta", "inserted_at_batch")
 
     def __init__(self, count: int, delta: int, inserted_at_batch: int):
         self.count = count
         self.delta = delta
         self.inserted_at_batch = inserted_at_batch
-        self.children: dict[Step, _Node] = {}
 
 
 class PatternTree:
-    """Prefix tree of tracked patterns; the root is an empty-pattern sentinel."""
+    """The tracked patterns, keyed by pattern.
+
+    The table is prefix-closed: a tracked pattern's parent (the pattern
+    minus its last item) is tracked too, with ``count + delta`` at least
+    the child's.
+    """
 
     def __init__(self):
-        self.root = _Node(0, 0, 0)
+        self._nodes: dict[Pattern, _Node] = {}
 
     def lookup(self, pattern: Pattern) -> Optional[_Node]:
-        node = self.root
-        for step in pattern_steps(pattern):
-            node = node.children.get(step)
-            if node is None:
-                return None
-        return node
+        return self._nodes.get(pattern)
 
     def insert(self, pattern: Pattern, count: int, delta: int, batch: int) -> _Node:
-        steps = pattern_steps(pattern)
-        node = self.root
-        for step in steps[:-1]:
-            node = node.children[step]  # parents are always tracked first
-        child = _Node(count, delta, batch)
-        node.children[steps[-1]] = child
-        return child
+        node = self._nodes[pattern] = _Node(count, delta, batch)
+        return node
 
-    def items(self) -> Iterator[tuple[Pattern, _Node]]:
-        """(pattern, node) pairs, depth-first."""
-        stack: list[tuple[Pattern, _Node]] = [((), self.root)]
-        while stack:
-            pattern, node = stack.pop()
-            if pattern:
-                yield pattern, node
-            for step, child in node.children.items():
-                kind, item = step
-                if kind == "s":
-                    grown = pattern + ((item,),)
-                else:
-                    grown = pattern[:-1] + (pattern[-1] + (item,),)
-                stack.append((grown, child))
+    def items(self) -> ItemsView[Pattern, _Node]:
+        return self._nodes.items()
 
-    def nodes(self) -> Iterator[_Node]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node is not self.root:
-                yield node
-            stack.extend(node.children.values())
+    def nodes(self) -> ValuesView[_Node]:
+        return self._nodes.values()
 
     def prune(self, threshold: int) -> None:
-        """Drop every node (with its subtree) whose count + delta <= threshold."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            doomed = [s for s, c in node.children.items() if c.count + c.delta <= threshold]
-            for step in doomed:
-                del node.children[step]
-            stack.extend(node.children.values())
+        """Drop every node whose count + delta <= threshold."""
+        self._nodes = {
+            p: node for p, node in self._nodes.items() if node.count + node.delta > threshold
+        }
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.nodes())
+        return len(self._nodes)
 
     def approx_bytes(self) -> int:
-        total = 0
-        for node in self.nodes():
-            total += sys.getsizeof(node) + sys.getsizeof(node.children)
+        """Bytes of the table, its nodes and its pattern keys (each key's
+        tuple and its element tuples; an element tuple shared by several
+        keys is counted once per key)."""
+        total = sys.getsizeof(self._nodes)
+        for pattern, node in self._nodes.items():
+            total += sys.getsizeof(node) + sys.getsizeof(pattern)
+            total += sum(map(sys.getsizeof, pattern))
         return total
 
 
@@ -174,25 +148,24 @@ def _absorb_batch(state: StreamState, batch: Sequence[DataSequence], config: Str
         batch, local_t, Constraints(min_support=1.0, max_length=config.max_length)
     )
 
+    tree = state.tree
+    if local_t > 1:
+        for pattern, node in tree.items():
+            if pattern not in mined:
+                node.delta += local_t - 1
+
     insert_delta = math.floor(eps * n_before)
     batch_no = state.batches_seen + 1
-    touched: set[int] = set()
-    for pattern, count in mined.items():  # parents-first, as insert needs
-        node = state.tree.lookup(pattern)
+    for pattern, count in mined.items():
+        node = tree.lookup(pattern)
         if node is None:
-            node = state.tree.insert(pattern, count, insert_delta, batch_no)
+            tree.insert(pattern, count, insert_delta, batch_no)
         else:
             node.count += count
-        touched.add(id(node))
-
-    if local_t > 1:
-        for node in state.tree.nodes():
-            if id(node) not in touched:
-                node.delta += local_t - 1
 
     state.sequences_seen += n_batch
     state.batches_seen += 1
-    state.tree.prune(math.floor(eps * state.sequences_seen))
+    tree.prune(math.floor(eps * state.sequences_seen))
 
 
 def process_batch(

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -263,6 +264,25 @@ class TestMineStream:
         assert proc.returncode == 0
         assert "# final batches=1 sequences=2" in proc.stdout
         assert "<{a}> count=2 support=1.0000" in proc.stdout
+
+    def test_stdout_bytes_pinned(self, tmp_path):
+        # local T = floor(0.1 * 40) = 4, so patterns missing from a batch get
+        # delta bumps, and patterns are both inserted and evicted across batches
+        import conftest  # noqa: F401
+        from seqmine.bench import generate_db
+        from seqmine.dataset import serialize_sequence_db
+
+        path = tmp_path / "pinned.csv"
+        path.write_text(serialize_sequence_db(generate_db(600, alphabet_size=6, seed=3)))
+        proc = run_cli(
+            "mine-stream", str(path),
+            "--sigma", "0.2", "--epsilon", "0.1", "--batch-size", "40", "--max-length", "4",
+        )
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == 267
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+            "9558e563e388403a8cf5d2b6bb990ed1d07d59fbe572e1b71d7d5e59cdbec5a4"
+        )
 
 
 class TestAnalyzeResults:

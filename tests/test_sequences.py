@@ -157,7 +157,6 @@ class TestPrefixspanMine:
 
     @given(sequence_dbs(), constraint_grid())
     def test_result_is_parents_first(self, db, constraints):
-        # the stream inserts mined patterns into its tree in this order
         found = list(_prefixspan(db.sequences, 1, constraints))
         seen = set()
         for pattern in found:

@@ -12,11 +12,11 @@ from conftest import A, B, C, make_sequence
 from seqmine.errors import BadBatchSizeError, InvalidStreamConfigError
 from seqmine.model import contains, exact_fraction
 from seqmine.oracle import brute_stream, iter_canonical_patterns
+from seqmine.sequences import _delete_last_item
 from seqmine.stream import (
     StreamConfig,
     StreamState,
     flush,
-    pattern_steps,
     process_batch,
     query_output,
     replay,
@@ -29,6 +29,18 @@ def seq_of(seq_id, *txns):
 
 def ab_sequence(seq_id):
     return seq_of(seq_id, (1, (A,)), (2, (B,)))
+
+
+def assert_parent_bound(tree):
+    """Prefix closure, and the bound that lets prune test each node alone:
+    no node's count + delta exceeds its parent's (the pattern minus its
+    last item)."""
+    for pattern, node in tree.items():
+        parent = _delete_last_item(pattern)
+        if parent:
+            parent_node = tree.lookup(parent)
+            assert parent_node is not None, f"{pattern} tracked without its parent"
+            assert node.count + node.delta <= parent_node.count + parent_node.delta
 
 
 def true_count(pattern, sequences):
@@ -234,14 +246,7 @@ class TestTreeInvariants:
             for pattern, node in state.tree.items():
                 t = true_count(pattern, seen)
                 assert node.count <= t <= node.count + node.delta
-                steps = pattern_steps(pattern)
-                if len(steps) > 1:
-                    parent = state.tree
-                    # parent bound: no child outlives its prefix's plausibility
-                    parent_node = state.tree.root
-                    for step in steps[:-1]:
-                        parent_node = parent_node.children[step]
-                    assert node.count <= parent_node.count + parent_node.delta
+            assert_parent_bound(state.tree)
             out = query_output(state, config)
             out_patterns = {sp.pattern for sp in out}
             items = sorted({i for s in seen for t_ in s.transactions for i in t_.items})
@@ -250,6 +255,19 @@ class TestTreeInvariants:
                     assert pattern in out_patterns
             for sp in out:
                 assert true_count(sp.pattern, seen) >= (sigma_f - eps_f) * n
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_parent_bound_under_delta_bumps(self, seed):
+        # T = floor(0.1 * 20) = 2: unmined patterns get bumped, new ones get
+        # the epsilon * N delta, and nodes are evicted along the way
+        from seqmine.bench import generate_db
+
+        db = generate_db(300, alphabet_size=5, seed=seed)
+        config = StreamConfig(sigma=0.2, epsilon=0.1, batch_size=20, max_length=3)
+        state = StreamState()
+        for lo in range(0, len(db.sequences), config.batch_size):
+            process_batch(state, db.sequences[lo : lo + config.batch_size], config)
+            assert_parent_bound(state.tree)
 
 
 class OneShot:

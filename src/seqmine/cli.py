@@ -1,11 +1,9 @@
 """Command-line front end.
 
-Subcommands: mine-itemsets, mine-seq, mine-stream, analyze-results, bench.
+Subcommands: mine-itemsets, mine-seq, mine-stream, analyze-results.
 Exit codes: 0 ok, 2 input parse error, 3 usage/flag error, 4 internal
 invariant failure. Every failure prints one line starting with ``error:``
-to stderr. Outputs are byte-deterministic for fixed inputs and flags. The
-SEQMINE_THREADS environment variable (0 = auto) is reserved: it is validated,
-and a bad value exits 3, but it has no effect on how or what is mined.
+to stderr. Outputs are byte-deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Iterator, Optional
 
-from seqmine import bench as bench_mod
 from seqmine import charts, dataset, textfmt
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -29,7 +26,7 @@ from seqmine.errors import (
 )
 from seqmine.itemsets import generate_rules, mine_frequent_itemsets
 from seqmine.model import Alphabet, Constraints
-from seqmine.sequences import filter_closed, gsp_mine, prefixspan_mine, resolve_threads
+from seqmine.sequences import filter_closed, gsp_mine, prefixspan_mine
 from seqmine.stream import StreamConfig, replay
 
 
@@ -94,7 +91,6 @@ def _build_constraints(args) -> Constraints:
 
 def _cmd_mine_seq(args) -> int:
     constraints = _build_constraints(args)
-    threads = resolve_threads()
     db = dataset.load_sequence_db(_load_lines(args.input))
     if args.max_length is None and len(db.alphabet) > 26:
         raise UsageError(
@@ -102,7 +98,7 @@ def _cmd_mine_seq(args) -> int:
             f"(this input has {len(db.alphabet)})"
         )
     if args.algo == "gsp":
-        result = gsp_mine(db, constraints, threads=threads)
+        result = gsp_mine(db, constraints)
     else:
         result = prefixspan_mine(db, constraints)
     if args.closed:
@@ -147,6 +143,8 @@ def _cmd_mine_stream(args) -> int:
         raise UsageError(str(exc))
     if args.report_every < 1:
         raise UsageError(f"--report-every must be >= 1, got {args.report_every}")
+    if not args.idle_timeout >= 0:
+        raise UsageError(f"--idle-timeout must be >= 0, got {args.idle_timeout}")
     alphabet = Alphabet()
     lines = _stream_lines(args.input, args.watch, args.idle_timeout)
     sequences = dataset.iter_sequence_db(lines, alphabet)
@@ -211,43 +209,6 @@ def _cmd_analyze_results(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
-    except ValueError:
-        raise UsageError(f"--sizes must be comma-separated integers, got {args.sizes!r}")
-    if not sizes or any(s < 1 for s in sizes):
-        raise UsageError(f"--sizes must be positive integers, got {args.sizes!r}")
-    algos = [a for a in args.algos.split(",") if a]
-    for algo in algos:
-        if algo not in bench_mod.BENCH_ALGOS:
-            raise UsageError(
-                f"--algos: unknown algorithm {algo!r}; choose from {', '.join(bench_mod.BENCH_ALGOS)}"
-            )
-    _check_fraction(args.min_support, "--min-support")
-    threads = resolve_threads()
-    rows, fit = bench_mod.run_bench(
-        sizes, algos, seed=args.seed, min_support=args.min_support,
-        max_length=args.max_length, threads=threads,
-    )
-    header = (
-        f"{'algorithm':<11} {'sequences':>9} {'avg_txns':>8} {'patterns':>8} "
-        f"{'elapsed_s':>10} {'store_bytes':>11}"
-    )
-    print(header)
-    for row in rows:
-        print(
-            f"{row.algorithm:<11} {row.n_sequences:>9} {row.avg_transactions:>8.2f} "
-            f"{row.patterns_emitted:>8} {row.elapsed_s:>10.4f} {row.store_bytes:>11}"
-        )
-    if fit is not None:
-        slope, _, r2 = fit
-        print(f"stream linearity: slope={slope:.3e} s/sequence r2={r2:.4f}")
-    if args.out is not None:
-        _write_out(args.out, [row.to_json() for row in rows])
-    return 0
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="seqmine", description="Pattern mining toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -289,15 +250,6 @@ def build_parser() -> _Parser:
     p.add_argument("--anomaly-threshold", default="20.0")
     p.add_argument("--plot-dir", default=None)
     p.set_defaults(func=_cmd_analyze_results)
-
-    p = sub.add_parser("bench", help="benchmark miners on synthetic databases")
-    p.add_argument("--sizes", required=True, help="comma-separated sequence counts")
-    p.add_argument("--algos", default="gsp,prefixspan,stream")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-support", type=float, default=0.2)
-    p.add_argument("--max-length", type=int, default=4)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

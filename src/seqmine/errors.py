@@ -18,7 +18,7 @@ class EmptyDatabaseError(SeqmineError):
 
 
 class InvalidThresholdError(SeqmineError):
-    """A support or confidence threshold is outside (0, 1]."""
+    """A support or confidence threshold is outside (0, 1] or not finite."""
 
 
 class InvalidConstraintsError(SeqmineError):

@@ -13,8 +13,7 @@ optionally honors gap constraints between consecutive matched elements:
 :func:`reach_masks` is the one reader of these rules and :func:`extend` the
 one kernel that applies them: :func:`contains`, GSP and PrefixSpan all grow
 end-position bitmasks over ``DataSequence.item_masks`` with it. All types
-are immutable after construction and every function here is pure; the
-miners' ``threads`` option is reserved, as counting runs in one thread.
+are immutable after construction and every function here is pure.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from seqmine.errors import (
     EmptyElementError,
     EmptyPatternError,
     InvalidConstraintsError,
+    InvalidThresholdError,
 )
 
 Itemset = tuple[int, ...]
@@ -229,12 +229,15 @@ def exact_fraction(x) -> Fraction:
     Thresholds arrive as floats (0.25, 0.07, ...). Multiplying floats by
     database sizes and flooring/ceiling them is exactly the kind of place
     where 0.07 * 100 == 7.000000000000001 ruins a count, so every threshold
-    comparison in the toolkit goes through this.
+    comparison in the toolkit goes through this, and so does the check that
+    rejects an infinite or NaN float.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise InvalidThresholdError(f"threshold must be a finite number, got {x}")
     return Fraction(x).limit_denominator(10**9)
 
 

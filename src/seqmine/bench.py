@@ -20,10 +20,9 @@ def generate_db(
     seed: int = 0,
     geometric_p: float = 0.45,
     max_txns: int = 8,
-    max_items_per_txn: int = 3,
-    id_prefix: str = "s",
 ) -> SequenceDatabase:
-    """A reproducible synthetic database: Zipf-ish items, geometric lengths."""
+    """A reproducible synthetic database: Zipf-ish items (1-3 draws per
+    transaction), geometric lengths, seq_ids ``s0``, ``s1``, ..."""
     rng = random.Random(seed)
     weights = [1.0 / (rank + 1) for rank in range(alphabet_size)]
     population = list(range(alphabet_size))
@@ -37,10 +36,10 @@ def generate_db(
         transactions = []
         for _ in range(n_txns):
             t += rng.randint(1, 3)
-            k = rng.randint(1, max_items_per_txn)
+            k = rng.randint(1, 3)
             items = set(rng.choices(population, weights=weights, k=k))
             transactions.append(Transaction(t, tuple(sorted(items))))
-        sequences.append(DataSequence(f"{id_prefix}{s}", tuple(transactions)))
+        sequences.append(DataSequence(f"s{s}", tuple(transactions)))
     return SequenceDatabase(tuple(sequences), alphabet)
 
 

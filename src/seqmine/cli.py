@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: mine-itemsets, mine-seq, mine-stream, analyze-results.
-Exit codes: 0 ok, 2 input parse error, 3 usage/flag error, 4 internal
-invariant failure. Every failure prints one line starting with ``error:``
-to stderr. Outputs are byte-deterministic for fixed inputs and flags.
+Exit codes: 0 ok, 2 unreadable, undecodable or unparsable input, 3
+usage/flag error, 4 internal invariant failure (see ``_EXIT_CODES``). Every
+failure prints one line starting with ``error:`` to stderr. Outputs are
+byte-deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from decimal import Decimal, InvalidOperation
@@ -34,6 +36,16 @@ class UsageError(Exception):
     """A flag combination the parser cannot catch; maps to exit 3."""
 
 
+# An error exits with the code of the most specific of its classes listed
+# here, so undecodable input exits 2 although UnicodeDecodeError is a ValueError.
+_EXIT_CODES: dict[type[Exception], int] = {
+    OSError: 2, UnicodeDecodeError: 2, ParseError: 2, EmptyDatabaseError: 2,
+    UsageError: 3, ValueError: 3, InvalidThresholdError: 3,
+    InvalidConstraintsError: 3, InvalidStreamConfigError: 3,
+    SeqmineError: 4,
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(3, f"error: {message}\n")
@@ -52,6 +64,8 @@ def _write_out(path: Optional[str], lines: list[str]) -> None:
 
 
 def _check_fraction(value: float, flag: str) -> None:
+    if not math.isfinite(value):
+        raise UsageError(f"threshold must be a finite number, got {value} for {flag}")
     if not 0 < value <= 1:
         raise UsageError(f"{flag} must be in (0, 1], got {value}")
 
@@ -75,18 +89,14 @@ def _cmd_mine_itemsets(args) -> int:
 
 
 def _build_constraints(args) -> Constraints:
-    constraints = Constraints(
+    _check_fraction(args.min_support, "--min-support")
+    return Constraints(
         min_support=args.min_support,
         min_gap=args.min_gap,
         max_gap=args.max_gap,
         max_index_gap=args.max_index_gap,
         max_length=args.max_length,
     )
-    try:
-        constraints.validate()
-    except InvalidConstraintsError as exc:
-        raise UsageError(str(exc))
-    return constraints
 
 
 def _cmd_mine_seq(args) -> int:
@@ -131,16 +141,14 @@ def _stream_lines(path: str, watch: bool, idle_timeout: float) -> Iterator[str]:
 
 
 def _cmd_mine_stream(args) -> int:
+    _check_fraction(args.sigma, "--sigma")
+    _check_fraction(args.epsilon, "--epsilon")
     config = StreamConfig(
         sigma=args.sigma,
         epsilon=args.epsilon,
         batch_size=args.batch_size,
         max_length=args.max_length,
     )
-    try:
-        config.validate()
-    except InvalidStreamConfigError as exc:
-        raise UsageError(str(exc))
     if args.report_every < 1:
         raise UsageError(f"--report-every must be >= 1, got {args.report_every}")
     if not args.idle_timeout >= 0:
@@ -193,11 +201,8 @@ def _cmd_analyze_results(args) -> int:
     for subject, year, delta in summary.anomalies:
         print(f"  {subject} {year} delta={delta:+.2f}")
 
-    by_subject: dict[str, list[tuple[int, Decimal]]] = {}
-    for record in records:
-        by_subject.setdefault(record.subject_code, []).append((record.year, record.pass_pct))
-    for subject in sorted(by_subject):
-        rows = sorted(by_subject[subject])
+    for subject, trend_rows in summary.per_subject.items():
+        rows = [(row.year, row.pass_pct) for row in trend_rows]
         print()
         for line in charts.ascii_chart(subject, rows):
             print(line)
@@ -262,27 +267,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        _err(str(exc))
-        return 3
-    except (InvalidThresholdError, InvalidConstraintsError, InvalidStreamConfigError) as exc:
-        _err(str(exc))
-        return 3
-    except ValueError as exc:
-        _err(str(exc))
-        return 3
-    except ParseError as exc:
-        _err(str(exc))
-        return 2
-    except EmptyDatabaseError as exc:
-        _err(str(exc))
-        return 2
-    except OSError as exc:
-        _err(str(exc))
-        return 2
-    except SeqmineError as exc:
-        _err(f"internal invariant failure: {exc}")
-        return 4
+    except tuple(_EXIT_CODES) as exc:
+        code = next(_EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in _EXIT_CODES)
+        _err(f"internal invariant failure: {exc}" if code == 4 else str(exc))
+        return code
 
 
 if __name__ == "__main__":

@@ -202,12 +202,14 @@ class BandScheme:
 
     ``bins`` is an ascending tuple of (upper_bound, label): a value v maps
     to the first bin with v < upper_bound, except that the last bin also
-    takes v == 100.
+    takes v == 100. Construction (and ``dataclasses.replace``) raises
+    :class:`ValueError` unless there is at least one bin, the bounds
+    strictly increase and the final bound is 100.
     """
 
     bins: tuple[tuple[Decimal, str], ...]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.bins:
             raise ValueError("band scheme needs at least one bin")
         bounds = [b for b, _ in self.bins]
@@ -245,22 +247,23 @@ def parse_band_spec(spec: str) -> BandScheme:
         except InvalidOperation:
             raise ValueError(f"band bound must be a decimal, got {bound_text!r}")
         bins.append((bound, label.strip()))
-    scheme = BandScheme(tuple(bins))
-    scheme.validate()
-    return scheme
+    return BandScheme(tuple(bins))
+
+
+def _by_subject(records: Sequence[ResultRecord]) -> dict[str, list[ResultRecord]]:
+    """Records grouped by subject, subjects sorted and each group in year order."""
+    groups: dict[str, list[ResultRecord]] = {}
+    for record in records:
+        groups.setdefault(record.subject_code, []).append(record)
+    return {subject: sorted(groups[subject], key=lambda r: r.year) for subject in sorted(groups)}
 
 
 def discretize(records: Sequence[ResultRecord], scheme: BandScheme = DEFAULT_BANDS) -> SequenceDatabase:
     """One data-sequence per subject; each year becomes one transaction whose
     single item is ``subject:band``, enabling cross-year sequential mining."""
-    scheme.validate()
     alphabet = Alphabet()
-    by_subject: dict[str, list[ResultRecord]] = {}
-    for record in records:
-        by_subject.setdefault(record.subject_code, []).append(record)
     sequences = []
-    for subject in sorted(by_subject):
-        rows = sorted(by_subject[subject], key=lambda r: r.year)
+    for subject, rows in _by_subject(records).items():
         transactions = tuple(
             Transaction(r.year, (alphabet.intern(f"{subject}:{scheme.label(r.pass_pct)}"),))
             for r in rows
@@ -285,13 +288,9 @@ class TrendSummary:
 
 def trend(records: Sequence[ResultRecord], anomaly_threshold: Decimal = Decimal("20.0")) -> TrendSummary:
     """Year-over-year deltas, directions, and |delta| > threshold anomalies."""
-    by_subject: dict[str, list[ResultRecord]] = {}
-    for record in records:
-        by_subject.setdefault(record.subject_code, []).append(record)
     per_subject: dict[str, list[TrendRow]] = {}
     anomalies: list[tuple[str, int, Decimal]] = []
-    for subject in sorted(by_subject):
-        rows = sorted(by_subject[subject], key=lambda r: r.year)
+    for subject, rows in _by_subject(records).items():
         if len(rows) < 2:
             raise InsufficientHistoryError(subject)
         out = [TrendRow(rows[0].year, rows[0].pass_pct, None, None)]

@@ -61,9 +61,6 @@ class Alphabet:
             self._tokens.append(token)
             return item_id
 
-    def id_of(self, token: str) -> int:
-        return self._id_by_token[token]
-
     def token(self, item_id: int) -> str:
         return self._tokens[item_id]
 
@@ -148,6 +145,24 @@ class SequenceDatabase:
         return len(self.sequences)
 
 
+def exact_fraction(x) -> Fraction:
+    """Recover the decimal fraction a float argument was meant to express.
+
+    Thresholds arrive as floats (0.25, 0.07, ...). Multiplying floats by
+    database sizes and flooring/ceiling them is exactly the kind of place
+    where 0.07 * 100 == 7.000000000000001 ruins a count, so every threshold
+    comparison in the toolkit goes through this, and so does the check that
+    rejects an infinite or NaN float.
+    """
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise InvalidThresholdError(f"threshold must be a finite number, got {x}")
+    return Fraction(x).limit_denominator(10**9)
+
+
 @dataclass(frozen=True)
 class Constraints:
     """Mining parameters: a support threshold plus containment constraints.
@@ -157,6 +172,11 @@ class Constraints:
     elements; ``max_index_gap`` caps how many transactions may sit between
     them; ``max_length`` caps the number of items in a pattern. ``None``
     means unbounded.
+
+    Construction (and ``dataclasses.replace``) raises
+    :class:`InvalidConstraintsError` for an inconsistent set and
+    :class:`InvalidThresholdError` for a non-finite ``min_support``, so every
+    instance is valid.
     """
 
     min_support: float = 1.0
@@ -165,7 +185,7 @@ class Constraints:
     max_index_gap: Optional[int] = None
     max_length: Optional[int] = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         ms = exact_fraction(self.min_support)
         if not 0 < ms <= 1:
             raise InvalidConstraintsError(f"min_support must be in (0, 1], got {self.min_support}")
@@ -221,24 +241,6 @@ def pattern_length(pattern: Pattern) -> int:
 
 def pattern_sort_key(pattern: Pattern) -> tuple[int, Pattern]:
     return (pattern_length(pattern), pattern)
-
-
-def exact_fraction(x) -> Fraction:
-    """Recover the decimal fraction a float argument was meant to express.
-
-    Thresholds arrive as floats (0.25, 0.07, ...). Multiplying floats by
-    database sizes and flooring/ceiling them is exactly the kind of place
-    where 0.07 * 100 == 7.000000000000001 ruins a count, so every threshold
-    comparison in the toolkit goes through this, and so does the check that
-    rejects an infinite or NaN float.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float) and not math.isfinite(x):
-        raise InvalidThresholdError(f"threshold must be a finite number, got {x}")
-    return Fraction(x).limit_denominator(10**9)
 
 
 def min_count(min_support, db_size: int) -> int:

@@ -113,7 +113,6 @@ def brute_sequences(db: SequenceDatabase, constraints: Constraints) -> list[Supp
     a pattern using any other item supports zero sequences and can never
     reach a positive threshold.
     """
-    constraints.validate()
     if not db.sequences:
         raise EmptyDatabaseError("brute_sequences needs a non-empty database")
     if len(db.alphabet) > MAX_SEQUENCE_ALPHABET:

@@ -27,7 +27,6 @@ counting anyway.
 
 from __future__ import annotations
 
-import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -51,7 +50,6 @@ from seqmine.model import (
 class MiningStats:
     candidates_generated: int = 0
     database_passes: int = 0
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -74,12 +72,11 @@ def _delete_last_item(pattern: Pattern) -> Pattern:
     return pattern[:-1] + (tail[:-1],)
 
 
-def _finalize(pairs: dict[Pattern, int], n: int, stats: MiningStats, started: float) -> MiningResult:
+def _finalize(pairs: dict[Pattern, int], n: int, stats: MiningStats) -> MiningResult:
     patterns = [
         SupportedPattern(p, c, c / n)
         for p, c in sorted(pairs.items(), key=lambda kv: pattern_sort_key(kv[0]))
     ]
-    stats.elapsed = time.perf_counter() - started
     return MiningResult(patterns, stats)
 
 
@@ -135,8 +132,6 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     also leaves a frequent pattern. ``stats.database_passes`` counts one
     counting sweep per level attempted.
     """
-    started = time.perf_counter()
-    constraints.validate()
     if not db.sequences:
         raise EmptyDatabaseError("gsp_mine needs a non-empty database")
     n = len(db.sequences)
@@ -174,7 +169,7 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
         prev_level = sorted(level, key=pattern_sort_key)
         m += 1
 
-    return _finalize(frequent, n, stats, started)
+    return _finalize(frequent, n, stats)
 
 
 def _prefixspan(
@@ -248,14 +243,12 @@ def _prefixspan(
 
 def prefixspan_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     """Pattern-growth mining; contract identical to :func:`gsp_mine`."""
-    started = time.perf_counter()
-    constraints.validate()
     if not db.sequences:
         raise EmptyDatabaseError("prefixspan_mine needs a non-empty database")
     n = len(db.sequences)
     stats = MiningStats(database_passes=1)
     found = _prefixspan(db.sequences, min_count(constraints.min_support, n), constraints, stats)
-    return _finalize(found, n, stats, started)
+    return _finalize(found, n, stats)
 
 
 def pattern_in_pattern(inner: Pattern, outer: Pattern) -> bool:

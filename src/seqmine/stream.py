@@ -105,14 +105,20 @@ class PatternTree:
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """Stream parameters; epsilon < sigma is what makes the guarantees work."""
+    """Stream parameters; epsilon < sigma is what makes the guarantees work.
+
+    Construction (and ``dataclasses.replace``) raises
+    :class:`InvalidStreamConfigError` for out-of-range values and
+    :class:`InvalidThresholdError` for a non-finite sigma or epsilon, so
+    every instance is valid.
+    """
 
     sigma: float
     epsilon: float
     batch_size: int
     max_length: int = 5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         sigma = exact_fraction(self.sigma)
         epsilon = exact_fraction(self.epsilon)
         if not 0 < sigma <= 1:
@@ -172,7 +178,6 @@ def process_batch(
     state: StreamState, batch: Sequence[DataSequence], config: StreamConfig
 ) -> StreamState:
     """Mine one full batch into the tree; the batch itself is never retained."""
-    config.validate()
     if len(batch) != config.batch_size:
         raise BadBatchSizeError(
             f"expected a batch of {config.batch_size} sequences, got {len(batch)}"
@@ -200,7 +205,6 @@ def flush(
     state: StreamState, residual_batch: Sequence[DataSequence], config: StreamConfig
 ) -> list[SupportedPattern]:
     """Process an end-of-stream partial batch, then answer the final query."""
-    config.validate()
     if len(residual_batch) >= config.batch_size:
         raise BadBatchSizeError(
             f"residual batch must be smaller than batch_size ({config.batch_size}), "
@@ -232,7 +236,6 @@ def replay(
     after the residual flush. A periodic report that would coincide with the
     final boundary is folded into the final one.
     """
-    config.validate()
     state = state if state is not None else StreamState()
     it = iter(sequences)
     sentinel = object()

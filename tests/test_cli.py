@@ -300,13 +300,36 @@ class TestMineStream:
         ("mine-stream", "--sigma", "inf", "--epsilon", "0.1", "--batch-size", "2"),
         ("mine-stream", "--sigma", "nan", "--epsilon", "0.1", "--batch-size", "2"),
         ("mine-stream", "--sigma", "0.5", "--epsilon", "inf", "--batch-size", "2"),
+        ("mine-stream", "--sigma", "0.5", "--epsilon", "nan", "--batch-size", "2"),
     ],
-    ids=["seq-inf", "seq-nan", "sigma-inf", "sigma-nan", "epsilon-inf"],
+    ids=["seq-inf", "seq-nan", "sigma-inf", "sigma-nan", "epsilon-inf", "epsilon-nan"],
 )
 def test_non_finite_threshold_exit_3(db1_file, flags):
     proc = run_cli(flags[0], db1_file, *flags[1:])
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: threshold must be a finite number, got ")
+    assert proc.stderr.count("\n") == 1
+    bad_flag = next(flag for flag, value in zip(flags, flags[1:]) if value in ("inf", "nan"))
+    assert bad_flag in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, content, flags",
+    [
+        ("mine-seq", b"s1,1,a\n\xff,2,b\n", ("--min-support", "0.5")),
+        ("mine-stream", b"s1,1,a\n\xff,2,b\n",
+         ("--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "2")),
+        ("analyze-results", b"s1,1,a\n\xff,2,b\n", ()),
+        ("mine-itemsets", b"t1,a b\n\xff,c\n", ("--min-support", "0.5")),
+    ],
+    ids=["mine-seq", "mine-stream", "analyze-results", "mine-itemsets"],
+)
+def test_undecodable_input_exit_2(tmp_path, command, content, flags):
+    path = tmp_path / "input.csv"
+    path.write_bytes(content)
+    proc = run_cli(command, str(path), *flags)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
     assert proc.stderr.count("\n") == 1
 
 

@@ -1,5 +1,6 @@
 """File formats, the bundled results data, discretization, trends."""
 
+import dataclasses
 import hashlib
 from decimal import Decimal
 
@@ -161,6 +162,10 @@ class TestBands:
     def test_final_bound_must_be_100(self):
         with pytest.raises(ValueError):
             parse_band_spec("50:F,70:C,85:B")
+
+    def test_replace_checks_like_construction(self):
+        with pytest.raises(ValueError, match="^band scheme needs at least one bin$"):
+            dataclasses.replace(DEFAULT_BANDS, bins=())
 
 
 class TestDiscretize:

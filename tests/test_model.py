@@ -1,5 +1,6 @@
 """Core model: canonicalization, containment, support counting."""
 
+import dataclasses
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -14,6 +15,7 @@ from seqmine.errors import (
     EmptyElementError,
     EmptyPatternError,
     InvalidConstraintsError,
+    InvalidThresholdError,
 )
 from seqmine.model import (
     Alphabet,
@@ -179,20 +181,26 @@ class TestItemsetSupport:
 class TestConstraints:
     def test_min_gap_must_be_below_max_gap(self):
         with pytest.raises(InvalidConstraintsError):
-            Constraints(min_gap=3, max_gap=2).validate()
+            Constraints(min_gap=3, max_gap=2)
         with pytest.raises(InvalidConstraintsError):
-            Constraints(min_gap=2, max_gap=2).validate()
+            Constraints(min_gap=2, max_gap=2)
 
     def test_bad_min_support(self):
         with pytest.raises(InvalidConstraintsError):
-            Constraints(min_support=0.0).validate()
+            Constraints(min_support=0.0)
         with pytest.raises(InvalidConstraintsError):
-            Constraints(min_support=1.5).validate()
+            Constraints(min_support=1.5)
 
     def test_defaults_are_valid_and_unbounded(self):
         c = Constraints(min_support=0.5)
-        c.validate()
         assert c.gaps_unbounded
+
+    def test_replace_checks_like_construction(self):
+        valid = Constraints(0.5, max_gap=3)
+        with pytest.raises(InvalidConstraintsError, match=r"^min_gap \(3\) must be < max_gap \(3\)$"):
+            dataclasses.replace(valid, min_gap=3)
+        with pytest.raises(InvalidThresholdError, match="^threshold must be a finite number, got nan$"):
+            dataclasses.replace(valid, min_support=float("nan"))
 
     @given(sequence_dbs())
     def test_tightening_never_increases_support(self, db):

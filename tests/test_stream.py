@@ -1,5 +1,6 @@
 """Batched one-pass stream mining: bounds, guarantees, bookkeeping."""
 
+import dataclasses
 import math
 import random
 
@@ -63,13 +64,20 @@ def random_stream(rng, n, n_items=4, max_txns=4):
 class TestConfig:
     def test_epsilon_must_be_below_sigma(self):
         with pytest.raises(InvalidStreamConfigError):
-            StreamConfig(sigma=0.5, epsilon=0.6, batch_size=2).validate()
+            StreamConfig(sigma=0.5, epsilon=0.6, batch_size=2)
         with pytest.raises(InvalidStreamConfigError):
-            StreamConfig(sigma=0.5, epsilon=0.5, batch_size=2).validate()
+            StreamConfig(sigma=0.5, epsilon=0.5, batch_size=2)
 
     def test_bad_batch_size(self):
         with pytest.raises(InvalidStreamConfigError):
-            StreamConfig(sigma=0.5, epsilon=0.1, batch_size=0).validate()
+            StreamConfig(sigma=0.5, epsilon=0.1, batch_size=0)
+
+    def test_replace_checks_like_construction(self):
+        with pytest.raises(
+            InvalidStreamConfigError,
+            match=r"^epsilon must be in \(0, sigma\), got epsilon=0.6 sigma=0.5$",
+        ):
+            dataclasses.replace(StreamConfig(0.5, 0.1, 2), epsilon=0.6)
 
 
 class TestProcessBatch:

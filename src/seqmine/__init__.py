@@ -15,7 +15,6 @@ from seqmine.model import (
     Pattern,
     SequenceDatabase,
     SupportedPattern,
-    Transaction,
     canonicalize,
     contains,
     itemset_support,
@@ -57,7 +56,6 @@ __all__ = [
     "StreamConfig",
     "StreamState",
     "SupportedPattern",
-    "Transaction",
     "canonicalize",
     "contains",
     "filter_closed",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from seqmine.model import Alphabet, DataSequence, SequenceDatabase, Transaction
+from seqmine.model import Alphabet, DataSequence, SequenceDatabase
 
 
 def generate_db(
@@ -33,13 +33,13 @@ def generate_db(
         while n_txns < max_txns and rng.random() < geometric_p:
             n_txns += 1
         t = 0
-        transactions = []
+        times, itemsets = [], []
         for _ in range(n_txns):
             t += rng.randint(1, 3)
             k = rng.randint(1, 3)
-            items = set(rng.choices(population, weights=weights, k=k))
-            transactions.append(Transaction(t, tuple(sorted(items))))
-        sequences.append(DataSequence(f"s{s}", tuple(transactions)))
+            times.append(t)
+            itemsets.append(tuple(sorted(set(rng.choices(population, weights=weights, k=k)))))
+        sequences.append(DataSequence(f"s{s}", tuple(times), tuple(itemsets)))
     return SequenceDatabase(tuple(sequences), alphabet)
 
 

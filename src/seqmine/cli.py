@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: mine-itemsets, mine-seq, mine-stream, analyze-results.
-Exit codes: 0 ok, 2 unreadable, undecodable or unparsable input, 3
-usage/flag error, 4 internal invariant failure (see ``_EXIT_CODES``). Every
-failure prints one line starting with ``error:`` to stderr. Outputs are
-byte-deterministic for fixed inputs and flags.
+Exit codes: 0 ok, 2 unreadable, undecodable or unparsable input (or a
+results file without two years for every subject), 3 usage/flag error, 4
+internal invariant failure (see ``_EXIT_CODES``). Every failure prints one
+line starting with ``error:`` to stderr. Outputs are byte-deterministic for
+fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Iterator, Optional
 from seqmine import charts, dataset, textfmt
 from seqmine.errors import (
     EmptyDatabaseError,
+    InsufficientHistoryError,
     InvalidConstraintsError,
     InvalidStreamConfigError,
     InvalidThresholdError,
@@ -40,6 +42,7 @@ class UsageError(Exception):
 # here, so undecodable input exits 2 although UnicodeDecodeError is a ValueError.
 _EXIT_CODES: dict[type[Exception], int] = {
     OSError: 2, UnicodeDecodeError: 2, ParseError: 2, EmptyDatabaseError: 2,
+    InsufficientHistoryError: 2,
     UsageError: 3, ValueError: 3, InvalidThresholdError: 3,
     InvalidConstraintsError: 3, InvalidStreamConfigError: 3,
     SeqmineError: 4,

@@ -27,7 +27,7 @@ from seqmine.errors import (
     OutOfRangeError,
     ParseError,
 )
-from seqmine.model import Alphabet, DataSequence, SequenceDatabase, Transaction
+from seqmine.model import Alphabet, DataSequence, SequenceDatabase
 
 BUNDLED_RESULTS = "university_results.csv"
 
@@ -62,10 +62,8 @@ def _parse_sequence_line(line_no: int, line: str, alphabet: Alphabet):
 
 def _build_sequence(seq_id: str, by_time: dict[int, set[int]]) -> DataSequence:
     """A data-sequence from its items per time, transactions in time order."""
-    return DataSequence(
-        seq_id,
-        tuple(Transaction(time, tuple(sorted(by_time[time]))) for time in sorted(by_time)),
-    )
+    times = tuple(sorted(by_time))
+    return DataSequence(seq_id, times, tuple(tuple(sorted(by_time[time])) for time in times))
 
 
 def load_sequence_db(source) -> SequenceDatabase:
@@ -114,9 +112,9 @@ def serialize_sequence_db(db: SequenceDatabase) -> str:
     """
     lines = []
     for seq in db.sequences:
-        for t in seq.transactions:
-            tokens = " ".join(sorted(db.alphabet.token(i) for i in t.items))
-            lines.append(f"{seq.seq_id},{t.time},{tokens}")
+        for time, items in zip(seq.times, seq.itemsets):
+            tokens = " ".join(sorted(db.alphabet.token(i) for i in items))
+            lines.append(f"{seq.seq_id},{time},{tokens}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -264,11 +262,9 @@ def discretize(records: Sequence[ResultRecord], scheme: BandScheme = DEFAULT_BAN
     alphabet = Alphabet()
     sequences = []
     for subject, rows in _by_subject(records).items():
-        transactions = tuple(
-            Transaction(r.year, (alphabet.intern(f"{subject}:{scheme.label(r.pass_pct)}"),))
-            for r in rows
-        )
-        sequences.append(DataSequence(subject, transactions))
+        times = tuple(r.year for r in rows)
+        itemsets = tuple((alphabet.intern(f"{subject}:{scheme.label(r.pass_pct)}"),) for r in rows)
+        sequences.append(DataSequence(subject, times, itemsets))
     return SequenceDatabase(tuple(sequences), alphabet)
 
 

@@ -2,8 +2,9 @@
 
 Items are dense integer ids issued by an :class:`Alphabet`. An itemset is a
 strictly ascending tuple of item ids, a pattern is a non-empty tuple of
-itemsets, and a data-sequence is a tuple of transactions with strictly
-increasing integer timestamps. Containment of a pattern in a data-sequence
+itemsets, and a data-sequence is parallel ``times`` and ``itemsets`` tuples:
+transaction j has itemset ``itemsets[j]`` at integer time ``times[j]``, the
+times strictly increasing. Containment of a pattern in a data-sequence
 optionally honors gap constraints between consecutive matched elements:
 
 * ``min_gap``   -- exclusive lower bound on the time difference,
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import ge
 from typing import Iterable, Optional, Sequence
 
 from seqmine.errors import (
@@ -88,43 +90,39 @@ def anonymous_alphabet(size: int) -> Alphabet:
 
 
 @dataclass(frozen=True)
-class Transaction:
-    """A time-stamped itemset inside a data-sequence."""
-
-    time: int
-    items: Itemset
-
-    def __post_init__(self):
-        if not self.items:
-            raise EmptyElementError("transaction itemset is empty")
-        if any(b <= a for a, b in zip(self.items, self.items[1:])):
-            raise ValueError(f"transaction items not strictly ascending: {self.items}")
-
-
-@dataclass(frozen=True)
 class DataSequence:
-    """An ordered list of transactions belonging to one entity."""
+    """The transactions of one entity, as parallel ``times`` and ``itemsets``.
+
+    Construction (and ``dataclasses.replace``) raises
+    :class:`EmptyElementError` for a sequence with no transactions or an
+    empty itemset, and :class:`ValueError` when an itemset is not strictly
+    ascending, the times do not strictly increase, or the two tuples differ
+    in length.
+    """
 
     seq_id: str
-    transactions: tuple[Transaction, ...]
+    times: tuple[int, ...]
+    itemsets: tuple[Itemset, ...]
 
     def __post_init__(self):
-        if not self.transactions:
+        if not self.itemsets:
             raise EmptyElementError(f"data-sequence {self.seq_id!r} has no transactions")
-        times = [t.time for t in self.transactions]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if len(self.times) != len(self.itemsets):
+            raise ValueError(f"data-sequence {self.seq_id!r} times and itemsets differ in length")
+        if any(map(ge, self.times, self.times[1:])):
             raise ValueError(f"data-sequence {self.seq_id!r} times not strictly increasing")
-
-    @cached_property
-    def times(self) -> tuple[int, ...]:
-        return tuple(t.time for t in self.transactions)
+        for items in self.itemsets:
+            if not items:
+                raise EmptyElementError(f"data-sequence {self.seq_id!r} has an empty itemset")
+            if any(map(ge, items, items[1:])):
+                raise ValueError(f"transaction items not strictly ascending: {items}")
 
     @cached_property
     def item_masks(self) -> dict[int, int]:
         """Item -> bitmask of the transaction indices holding it."""
         masks: dict[int, int] = {}
-        for j, t in enumerate(self.transactions):
-            for item in t.items:
+        for j, items in enumerate(self.itemsets):
+            for item in items:
                 masks[item] = masks.get(item, 0) | 1 << j
         return masks
 

@@ -39,13 +39,13 @@ def contains_by_enumeration(
 ) -> bool:
     """Independent containment oracle: try every index combination."""
     c = constraints or Constraints()
-    txns = seq.transactions
-    for idxs in combinations(range(len(txns)), len(pattern)):
-        if not all(set(e) <= set(txns[i].items) for e, i in zip(pattern, idxs)):
+    times, itemsets = seq.times, seq.itemsets
+    for idxs in combinations(range(len(times)), len(pattern)):
+        if not all(set(e) <= set(itemsets[i]) for e, i in zip(pattern, idxs)):
             continue
         ok = True
         for i, j in zip(idxs, idxs[1:]):
-            dt = txns[j].time - txns[i].time
+            dt = times[j] - times[i]
             if dt <= c.min_gap:
                 ok = False
             elif c.max_gap is not None and dt > c.max_gap:
@@ -123,7 +123,7 @@ def brute_sequences(db: SequenceDatabase, constraints: Constraints) -> list[Supp
         raise InstanceTooLargeError(
             f"max_length must be set and <= {MAX_SEQUENCE_PATTERN_LENGTH} for exhaustive mining"
         )
-    present = sorted({item for s in db.sequences for t in s.transactions for item in t.items})
+    present = sorted({item for s in db.sequences for items in s.itemsets for item in items})
     n = len(db.sequences)
     minc = min_count(constraints.min_support, n)
     out = []
@@ -141,7 +141,7 @@ def brute_stream(
     """Offline exact mining of a whole stream, for stream-guarantee checks."""
     if not stream:
         return []
-    max_item = max(item for seq in stream for t in seq.transactions for item in t.items)
+    max_item = max(item for seq in stream for items in seq.itemsets for item in items)
     db = SequenceDatabase(tuple(stream), anonymous_alphabet(max_item + 1))
     return brute_sequences(db, Constraints(min_support=sigma, max_length=max_length))
 

@@ -17,13 +17,13 @@ settings.register_profile(
 )
 settings.load_profile("seqmine")
 
-from seqmine.model import Alphabet, DataSequence, SequenceDatabase, Transaction
+from seqmine.model import Alphabet, DataSequence, SequenceDatabase
 
 
 def make_sequence(seq_id, *txns):
     """txns are (time, items) pairs; items may be any iterable of ids."""
     return DataSequence(
-        seq_id, tuple(Transaction(t, tuple(sorted(set(items)))) for t, items in txns)
+        seq_id, tuple(t for t, _ in txns), tuple(tuple(sorted(set(items))) for _, items in txns)
     )
 
 

@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 
-from seqmine.model import Alphabet, Constraints, DataSequence, SequenceDatabase, Transaction
+from seqmine.model import Alphabet, Constraints, DataSequence, SequenceDatabase
 
 
 @st.composite
@@ -27,7 +27,7 @@ def sequence_dbs(draw, max_items=5, max_seqs=6, max_txns=4, max_items_per_txn=3)
     for s in range(n_seqs):
         n_txns = draw(st.integers(1, max_txns))
         t = 0
-        txns = []
+        times, itemsets = [], []
         for _ in range(n_txns):
             t += draw(st.integers(1, 3))
             items = draw(
@@ -37,8 +37,9 @@ def sequence_dbs(draw, max_items=5, max_seqs=6, max_txns=4, max_items_per_txn=3)
                     max_size=min(max_items_per_txn, n_items),
                 )
             )
-            txns.append(Transaction(t, tuple(sorted(items))))
-        sequences.append(DataSequence(f"s{s}", tuple(txns)))
+            times.append(t)
+            itemsets.append(tuple(sorted(items)))
+        sequences.append(DataSequence(f"s{s}", tuple(times), tuple(itemsets)))
     alphabet = Alphabet(f"x{i}" for i in range(n_items))
     return SequenceDatabase(tuple(sequences), alphabet)
 

@@ -351,6 +351,13 @@ class TestAnalyzeResults:
         assert proc.returncode == 0
         assert "BE-105 2007 delta=-44.71" in proc.stdout
 
+    def test_single_year_subject_exit_2(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("year,subject_code,pass_pct\n2003,X,50\n2004,X,60\n2003,Y,70\n")
+        proc = run_cli("analyze-results", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: subject 'Y' has fewer than 2 years of data\n"
+
     def test_malformed_bands_exit_3(self):
         proc = run_cli("analyze-results", "--bands", "70:C,50:F,85:B,100:A")
         assert proc.returncode == 3

@@ -36,7 +36,8 @@ BUNDLED_SHA256 = "acfc1a223a8432f60619ef30f684be014e00abbc9d9486af4b68e5bb395740
 
 def db_signature(db):
     return [
-        (s.seq_id, [(t.time, tuple(sorted(db.alphabet.token(i) for i in t.items))) for t in s.transactions])
+        (s.seq_id, [(t, tuple(sorted(db.alphabet.token(i) for i in items)))
+                    for t, items in zip(s.times, s.itemsets)])
         for s in db.sequences
     ]
 
@@ -85,7 +86,7 @@ class TestIterSequenceDb:
         alphabet = Alphabet()
         seqs = list(iter_sequence_db("s1,1,a\ns1,2,b\ns2,1,c", alphabet))
         assert [s.seq_id for s in seqs] == ["s1", "s2"]
-        assert len(seqs[0].transactions) == 2
+        assert seqs[0].times == (1, 2)
 
     def test_reappearing_seq_id_rejected(self):
         alphabet = Alphabet()
@@ -172,20 +173,20 @@ class TestDiscretize:
     def test_be103_is_all_a(self):
         db = discretize(bundled_results())
         seq = next(s for s in db.sequences if s.seq_id == "BE-103")
-        tokens = [db.alphabet.token(t.items[0]) for t in seq.transactions]
+        tokens = [db.alphabet.token(items[0]) for items in seq.itemsets]
         assert tokens == ["BE-103:A"] * 5
-        assert [t.time for t in seq.transactions] == [2003, 2004, 2005, 2006, 2007]
+        assert seq.times == (2003, 2004, 2005, 2006, 2007)
 
     def test_be105_2007_is_f(self):
         db = discretize(bundled_results())
         seq = next(s for s in db.sequences if s.seq_id == "BE-105")
-        trans = {t.time: db.alphabet.token(t.items[0]) for t in seq.transactions}
+        trans = {t: db.alphabet.token(items[0]) for t, items in zip(seq.times, seq.itemsets)}
         assert trans[2007] == "BE-105:F"
 
     def test_one_transaction_per_subject_year(self):
         records = bundled_results()
         db = discretize(records)
-        pairs = {(s.seq_id, t.time) for s in db.sequences for t in s.transactions}
+        pairs = {(s.seq_id, t) for s in db.sequences for t in s.times}
         assert pairs == {(r.subject_code, r.year) for r in records}
 
     def test_alphabet_holds_exactly_the_bands_hit(self):

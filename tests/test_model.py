@@ -20,8 +20,8 @@ from seqmine.errors import (
 from seqmine.model import (
     Alphabet,
     Constraints,
+    DataSequence,
     SequenceDatabase,
-    Transaction,
     canonicalize,
     contains,
     itemset_support,
@@ -255,7 +255,7 @@ class TestRelabeling:
         for seq in db.sequences:
             relabeled_seq = make_sequence(
                 seq.seq_id + "_r",
-                *((t.time, [perm[i] for i in t.items]) for t in seq.transactions),
+                *((t, [perm[i] for i in items]) for t, items in zip(seq.times, seq.itemsets)),
             )
             assert contains(pattern, seq, constraints) == contains(
                 relabeled_pattern, relabeled_seq, constraints
@@ -284,8 +284,26 @@ def test_pattern_length():
     assert pattern_length(((A,), (B, C))) == 3
 
 
-def test_transaction_validation():
-    with pytest.raises(EmptyElementError):
-        Transaction(1, ())
-    with pytest.raises(ValueError):
-        Transaction(1, (B, A))
+SEQUENCE_FAULTS = [
+    pytest.param((), (), EmptyElementError, id="no-transactions"),
+    pytest.param((1, 2), ((A,), ()), EmptyElementError, id="empty-itemset"),
+    pytest.param((1, 2), ((A,), (B, A)), ValueError, id="itemset-not-ascending"),
+    pytest.param((1, 1), ((A,), (B,)), ValueError, id="equal-times"),
+    pytest.param((2, 1), ((A,), (B,)), ValueError, id="falling-times"),
+    pytest.param((1, 2), ((A,),), ValueError, id="length-mismatch"),
+]
+
+
+@pytest.mark.parametrize("times, itemsets, error", SEQUENCE_FAULTS)
+def test_data_sequence_validation(times, itemsets, error):
+    with pytest.raises(error):
+        DataSequence("s", times, itemsets)
+    valid = DataSequence("s", (1, 2, 3), ((A,), (A, B), (C,)))
+    with pytest.raises(error):
+        dataclasses.replace(valid, times=times, itemsets=itemsets)
+
+
+def test_sequence_database_rejects_duplicate_seq_id():
+    twins = (make_sequence("s1", (1, (A,))), make_sequence("s1", (2, (B,))))
+    with pytest.raises(ValueError, match="duplicate seq_id"):
+        SequenceDatabase(twins, Alphabet(["a", "b"]))

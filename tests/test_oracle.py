@@ -1,5 +1,8 @@
 """The exhaustive reference miners validate themselves here."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -144,3 +147,30 @@ class TestBruteClosed:
             (((A,), (C,)), 3),
             (((A, B), (C,)), 2),
         ]
+
+
+MINER_MODULES = {"seqmine.sequences", "seqmine.stream"}
+MINER_KERNEL_NAMES = {"item_masks", "reach_masks", "extend", "contains", "support"}
+
+
+def test_oracle_shares_no_code_with_the_miners():
+    """The oracle is ground truth only while it reads the raw ``times`` and
+    ``itemsets`` itself; importing a miner or the shared kernel would let a
+    kernel bug agree with itself."""
+    source = Path(__file__).resolve().parents[1] / "src" / "seqmine" / "oracle.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imported, named = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        if isinstance(node, ast.alias):
+            named.update((node.name, node.asname))
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not imported & MINER_MODULES
+    assert not named & MINER_KERNEL_NAMES

@@ -257,7 +257,7 @@ class TestTreeInvariants:
             assert_parent_bound(state.tree)
             out = query_output(state, config)
             out_patterns = {sp.pattern for sp in out}
-            items = sorted({i for s in seen for t_ in s.transactions for i in t_.items})
+            items = sorted({i for s in seen for itemset in s.itemsets for i in itemset})
             for pattern in iter_canonical_patterns(items, 3):
                 if true_count(pattern, seen) >= sigma_f * n:
                     assert pattern in out_patterns

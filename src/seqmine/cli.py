@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from decimal import Decimal, InvalidOperation
@@ -73,6 +74,16 @@ def _check_fraction(value: float, flag: str) -> None:
         raise UsageError(f"{flag} must be in (0, 1], got {value}")
 
 
+def _build_config(config_class, **fields):
+    """``config_class(**fields)``, its error re-raised with every field name
+    spelled as the flag that sets it (``max_gap`` -> ``--max-gap``)."""
+    try:
+        return config_class(**fields)
+    except (InvalidConstraintsError, InvalidStreamConfigError) as exc:
+        names = re.compile(r"\b(" + "|".join(fields) + r")\b")
+        raise type(exc)(names.sub(lambda m: "--" + m[1].replace("_", "-"), str(exc))) from None
+
+
 def _load_lines(path: str) -> list[str]:
     return Path(path).read_text(encoding="utf-8").splitlines()
 
@@ -93,7 +104,8 @@ def _cmd_mine_itemsets(args) -> int:
 
 def _build_constraints(args) -> Constraints:
     _check_fraction(args.min_support, "--min-support")
-    return Constraints(
+    return _build_config(
+        Constraints,
         min_support=args.min_support,
         min_gap=args.min_gap,
         max_gap=args.max_gap,
@@ -146,7 +158,8 @@ def _stream_lines(path: str, watch: bool, idle_timeout: float) -> Iterator[str]:
 def _cmd_mine_stream(args) -> int:
     _check_fraction(args.sigma, "--sigma")
     _check_fraction(args.epsilon, "--epsilon")
-    config = StreamConfig(
+    config = _build_config(
+        StreamConfig,
         sigma=args.sigma,
         epsilon=args.epsilon,
         batch_size=args.batch_size,

@@ -2,15 +2,19 @@
 
 The miner follows the classic scheme: pass m counts only candidates built
 from the frequent (m-1)-itemsets, and a candidate survives generation only
-if all of its (m-1)-subsets were frequent. Transactions here are plain
-itemsets; time plays no role.
+if all of its (m-1)-subsets were frequent. Counting is by tidset
+intersection in bitmap form: every frequent itemset carries a Python-int
+bitmask of the transactions that contain it, and a candidate's mask is the
+AND of the masks of the two (m-1)-itemsets it was joined from, so no pass
+rescans the transactions. Transactions here are plain itemsets; time plays
+no role.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Sequence
 
 from seqmine.errors import (
@@ -49,19 +53,17 @@ def generate_candidates(frequent_prev: Sequence[Itemset]) -> list[Itemset]:
     sizes = {len(i) for i in frequent_prev}
     if len(sizes) != 1:
         raise MixedSizesError(f"input itemsets have mixed sizes: {sorted(sizes)}")
-    prev = sorted(set(frequent_prev))
-    prev_set = set(prev)
+    prev_set = set(frequent_prev)
+    prev = sorted(prev_set)
     m = len(prev[0]) + 1
     candidates = []
-    for a_idx, a in enumerate(prev):
-        for b in prev[a_idx + 1 :]:
-            if a[:-1] != b[:-1]:
-                # sorted input: once prefixes diverge no later b matches
-                break
-            candidate = a + (b[-1],)
-            if all(sub in prev_set for sub in combinations(candidate, m - 1)):
+    for _, group in groupby(prev, key=lambda i: i[:-1]):
+        for a, b in combinations(group, 2):
+            candidate = a + b[-1:]
+            # dropping the last item gives a and the one before it b; check the rest
+            if all(candidate[:i] + candidate[i + 1 :] in prev_set for i in range(m - 2)):
                 candidates.append(candidate)
-    return sorted(candidates)
+    return candidates  # already sorted: prev is, and so is each group's pair order
 
 
 def _validate_threshold(value: float, name: str) -> Fraction:
@@ -76,41 +78,49 @@ def mine_frequent_itemsets(
 ) -> list[FrequentItemset]:
     """All itemsets whose count meets ceil(min_support * |transactions|).
 
-    Level-wise passes: level 1 counts single items, every further level
-    counts only the candidates surviving :func:`generate_candidates`, and
-    mining stops at the first level that yields nothing frequent. Output is
-    sorted by (size, lexicographic).
+    Level 1 gives each item the bitmask of the transactions whose item set
+    holds it, so unsorted or repeated items in a transaction count once.
+    Level m takes its candidates from :func:`generate_candidates` and counts
+    candidate ``c`` as the popcount of ``mask[c[:-1]] & mask[c[:-2] + c[-1:]]``;
+    only the previous level's masks are kept, each dropped after its last
+    use. Mining stops at the first level that yields nothing frequent.
+    Output is sorted by (size, lexicographic).
     """
     _validate_threshold(min_support, "min_support")
     if not transactions:
         raise EmptyDatabaseError("mine_frequent_itemsets needs transactions")
     n = len(transactions)
     minc = min_count(min_support, n)
-    tsets = [frozenset(t) for t in transactions]
 
-    counts: dict[Itemset, int] = {}
-    for t in tsets:
-        for item in t:
-            counts[(item,)] = counts.get((item,), 0) + 1
-    frequent: dict[Itemset, int] = {i: c for i, c in counts.items() if c >= minc}
-    level = sorted(frequent)
+    # one byte row per item, set in place: OR-ing bits into a growing int
+    # would copy the int once per transaction, quadratic in len(transactions)
+    rows: dict[int, bytearray] = {}
+    for j, t in enumerate(transactions):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for item in set(t):
+            row = rows.get(item)
+            if row is None:
+                row = rows[item] = bytearray((n + 7) // 8)
+            row[byte] |= bit
+    masks = {(item,): int.from_bytes(row, "little") for item, row in rows.items()}
+    masks = {i: mask for i, mask in masks.items() if mask.bit_count() >= minc}
+    frequent = {i: mask.bit_count() for i, mask in masks.items()}
 
-    m = 2
-    while level:
-        candidates = generate_candidates(level)
-        if not candidates:
-            break
-        cand_set = set(candidates)
-        counts = dict.fromkeys(candidates, 0)
-        for t in transactions:
-            if len(t) < m:
-                continue
-            for sub in combinations(t, m):
-                if sub in cand_set:
-                    counts[sub] += 1
-        level = sorted(i for i, c in counts.items() if c >= minc)
-        frequent.update((i, counts[i]) for i in level)
-        m += 1
+    while masks:
+        level_masks = {}
+        a = None
+        for c in generate_candidates(list(masks)):
+            if c[:-1] != a:
+                # candidates arrive sorted, and each reads only masks at or
+                # above its own c[:-1], so a's mask is dead once c moves on
+                masks.pop(a, None)
+                a = c[:-1]
+            mask = masks[a] & masks[c[:-2] + c[-1:]]
+            count = mask.bit_count()
+            if count >= minc:
+                level_masks[c] = mask
+                frequent[c] = count
+        masks = level_masks
 
     return [
         FrequentItemset(itemset, count, count / n)
@@ -119,6 +129,8 @@ def mine_frequent_itemsets(
 
 
 def _proper_subsets(itemset: Itemset):
+    """Non-empty proper subsets in (size, lexicographic) order, since
+    ``combinations`` of an ascending tuple emits each size in that order."""
     for size in range(1, len(itemset)):
         yield from combinations(itemset, size)
 
@@ -139,11 +151,11 @@ def generate_rules(
         z = f.itemset
         if len(z) < 2:
             continue
-        for x in sorted(_proper_subsets(z), key=lambda s: (len(s), s)):
+        for x in _proper_subsets(z):
             if x not in count_by_itemset:
                 raise MissingSubsetSupportError(f"support of subset {x} is missing")
             cx = count_by_itemset[x]
-            if Fraction(f.count, cx) < min_conf:
+            if f.count * min_conf.denominator < min_conf.numerator * cx:
                 continue
             consequent = tuple(i for i in z if i not in x)
             rules.append(AssociationRule(x, consequent, f.support, f.count / cx))

@@ -290,14 +290,19 @@ def contains(pattern: Pattern, seq: DataSequence, constraints: Optional[Constrai
     active ``max_gap`` a greedy earliest match is not sound.
     """
     masks = seq.item_masks
-    reach = reach_masks(seq.times, constraints or UNCONSTRAINED)
+    last = len(pattern) - 1
     allowed = -1
-    for element in pattern:
+    for k, element in enumerate(pattern):
         frontier = allowed
         for item in element:
             frontier &= masks.get(item, 0)
         if not frontier:
             return False
+        if k == last:
+            break
+        if k == 0:
+            # only now is a second element known to need the gap rules
+            reach = reach_masks(seq.times, constraints or UNCONSTRAINED)
         allowed = extend(frontier, reach)
     return True
 

@@ -20,6 +20,16 @@ def transaction_dbs(draw, max_items=6, max_txns=10):
 
 
 @st.composite
+def messy_transaction_dbs(draw, max_items=6, max_txns=10):
+    """Transaction lists whose items come in any order, some repeated."""
+    out = []
+    for t in draw(transaction_dbs(max_items=max_items, max_txns=max_txns)):
+        repeats = draw(st.lists(st.sampled_from(t), max_size=3))
+        out.append(tuple(draw(st.permutations(t + tuple(repeats)))))
+    return out
+
+
+@st.composite
 def sequence_dbs(draw, max_items=5, max_seqs=6, max_txns=4, max_items_per_txn=3):
     n_items = draw(st.integers(1, max_items))
     n_seqs = draw(st.integers(1, max_seqs))

@@ -83,6 +83,28 @@ class TestMineItemsets:
         proc = run_cli("mine-itemsets", "/nonexistent.csv", "--min-support", "0.5")
         assert proc.returncode == 2
 
+    def test_stdout_bytes_pinned(self, tmp_path):
+        # baskets list items unsorted and repeated; the loader sorts and dedups
+        import random
+
+        rng = random.Random(5)
+        weights = [1 / rank for rank in range(1, 15)]
+        lines = []
+        for b in range(500):
+            size = min(1 + int(rng.expovariate(0.3)), 9)
+            items = rng.choices(range(14), weights=weights, k=size)
+            lines.append(f"b{b},{' '.join(f'i{i}' for i in items)}")
+        path = tmp_path / "baskets.csv"
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_cli(
+            "mine-itemsets", str(path), "--min-support", "0.02", "--min-confidence", "0.3"
+        )
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == 364
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+            "7abb67bd0dd581ea323e403aa6e9295e9c36572985df3ca05552193849d607ec"
+        )
+
 
 class TestMineSeq:
     def test_gsp_and_prefixspan_byte_identical(self, db1_file, tmp_path):
@@ -115,7 +137,7 @@ class TestMineSeq:
     def test_conflicting_gaps_exit_3(self, db1_file):
         proc = run_cli("mine-seq", db1_file, "--min-support", "0.5", "--min-gap", "3", "--max-gap", "2")
         assert proc.returncode == 3
-        assert proc.stderr.startswith("error:")
+        assert proc.stderr == "error: --min-gap (3) must be < --max-gap (2)\n"
 
     def test_unknown_algo_exit_3(self, db1_file):
         proc = run_cli("mine-seq", db1_file, "--min-support", "0.5", "--algo", "spade")
@@ -189,7 +211,16 @@ class TestMineStream:
             "mine-stream", stream_file, "--sigma", "0.5", "--epsilon", "0.6", "--batch-size", "10"
         )
         assert proc.returncode == 3
-        assert proc.stderr.startswith("error:")
+        assert proc.stderr == (
+            "error: --epsilon must be in (0, --sigma), got --epsilon=0.6 --sigma=0.5\n"
+        )
+
+    def test_batch_size_error_names_flag(self, stream_file):
+        proc = run_cli(
+            "mine-stream", stream_file, "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "0"
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: --batch-size must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("value", ["nan", "-1"])
     def test_bad_idle_timeout_exit_3(self, stream_file, value):

@@ -1,11 +1,13 @@
 """Level-wise itemset mining and rule generation."""
 
+from fractions import Fraction
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from conftest import A, B, C
-from strategies import transaction_dbs
+from strategies import messy_transaction_dbs, transaction_dbs
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -19,6 +21,7 @@ from seqmine.itemsets import (
     generate_rules,
     mine_frequent_itemsets,
 )
+from seqmine.model import exact_fraction
 from seqmine.oracle import brute_itemsets
 
 
@@ -80,6 +83,21 @@ class TestMineFrequentItemsets:
         brute = brute_itemsets(transactions, min_support)
         assert [(f.itemset, f.count) for f in mined] == [(f.itemset, f.count) for f in brute]
 
+    def test_unsorted_transaction_counts_its_pair(self):
+        got = mine_frequent_itemsets([(2, 1), (1, 2)], 1.0)
+        assert [(f.itemset, f.count) for f in got] == [((1,), 2), ((2,), 2), ((1, 2), 2)]
+
+    def test_repeated_item_counts_once(self):
+        got = mine_frequent_itemsets([(1, 1, 2), (3,)], 0.5)
+        assert [(f.itemset, f.count) for f in got] == [((1,), 1), ((2,), 1), ((3,), 1), ((1, 2), 1)]
+
+    @settings(max_examples=100)
+    @given(messy_transaction_dbs(max_items=6, max_txns=10), st.sampled_from([0.25, 0.5, 0.75]))
+    def test_non_canonical_transactions_equal_brute_force(self, transactions, min_support):
+        mined = mine_frequent_itemsets(transactions, min_support)
+        brute = brute_itemsets(transactions, min_support)
+        assert [(f.itemset, f.count) for f in mined] == [(f.itemset, f.count) for f in brute]
+
     @given(transaction_dbs(), st.sampled_from([0.25, 0.5]))
     def test_downward_closure(self, transactions, min_support):
         mined = mine_frequent_itemsets(transactions, min_support)
@@ -130,3 +148,36 @@ class TestGenerateRules:
             assert rule.confidence >= min_confidence or abs(
                 rule.confidence - min_confidence
             ) < 1e-12
+
+
+def brute_rules(frequent, min_confidence):
+    """Every (Z, X) pair in output order, kept by an exact Fraction test."""
+    threshold = exact_fraction(min_confidence)
+    count = {f.itemset: f.count for f in frequent}
+    rules = []
+    for f in sorted(frequent, key=lambda f: (len(f.itemset), f.itemset)):
+        z = f.itemset
+        subsets = [
+            tuple(i for k, i in enumerate(z) if bits >> k & 1) for bits in range(1, 2 ** len(z) - 1)
+        ]
+        for x in sorted(subsets, key=lambda s: (len(s), s)):
+            if Fraction(f.count, count[x]) >= threshold:
+                consequent = tuple(i for i in z if i not in x)
+                rules.append((x, consequent, f.support, f.count / count[x]))
+    return rules
+
+
+@settings(max_examples=100)
+@given(
+    transaction_dbs(max_items=5, max_txns=12),
+    st.sampled_from([0.2, 0.25, 0.5]),
+    st.sampled_from([2 / 3, 1 / 2, 0.1, 0.75, 1.0]),
+)
+def test_rules_equal_brute_force(transactions, min_support, min_confidence):
+    # 2/3 and 1/2 land exactly on common confidences; 0.1 is not dyadic
+    frequent = mine_frequent_itemsets(transactions, min_support)
+    got = [
+        (r.antecedent, r.consequent, r.support, r.confidence)
+        for r in generate_rules(frequent, min_confidence)
+    ]
+    assert got == brute_rules(frequent, min_confidence)

@@ -7,7 +7,10 @@ Two independent miners with an identical contract:
   carrying each node's end positions as a bitmask (SPAM's item bitmaps).
 * :func:`prefixspan_mine` grows patterns depth-first, carrying for every
   sequence the bitmask of transaction indices where the pattern's last
-  element can end; that frontier is exact even with gap constraints.
+  element can end; that frontier is exact even with gap constraints. Each
+  projection entry visits only the items whose last occurrence is at or
+  after its lowest end position, read from per-sequence rows ordered by
+  last occurrence: no other item can extend it.
 
 Both grow a frontier the same way: an s-extension is ``extend(ends, reach)
 & mask`` and an i-extension ``ends & mask``, over ``DataSequence.item_masks``.
@@ -172,6 +175,28 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     return _finalize(frequent, n, stats)
 
 
+def _item_rows(masks: dict[int, int], n: int) -> list[list[tuple[int, int]]]:
+    """``rows[p]``: the ``(item, bits)`` pairs of a sequence of ``n``
+    transactions with a bit at or after ``p``, latest last occurrence first.
+
+    Each row is a prefix of the same order; equal rows share one list, and
+    ``rows[n]`` (so also ``rows[-1]``) is empty.
+    """
+    order = sorted(masks.items(), key=lambda kv: kv[1].bit_length(), reverse=True)
+    rows = [order] * (n + 1)
+    row: list[tuple[int, int]] = []
+    k = 0
+    for p in range(n, -1, -1):
+        while k < len(order) and order[k][1].bit_length() > p:
+            k += 1
+        if k == len(order):
+            break
+        if k > len(row):
+            row = order[:k]
+        rows[p] = row
+    return rows
+
+
 def _prefixspan(
     sequences: Sequence[DataSequence],
     minc: int,
@@ -184,39 +209,45 @@ def _prefixspan(
     transactions where the pattern's last element can end (pseudo-projection
     carried as SPAM's item bitmaps). Every pattern is added after its parent
     (the pattern minus its last item), so the result is parents-first.
+
+    An entry visits only the items in ``rows[low]`` of its sequence, where
+    ``low`` is its lowest end bit (see :func:`_item_rows`). That skips no
+    extension: an s-extension lands in ``extend(ends, reach)``, which lies
+    after ``low``, and an i-extension lands in ``ends``, at or after
+    ``low``, so an item whose bits all lie below ``low`` extends nothing.
     """
     stats = stats if stats is not None else MiningStats()
     max_len = constraints.max_length
     found: dict[Pattern, int] = {}
 
-    seq_masks = [s.item_masks for s in sequences]
+    seq_rows = [_item_rows(s.item_masks, len(s.itemsets)) for s in sequences]
     seq_reach = [reach_masks(s.times, constraints) for s in sequences]
 
     first: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for s, masks in enumerate(seq_masks):
-        for item, bits in masks.items():
+    for s, seq in enumerate(sequences):
+        for item, bits in seq.item_masks.items():
             first[item].append((s, bits))
     stats.candidates_generated += len(first)
 
-    stack: list[tuple[Pattern, list[tuple[int, int]]]] = []
+    # (pattern, its item count, its projection)
+    stack: list[tuple[Pattern, int, list[tuple[int, int]]]] = []
     for item in sorted(first):
         entries = first[item]
         if len(entries) >= minc:
             pattern: Pattern = ((item,),)
             found[pattern] = len(entries)
             if max_len is None or max_len > 1:
-                stack.append((pattern, entries))
+                stack.append((pattern, 1, entries))
 
     while stack:
-        pattern, projection = stack.pop()
-        plen = pattern_length(pattern)
+        pattern, plen, projection = stack.pop()
         last_max = pattern[-1][-1]
 
         seq_ext: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         set_ext: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
         for s, ends in projection:
             allowed = extend(ends, seq_reach[s])
-            for item, bits in seq_masks[s].items():
+            for item, bits in seq_rows[s][(ends & -ends).bit_length() - 1]:
                 if allowed & bits:
                     seq_ext[item].append((s, allowed & bits))
                 if item > last_max and ends & bits:
@@ -236,7 +267,7 @@ def _prefixspan(
         for child, entries in grown:
             found[child] = len(entries)
             if max_len is None or plen + 1 < max_len:
-                stack.append((child, entries))
+                stack.append((child, plen + 1, entries))
 
     return found
 

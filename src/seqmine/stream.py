@@ -191,7 +191,8 @@ def query_output(state: StreamState, config: StreamConfig) -> list[SupportedPatt
     n = state.sequences_seen
     if n == 0:
         return []
-    threshold = (exact_fraction(config.sigma) - exact_fraction(config.epsilon)) * n
+    # counts are ints, so clearing the exact threshold is clearing its ceiling
+    threshold = math.ceil((exact_fraction(config.sigma) - exact_fraction(config.epsilon)) * n)
     out = [
         SupportedPattern(pattern, node.count, node.count / n)
         for pattern, node in state.tree.items()

@@ -22,9 +22,12 @@ def _token_elements(pattern: Pattern, alphabet: Alphabet) -> tuple[tuple[str, ..
     return tuple(tuple(sorted(alphabet.token(i) for i in e)) for e in pattern)
 
 
+def _elements_text(elements: tuple[tuple[str, ...], ...]) -> str:
+    return "<" + ",".join(["{" + " ".join(tokens) + "}" for tokens in elements]) + ">"
+
+
 def pattern_to_text(pattern: Pattern, alphabet: Alphabet) -> str:
-    elements = ("{" + " ".join(tokens) + "}" for tokens in _token_elements(pattern, alphabet))
-    return "<" + ",".join(elements) + ">"
+    return _elements_text(_token_elements(pattern, alphabet))
 
 
 def supported_pattern_lines(
@@ -32,9 +35,9 @@ def supported_pattern_lines(
 ) -> list[str]:
     rows = []
     for sp in patterns:
-        key = (pattern_length(sp.pattern), _token_elements(sp.pattern, alphabet))
-        line = f"{pattern_to_text(sp.pattern, alphabet)} count={sp.count} support={sp.support:.4f}"
-        rows.append((key, line))
+        elements = _token_elements(sp.pattern, alphabet)
+        line = f"{_elements_text(elements)} count={sp.count} support={sp.support:.4f}"
+        rows.append(((pattern_length(sp.pattern), elements), line))
     return [line for _, line in sorted(rows)]
 
 

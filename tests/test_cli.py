@@ -153,6 +153,54 @@ class TestMineSeq:
         ok = run_cli("mine-seq", str(wide), "--min-support", "0.5", "--max-length", "2")
         assert ok.returncode == 0
 
+    @pytest.mark.parametrize(
+        "flags, n_lines, digest",
+        [
+            (
+                ("--algo", "prefixspan", "--closed"),
+                3013,
+                "62ac0f0408fe84c0ffc622ff06a7a133d40e2c7f656c331182b6a43496a37b13",
+            ),
+            (
+                ("--algo", "prefixspan", "--max-gap", "4", "--max-index-gap", "2"),
+                631,
+                "c43aea04c7904513448032b7a8bf3f998a3d98cd74148cb176e2171ca6ffb69e",
+            ),
+        ],
+        ids=["closed", "gapped"],
+    )
+    def test_stdout_bytes_pinned(self, tmp_path, flags, n_lines, digest):
+        # 6-10 transactions per sequence, 40% of them carrying one of two
+        # planted multi-item motifs spread over random transactions
+        import random
+
+        rng = random.Random(11)
+        motifs = [
+            [("a", "b"), ("c",), ("d", "e")],
+            [("f",), ("g", "h"), ("a",), ("i",)],
+        ]
+        lines = []
+        for s in range(300):
+            n_txns = rng.randint(6, 10)
+            txns = [set(rng.sample("abcdefghijkl", rng.randint(1, 3))) for _ in range(n_txns)]
+            if rng.random() < 0.4:
+                motif = rng.choice(motifs)
+                slots = sorted(rng.sample(range(n_txns), len(motif)))
+                for slot, element in zip(slots, motif):
+                    txns[slot].update(element)
+            t = 0
+            for items in txns:
+                t += rng.randint(1, 3)
+                lines.append(f"s{s},{t},{' '.join(sorted(items))}")
+        path = tmp_path / "motifs.csv"
+        path.write_text("\n".join(lines) + "\n")
+        proc = run_cli(
+            "mine-seq", str(path), "--min-support", "0.1", "--max-length", "6", *flags
+        )
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == n_lines
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
 
 class TestMineStream:
     @pytest.fixture
@@ -396,7 +444,7 @@ class TestAnalyzeResults:
 
 
 class TestDeterminism:
-    def test_mine_seq_stable_across_runs_and_threads(self, db1_file, tmp_path):
+    def test_mine_seq_stable_across_runs(self, db1_file, tmp_path):
         outputs = []
         for run in range(2):
             out = tmp_path / f"o{run}.txt"

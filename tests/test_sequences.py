@@ -14,6 +14,7 @@ from seqmine.sequences import (
     MiningStats,
     SupportedPattern,
     _delete_last_item,
+    _item_rows,
     _prefixspan,
     filter_closed,
     gsp_mine,
@@ -152,6 +153,92 @@ class TestPrefixspanMine:
         loose = {sp.pattern for sp in prefixspan_mine(db, Constraints(0.25, max_length=3)).patterns}
         tight = {sp.pattern for sp in prefixspan_mine(db, Constraints(0.5, max_length=3)).patterns}
         assert tight <= loose
+
+    @pytest.mark.parametrize(
+        "constraints, candidates",
+        [(HALF, 14), (Constraints(min_support=0.5, max_gap=1, max_length=3), 13)],
+        ids=["unbounded", "max-gap-1"],
+    )
+    def test_candidates_generated_pinned(self, db1, constraints, candidates):
+        # skipping items that cannot extend an entry must not change what is
+        # counted as a candidate
+        assert prefixspan_mine(db1, constraints).stats.candidates_generated == candidates
+
+
+def agrees_with_brute(db, constraints):
+    expected = [(sp.pattern, sp.count) for sp in brute_sequences(db, constraints)]
+    assert pairs(prefixspan_mine(db, constraints)) == expected
+    return dict(expected)
+
+
+class TestItemRows:
+    """An entry visits only ``rows[low]``, the items with a bit at or after
+    its lowest end position."""
+
+    def test_rows_are_last_occurrence_prefixes(self):
+        # a occurs first and last, so it leads the order
+        seq = make_sequence("s0", (1, (A,)), (2, (B, C)), (3, (A,)))
+        rows = _item_rows(seq.item_masks, 3)
+        assert rows[0][0] == (A, 0b101)
+        assert [sorted(row) for row in rows] == [
+            [(A, 0b101), (B, 0b010), (C, 0b010)],
+            [(A, 0b101), (B, 0b010), (C, 0b010)],
+            [(A, 0b101)],
+            [],
+        ]
+        assert rows[0] is rows[1]
+        assert rows[-1] == []
+
+    @pytest.mark.parametrize("max_gap", [None, 1])
+    def test_lowest_end_at_last_transaction_grows_only_item_extensions(self, max_gap):
+        # <a,b> ends only at the last transaction: its row holds just that
+        # transaction's items, and nothing can follow it
+        seq = make_sequence("s0", (1, (A,)), (2, (B, C)))
+        db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
+        assert sorted(_item_rows(seq.item_masks, 2)[1]) == [(B, 0b10), (C, 0b10)]
+        got = agrees_with_brute(db, Constraints(min_support=1.0, max_gap=max_gap, max_length=3))
+        assert got[((A,), (B, C))] == 1
+        assert not any(len(p) == 3 for p in got)
+
+    def test_gap_leaving_no_s_extension_keeps_item_extensions(self):
+        # under max_gap 1, <a> (ends at t1 and t6) can be followed by nothing:
+        # extend() gives 0, yet the i-extension {a c} at t6 remains
+        seq = make_sequence("s0", (1, (A,)), (5, (B,)), (6, (A, C)))
+        db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
+        constraints = Constraints(min_support=1.0, max_gap=1, max_length=3)
+        got = agrees_with_brute(db, constraints)
+        assert got[((A, C),)] == 1
+        assert ((A,), (C,)) not in got and ((A,), (A,)) not in got
+        assert got[((B,), (A, C))] == 1
+
+    @pytest.mark.parametrize("max_gap", [None, 2])
+    def test_item_only_before_lowest_end_is_skipped(self, max_gap):
+        # c occurs only before <a>'s lowest end; b, at a higher end bit of
+        # <a>, still gives both the s- and the i-extension
+        seq = make_sequence("s0", (1, (C,)), (2, (A,)), (3, (A, B)))
+        db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
+        assert (C, 0b001) not in _item_rows(seq.item_masks, 3)[1]
+        got = agrees_with_brute(db, Constraints(min_support=1.0, max_gap=max_gap, max_length=3))
+        assert got[((A, B),)] == 1
+        assert got[((A,), (B,))] == 1
+        assert got[((C,), (A, B))] == 1
+        assert ((A,), (C,)) not in got
+
+    @pytest.mark.parametrize("max_gap", [None, 2])
+    def test_item_only_at_lowest_end_is_kept(self, max_gap):
+        # d sits only at <a>'s lowest end, so the i-extension {a d} is found
+        # from the row of that end, not of a higher one
+        d = 3
+        seq = make_sequence("s0", (1, (A, d)), (2, (B,)), (3, (A, B)))
+        db = SequenceDatabase((seq,), Alphabet(["a", "b", "c", "d"]))
+        got = agrees_with_brute(db, Constraints(min_support=1.0, max_gap=max_gap, max_length=3))
+        assert got[((A, d),)] == 1
+        assert got[((A, d), (B,))] == 1
+
+    @settings(max_examples=40)
+    @given(sequence_dbs(max_txns=8), constraint_grid())
+    def test_longer_sequences_agree_with_oracle(self, db, constraints):
+        agrees_with_brute(db, constraints)
 
 
 class TestFilterClosed:

@@ -174,12 +174,13 @@ def _cmd_mine_stream(args) -> int:
     sequences = dataset.iter_sequence_db(lines, alphabet)
     for report in replay(sequences, config, report_every=args.report_every):
         tag = "final" if report.final else "report"
-        print(
+        header = (
             f"# {tag} batches={report.batches} sequences={report.sequences} "
             f"tree_nodes={report.tree_nodes}"
         )
-        for line in textfmt.supported_pattern_lines(report.patterns, alphabet):
-            print(line)
+        # one write per report: under unbuffered output each print is a syscall
+        _write_out(None, [header, *textfmt.supported_pattern_lines(report.patterns, alphabet)])
+        sys.stdout.flush()
     return 0
 
 

@@ -11,10 +11,28 @@ optionally honors gap constraints between consecutive matched elements:
 * ``max_gap``   -- inclusive upper bound on the time difference,
 * ``max_index_gap`` -- maximum number of transactions skipped in between.
 
-:func:`reach_masks` is the one reader of these rules and :func:`extend` the
-one kernel that applies them: :func:`contains`, GSP and PrefixSpan all grow
-end-position bitmasks over ``DataSequence.item_masks`` with it. All types
-are immutable after construction and every function here is pure.
+Counting works on one bit string for the whole database (SPAM's vertical
+bitmaps, Ayres et al., KDD 2002), held as a Python int so that one C-level
+big-int operation covers every sequence at once. Sequence s takes one bit
+per transaction, followed by one **sentinel** bit that no item ever sets.
+:func:`bit_layout` is the one reader of the gap rules: it builds the
+:class:`BitLayout` of a database, one int per item and the masks the rules
+come down to. A pattern's projection is then one int ``ends``: the
+positions where its last element can end, in every sequence at once.
+
+* :func:`count_sequences` counts the sequences with a bit in ``ends``:
+  ``((ends | sentinels) - starts) & sentinels`` keeps a sequence's sentinel
+  exactly when the borrow from its first bit stops below it, that is when
+  the sequence has a bit set. The sentinel stops every borrow, so no
+  sequence's bits reach its neighbor's.
+* :func:`extend` is the one kernel that applies the gap rules: it gives
+  the positions the next element may take. Its shifts are bounded by a
+  constraint, never by a sequence's length, and a mask drops every bit a
+  shift carried past a sentinel.
+
+:func:`contains` and :func:`support`, GSP and PrefixSpan all grow ``ends``
+with it. All types are immutable after construction and every function
+here is pure.
 """
 
 from __future__ import annotations
@@ -22,9 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import chain
 from operator import ge
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -116,15 +134,6 @@ class DataSequence:
                 raise EmptyElementError(f"data-sequence {self.seq_id!r} has an empty itemset")
             if any(map(ge, items, items[1:])):
                 raise ValueError(f"transaction items not strictly ascending: {items}")
-
-    @cached_property
-    def item_masks(self) -> dict[int, int]:
-        """Item -> bitmask of the transaction indices holding it."""
-        masks: dict[int, int] = {}
-        for j, items in enumerate(self.itemsets):
-            for item in items:
-                masks[item] = masks.get(item, 0) | 1 << j
-        return masks
 
 
 @dataclass(frozen=True)
@@ -246,38 +255,161 @@ def min_count(min_support, db_size: int) -> int:
     return math.ceil(exact_fraction(min_support) * db_size)
 
 
-def reach_masks(times: Sequence[int], constraints: Constraints) -> Optional[tuple[int, ...]]:
-    """Bit j of ``reach[i]`` is set iff an element matched at transaction i
-    may be followed by one at transaction j; None when gaps are unbounded."""
+class BitLayout(NamedTuple):
+    """A list of data-sequences as one bit string, with the gap rules as masks.
+
+    Transaction j of a sequence whose first bit is ``o`` is bit ``o + j``;
+    the sentinel after the sequence is never set in ``items`` or ``real``.
+    ``steps`` holds ``(k, mask)`` pairs read by :func:`extend`: with
+    ``bounded`` set (``max_gap`` or ``max_index_gap``), bit j of ``mask``
+    says that an element matched at transaction j - k may be followed by
+    one at j; otherwise it says that j is the first transaction allowed
+    after one matched at j - k, and every later one is allowed too.
+    """
+
+    starts: int
+    sentinels: int
+    real: int
+    items: dict[int, int]
+    bounded: bool
+    steps: tuple[tuple[int, int], ...]
+
+
+def _int_of(bits: Iterable[int], size: int) -> int:
+    buf = bytearray((size + 7) >> 3)
+    for b in bits:
+        buf[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(buf, "little")
+
+
+def bit_layout(
+    sequences: Sequence[DataSequence],
+    constraints: Constraints,
+    items: Optional[Collection[int]] = None,
+) -> BitLayout:
+    """Lay ``sequences`` out as one bit string and turn the gap rules into
+    shift masks; ``items`` limits which item ints are built (default: all).
+
+    With ``max_gap`` or ``max_index_gap`` set, step k is allowed when the
+    time from j - k to j lies in (min_gap, max_gap] and at most
+    ``max_index_gap`` transactions sit between; times strictly increase,
+    so k never exceeds ``max_gap``. Otherwise the allowed positions after
+    an element are a suffix of its sequence, and step k marks where that
+    suffix starts; it starts within ``min_gap + 1`` transactions, and with
+    no ``min_gap`` at the very next one.
+    """
     c = constraints
+    flat: list[Itemset] = []  # each bit's transaction; a sentinel's is empty
+    firsts, lasts = [], []
+    for seq in sequences:
+        firsts.append(len(flat))
+        flat.extend(seq.itemsets)
+        lasts.append(len(flat))
+        flat.append(())
+    size = len(flat)
+    positions: dict[int, list[int]] = {
+        item: [] for item in (set().union(*flat) if items is None else items)
+    }
+    for j, txn in enumerate(flat):
+        for item in txn:
+            found = positions.get(item)
+            if found is not None:
+                found.append(j)
+    sentinels = _int_of(lasts, size)
+    real = ((1 << size) - 1) ^ sentinels
+
+    bounded = c.max_gap is not None or c.max_index_gap is not None
     if c.gaps_unbounded:
-        return None
-    reach = []
-    for i, t in enumerate(times):
-        stop = len(times) if c.max_index_gap is None else min(len(times), i + 2 + c.max_index_gap)
-        mask = 0
-        for j in range(i + 1, stop):
-            dt = times[j] - t
-            if c.max_gap is not None and dt > c.max_gap:
-                break
-            if dt > c.min_gap:
-                mask |= 1 << j
-        reach.append(mask)
-    return tuple(reach)
+        # the suffix starts at the next transaction; ``real`` drops a shift
+        # off a sequence's last one
+        steps = [(1, real)]
+    else:
+        high = c.max_gap if c.max_gap is not None else math.inf
+        if bounded:
+            reach = min(high, math.inf if c.max_index_gap is None else c.max_index_gap + 1)
+        else:
+            reach = c.min_gap + 1
+        # each bit's time and index in its sequence; a sentinel's index is -1
+        times: list[int] = []
+        index: list[int] = []
+        for seq in sequences:
+            times.extend(seq.times)
+            times.append(0)
+            index.extend(range(len(seq.times)))
+            index.append(-1)
+        longest = max((len(seq.times) for seq in sequences), default=0)
+        steps = []
+        for k in range(1, min(reach, longest - 1) + 1):
+            marked = [
+                j
+                for j, i, t, before, start in zip(
+                    range(k, size), index[k:], times[k:], times[k - 1:], times
+                )
+                if i >= k
+                and c.min_gap < t - start <= high
+                and (bounded or before - start <= c.min_gap)
+            ]
+            if marked:
+                steps.append((k, _int_of(marked, size)))
+    return BitLayout(
+        starts=_int_of(firsts, size),
+        sentinels=sentinels,
+        real=real,
+        items={item: _int_of(bits, size) for item, bits in positions.items()},
+        bounded=bounded,
+        steps=tuple(steps),
+    )
 
 
-def extend(frontier: int, reach: Optional[Sequence[int]]) -> int:
-    """Positions the next element may take, given the ``frontier`` of end
-    positions; unbounded, every position after the first end (a negative
-    int: AND it with an item mask)."""
-    if reach is None:
-        return -((frontier & -frontier) << 1)
+def count_sequences(ends: int, layout: BitLayout) -> int:
+    """How many sequences have a bit set in ``ends``."""
+    sentinels = layout.sentinels
+    return (((ends | sentinels) - layout.starts) & sentinels).bit_count()
+
+
+def extend(ends: int, layout: BitLayout) -> int:
+    """Positions the next element may take after an element ending at
+    ``ends``; the one function that applies the gap rules.
+
+    Under ``max_gap`` or ``max_index_gap`` every end counts, through the
+    allowed steps. Otherwise only the lowest end of each sequence does, and
+    every position from the first one allowed after it is allowed.
+    """
     out = 0
-    while frontier:
-        low = frontier & -frontier
-        out |= reach[low.bit_length() - 1]
-        frontier ^= low
-    return out
+    if layout.bounded:
+        for k, mask in layout.steps:
+            out |= (ends << k) & mask
+        return out
+    # the lowest end of each sequence: its borrow stops there
+    h = ends | layout.sentinels
+    lows = (h ^ (h - layout.starts)) & ends
+    for k, mask in layout.steps:
+        out |= (lows << k) & mask
+    # every bit from the first allowed one up to the sentinel, which the
+    # mask drops; a sequence with no allowed bit keeps only its sentinel
+    return (layout.sentinels - out) & layout.real
+
+
+def _pattern_ends(pattern: Pattern, layout: BitLayout) -> int:
+    items = layout.items
+    ends = layout.real
+    for k, element in enumerate(pattern):
+        if k:
+            ends = extend(ends, layout)
+        for item in element:
+            ends &= items.get(item, 0)
+        if not ends:
+            break
+    return ends
+
+
+def _count(pattern: Pattern, sequences: Sequence[DataSequence], constraints: Constraints) -> int:
+    """How many of ``sequences`` contain ``pattern``, counted on the layout
+    of those that hold every item of it."""
+    wanted = {item for element in pattern for item in element}
+    holding = [seq for seq in sequences if wanted.issubset(chain.from_iterable(seq.itemsets))]
+    layout = bit_layout(holding, constraints, wanted)
+    return count_sequences(_pattern_ends(pattern, layout), layout)
 
 
 def contains(pattern: Pattern, seq: DataSequence, constraints: Optional[Constraints] = None) -> bool:
@@ -289,22 +421,7 @@ def contains(pattern: Pattern, seq: DataSequence, constraints: Optional[Constrai
     full frontier of feasible end positions per element, because with an
     active ``max_gap`` a greedy earliest match is not sound.
     """
-    masks = seq.item_masks
-    last = len(pattern) - 1
-    allowed = -1
-    for k, element in enumerate(pattern):
-        frontier = allowed
-        for item in element:
-            frontier &= masks.get(item, 0)
-        if not frontier:
-            return False
-        if k == last:
-            break
-        if k == 0:
-            # only now is a second element known to need the gap rules
-            reach = reach_masks(seq.times, constraints or UNCONSTRAINED)
-        allowed = extend(frontier, reach)
-    return True
+    return _count(pattern, (seq,), constraints or UNCONSTRAINED) == 1
 
 
 def support(
@@ -313,7 +430,7 @@ def support(
     """Count supporting data-sequences; each sequence contributes at most 1."""
     if not db.sequences:
         raise EmptyDatabaseError("support needs a non-empty database")
-    count = sum(1 for seq in db.sequences if contains(pattern, seq, constraints))
+    count = _count(pattern, db.sequences, constraints or UNCONSTRAINED)
     return SupportedPattern(pattern, count, count / len(db.sequences))
 
 

@@ -3,17 +3,19 @@
 Two independent miners with an identical contract:
 
 * :func:`gsp_mine` grows patterns level by level (m items per level) and
-  counts a level in one walk per sequence over the candidates' prefix tree,
-  carrying each node's end positions as a bitmask (SPAM's item bitmaps).
-* :func:`prefixspan_mine` grows patterns depth-first, carrying for every
-  sequence the bitmask of transaction indices where the pattern's last
-  element can end; that frontier is exact even with gap constraints. Each
-  projection entry visits only the items whose last occurrence is at or
-  after its lowest end position, read from per-sequence rows ordered by
-  last occurrence: no other item can extend it.
+  counts each candidate from its parent's projection.
+* :func:`prefixspan_mine` grows patterns depth-first, testing for each
+  pattern only the items that can still extend it.
 
-Both grow a frontier the same way: an s-extension is ``extend(ends, reach)
-& mask`` and an i-extension ``ends & mask``, over ``DataSequence.item_masks``.
+Both count on the database laid out as one bit string
+(:func:`seqmine.model.bit_layout`): sequence s takes one bit per
+transaction, then an always-zero sentinel bit. A pattern's projection is one
+int, the positions in every sequence where its last element can end; that
+frontier is exact even with gap constraints. An s-extension by x is
+``extend(ends, layout) & items[x]`` and an i-extension by y is
+``ends & items[y]``, so a candidate costs a few C-level big-int operations
+over the whole database, and :func:`seqmine.model.count_sequences` reads
+its support off the sentinels.
 
 Both return the same pattern set with the same counts; the test suite and
 the acceptance suite hold them to that.
@@ -23,16 +25,25 @@ never lower support, even under gap constraints, because the surviving
 embedding keeps all its consecutive gaps (an end element either shrinks or
 drops away entirely). Deleting a middle element, by contrast, fuses two
 gaps into one and may violate max_gap, so the classic "every (m-1)-subsequence
-must be frequent" prune is unsound here. Candidate pruning below therefore
-uses only the two end deletions, and every candidate is verified by
-counting anyway.
+must be frequent" prune is unsound here. GSP's candidate prune therefore
+uses only the first-item deletion. PrefixSpan's successor prune uses only
+first-item deletions too. Let ``a`` be the last item of a pattern P, which
+is the largest item of P's last element. Deleting first items until only
+``a`` is left turns P extended by a new element ``(x)`` into ``<(a)(x)>``,
+and P with ``y > a`` added to its last element into ``<(a y)>``. So an
+extension can be frequent only if that 2-pattern is, and PrefixSpan tests
+only the ``x`` and ``y`` in ``a``'s successor lists. Those lists count,
+gaps ignored, the sequences where ``x`` follows ``a`` or ``y`` shares a
+transaction with it: an upper bound on any constrained count. Every
+candidate is verified by counting anyway.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain, combinations
+from typing import Iterator, Optional, Sequence
 
 from seqmine.errors import EmptyDatabaseError
 from seqmine.model import (
@@ -41,11 +52,12 @@ from seqmine.model import (
     Pattern,
     SequenceDatabase,
     SupportedPattern,
+    bit_layout,
+    count_sequences,
     extend,
     min_count,
     pattern_length,
     pattern_sort_key,
-    reach_masks,
 )
 
 
@@ -83,47 +95,27 @@ def _finalize(pairs: dict[Pattern, int], n: int, stats: MiningStats) -> MiningRe
     return MiningResult(patterns, stats)
 
 
-def _candidate_tree(candidates: list[Pattern]) -> tuple[list, list]:
-    """Prefix tree of the candidates: an inner node is a pair of (item, child)
-    lists, s- then i-extensions; a leaf is the candidate's index."""
-    inner: dict[Pattern, tuple[list, list]] = {(): ([], [])}
-
-    def attach(pattern: Pattern, child) -> None:
-        prefix = _delete_last_item(pattern)
-        parent = inner.get(prefix)
-        if parent is None:
-            parent = inner[prefix] = ([], [])
-            attach(prefix, parent)
-        parent[len(pattern[-1]) > 1].append((pattern[-1][-1], child))
-
-    for index, candidate in enumerate(candidates):
-        attach(candidate, index)
-    return inner[()]
+def _item_counts(sequences: Sequence[DataSequence]) -> Counter:
+    """Item -> how many sequences hold it."""
+    return Counter(item for seq in sequences for item in set().union(*seq.itemsets))
 
 
-def _count_candidates(
-    candidates: list[Pattern], sequences: Sequence[DataSequence], constraints: Constraints
-) -> list[int]:
-    """Per-candidate support counts, in one tree walk per sequence."""
-    root = _candidate_tree(candidates)
-    counts = [0] * len(candidates)
-    for seq in sequences:
-        masks = seq.item_masks
-        reach = reach_masks(seq.times, constraints)
-        # (node, positions an s-extension may take, positions the node ends at)
-        stack = [(root, -1, 0)]
-        while stack:
-            (s_ext, i_ext), allowed, ends = stack.pop()
-            for children, base in ((s_ext, allowed), (i_ext, ends)):
-                for item, child in children:
-                    found = base & masks.get(item, 0)
-                    if not found:
-                        continue
-                    if isinstance(child, int):
-                        counts[child] += 1
-                    else:
-                        stack.append((child, extend(found, reach) if child[0] else 0, found))
-    return counts
+def _candidates(
+    pattern: Pattern, prev_set: set[Pattern], frequent_items: list[int]
+) -> Iterator[tuple[Pattern, int, bool]]:
+    """GSP's children of ``pattern``: ``(candidate, item, is_s_extension)``
+    for each frequent item appended as a new element or into the last one,
+    kept only if deleting the candidate's first item leaves a frequent
+    pattern."""
+    last = pattern[-1]
+    for item in frequent_items:
+        grown = pattern + ((item,),)
+        if _delete_first_item(grown) in prev_set:
+            yield grown, item, True
+        if item > last[-1]:
+            grown = pattern[:-1] + (last + (item,),)
+            if _delete_first_item(grown) in prev_set:
+                yield grown, item, False
 
 
 def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
@@ -142,59 +134,81 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     max_len = constraints.max_length
     stats = MiningStats()
 
-    item_counts = Counter(item for seq in db.sequences for item in seq.item_masks)
+    item_counts = _item_counts(db.sequences)
     stats.candidates_generated += len(item_counts)
     stats.database_passes += 1
 
     frequent_items = sorted(i for i, c in item_counts.items() if c >= minc)
     frequent: dict[Pattern, int] = {((i,),): item_counts[i] for i in frequent_items}
     prev_level: list[Pattern] = sorted(frequent, key=pattern_sort_key)
+    if not prev_level or max_len == 1:
+        return _finalize(frequent, n, stats)
+    layout = bit_layout(db.sequences, constraints, frequent_items)
+    items = layout.items
+    # the projections of the previous level's patterns
+    prev_ends = {((i,),): items[i] for i in frequent_items}
 
     m = 2
     while prev_level and (max_len is None or m <= max_len):
         prev_set = set(prev_level)
-        candidates: list[Pattern] = []
-        for pattern in prev_level:
-            last = pattern[-1]
-            for item in frequent_items:
-                grown = pattern + ((item,),)
-                if _delete_first_item(grown) in prev_set:
-                    candidates.append(grown)
-                if item > last[-1]:
-                    grown = pattern[:-1] + (last + (item,),)
-                    if _delete_first_item(grown) in prev_set:
-                        candidates.append(grown)
+        level: list[Pattern] = []
+        level_ends: dict[Pattern, int] = {}
         stats.database_passes += 1
-        stats.candidates_generated += len(candidates)
-        counts = _count_candidates(candidates, db.sequences, constraints)
-        level = [c for c, cnt in zip(candidates, counts) if cnt >= minc]
-        frequent.update((c, cnt) for c, cnt in zip(candidates, counts) if cnt >= minc)
+        for pattern in prev_level:
+            ends = prev_ends.pop(pattern)
+            allowed = extend(ends, layout)
+            for grown, item, s_ext in _candidates(pattern, prev_set, frequent_items):
+                stats.candidates_generated += 1
+                grown_ends = (allowed if s_ext else ends) & items[item]
+                # a cheap bound first: each sequence counted holds a bit
+                if grown_ends.bit_count() < minc:
+                    continue
+                count = count_sequences(grown_ends, layout)
+                if count >= minc:
+                    frequent[grown] = count
+                    level.append(grown)
+                    if max_len is None or m < max_len:
+                        level_ends[grown] = grown_ends
         prev_level = sorted(level, key=pattern_sort_key)
+        prev_ends = level_ends
         m += 1
 
     return _finalize(frequent, n, stats)
 
 
-def _item_rows(masks: dict[int, int], n: int) -> list[list[tuple[int, int]]]:
-    """``rows[p]``: the ``(item, bits)`` pairs of a sequence of ``n``
-    transactions with a bit at or after ``p``, latest last occurrence first.
+def _successors(
+    sequences: Sequence[DataSequence], minc: int
+) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """For each item ``a``, the items ``x`` that follow ``a`` and the items
+    ``y > a`` that share a transaction with ``a``, each in at least ``minc``
+    sequences, gaps ignored (ascending). No pair with an infrequent item
+    clears ``minc``."""
+    follows: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
+    i_pairs: list[tuple[int, int]] = []
+    for seq in sequences:
+        later: set[int] = set()
+        # item -> the items after its first occurrence (the last write wins),
+        # kept as tuples: a small frozenset takes several times the memory
+        firsts: dict[int, tuple[int, ...]] = {}
+        pairs: set[tuple[int, int]] = set()
+        for txn in reversed(seq.itemsets):
+            firsts.update(dict.fromkeys(txn, tuple(later)))
+            later.update(txn)
+            if len(txn) > 1:
+                pairs.update(combinations(txn, 2))
+        for a, after in firsts.items():
+            follows[a].append(after)
+        i_pairs.extend(pairs)
 
-    Each row is a prefix of the same order; equal rows share one list, and
-    ``rows[n]`` (so also ``rows[-1]``) is empty.
-    """
-    order = sorted(masks.items(), key=lambda kv: kv[1].bit_length(), reverse=True)
-    rows = [order] * (n + 1)
-    row: list[tuple[int, int]] = []
-    k = 0
-    for p in range(n, -1, -1):
-        while k < len(order) and order[k][1].bit_length() > p:
-            k += 1
-        if k == len(order):
-            break
-        if k > len(row):
-            row = order[:k]
-        rows[p] = row
-    return rows
+    s_next = {}
+    for a, afters in follows.items():
+        if len(afters) >= minc:
+            counts = Counter(chain.from_iterable(afters))
+            s_next[a] = sorted(x for x, count in counts.items() if count >= minc)
+    i_next: defaultdict[int, list[int]] = defaultdict(list)
+    for a, y in sorted(pair for pair, count in Counter(i_pairs).items() if count >= minc):
+        i_next[a].append(y)
+    return s_next, i_next
 
 
 def _prefixspan(
@@ -203,71 +217,61 @@ def _prefixspan(
     constraints: Constraints,
     stats: Optional[MiningStats] = None,
 ) -> dict[Pattern, int]:
-    """Pattern-growth over end-position projections; returns pattern -> count.
+    """Pattern-growth over bit-string projections; returns pattern -> count.
 
-    A projection entry is ``(s, ends)``: sequence index and the bitmask of
-    transactions where the pattern's last element can end (pseudo-projection
-    carried as SPAM's item bitmaps). Every pattern is added after its parent
-    (the pattern minus its last item), so the result is parents-first.
-
-    An entry visits only the items in ``rows[low]`` of its sequence, where
-    ``low`` is its lowest end bit (see :func:`_item_rows`). That skips no
-    extension: an s-extension lands in ``extend(ends, reach)``, which lies
-    after ``low``, and an i-extension lands in ``ends``, at or after
-    ``low``, so an item whose bits all lie below ``low`` extends nothing.
+    A stack entry is a pattern, its item count and its projection ``ends``.
+    Every pattern is added after its parent (the pattern minus its last
+    item), so the result is parents-first. A pattern whose last item is
+    ``a`` tests only ``a``'s successors (see :func:`_successors` and the
+    module docstring); ``stats.candidates_generated`` counts the
+    (pattern, item) supports actually computed.
     """
     stats = stats if stats is not None else MiningStats()
     max_len = constraints.max_length
-    found: dict[Pattern, int] = {}
 
-    seq_rows = [_item_rows(s.item_masks, len(s.itemsets)) for s in sequences]
-    seq_reach = [reach_masks(s.times, constraints) for s in sequences]
-
-    first: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-    for s, seq in enumerate(sequences):
-        for item, bits in seq.item_masks.items():
-            first[item].append((s, bits))
-    stats.candidates_generated += len(first)
+    item_counts = _item_counts(sequences)
+    stats.candidates_generated += len(item_counts)
+    frequent = sorted(i for i, c in item_counts.items() if c >= minc)
+    found: dict[Pattern, int] = {((i,),): item_counts[i] for i in frequent}
+    if not frequent or max_len == 1:
+        return found
+    layout = bit_layout(sequences, constraints, frequent)
+    items = layout.items
+    # item -> its (successor, successor's bits) pairs, s- and i-extensions
+    s_next, i_next = (
+        {a: [(x, items[x]) for x in xs] for a, xs in successors.items()}
+        for successors in _successors(sequences, minc)
+    )
 
     # (pattern, its item count, its projection)
-    stack: list[tuple[Pattern, int, list[tuple[int, int]]]] = []
-    for item in sorted(first):
-        entries = first[item]
-        if len(entries) >= minc:
-            pattern: Pattern = ((item,),)
-            found[pattern] = len(entries)
-            if max_len is None or max_len > 1:
-                stack.append((pattern, 1, entries))
-
+    stack: list[tuple[Pattern, int, int]] = [(((i,),), 1, items[i]) for i in frequent]
     while stack:
-        pattern, plen, projection = stack.pop()
-        last_max = pattern[-1][-1]
+        pattern, plen, ends = stack.pop()
+        last = pattern[-1][-1]
+        s_items = s_next.get(last, ())
+        allowed = extend(ends, layout) if s_items else 0
+        grown: list[tuple[Pattern, int, int]] = []
+        for new_element, base, candidates in (
+            (True, allowed, s_items if allowed else ()),
+            (False, ends, i_next.get(last, ())),
+        ):
+            stats.candidates_generated += len(candidates)
+            for item, bits in candidates:
+                grown_ends = base & bits
+                # a cheap bound first: each sequence counted holds a bit
+                if grown_ends.bit_count() >= minc:
+                    count = count_sequences(grown_ends, layout)
+                    if count >= minc:
+                        if new_element:
+                            child = pattern + ((item,),)
+                        else:
+                            child = pattern[:-1] + (pattern[-1] + (item,),)
+                        grown.append((child, count, grown_ends))
 
-        seq_ext: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        set_ext: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        for s, ends in projection:
-            allowed = extend(ends, seq_reach[s])
-            for item, bits in seq_rows[s][(ends & -ends).bit_length() - 1]:
-                if allowed & bits:
-                    seq_ext[item].append((s, allowed & bits))
-                if item > last_max and ends & bits:
-                    set_ext[item].append((s, ends & bits))
-
-        stats.candidates_generated += len(seq_ext) + len(set_ext)
-        grown: list[tuple[Pattern, list[tuple[int, int]]]] = []
-        for item in sorted(seq_ext):
-            entries = seq_ext[item]
-            if len(entries) >= minc:
-                grown.append((pattern + ((item,),), entries))
-        for item in sorted(set_ext):
-            entries = set_ext[item]
-            if len(entries) >= minc:
-                grown.append((pattern[:-1] + (pattern[-1] + (item,),), entries))
-
-        for child, entries in grown:
-            found[child] = len(entries)
+        for child, count, grown_ends in grown:
+            found[child] = count
             if max_len is None or plen + 1 < max_len:
-                stack.append((child, plen + 1, entries))
+                stack.append((child, plen + 1, grown_ends))
 
     return found
 

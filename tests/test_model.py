@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import A, B, C, make_sequence
-from strategies import constraint_grid, sequence_dbs, transaction_dbs
+from strategies import CONSTRAINT_GRID, constraint_grid, sequence_dbs, transaction_dbs
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -22,8 +22,11 @@ from seqmine.model import (
     Constraints,
     DataSequence,
     SequenceDatabase,
+    bit_layout,
     canonicalize,
     contains,
+    count_sequences,
+    extend,
     itemset_support,
     min_count,
     pattern_length,
@@ -150,6 +153,100 @@ class TestSupport:
         assert sp.count <= len(db.sequences)
         assert sp.support == sp.count / len(db.sequences)
         assert round(sp.support * len(db.sequences)) == sp.count
+
+
+    @settings(max_examples=120)
+    @given(sequence_dbs(max_seqs=8, max_txns=6), constraint_grid(), st.data())
+    def test_equals_contains_sum_and_oracle_count(self, db, constraints, data):
+        pattern = canonicalize(data.draw(patterns(len(db.alphabet))))
+        count = support(pattern, db, constraints).count
+        assert count == sum(contains(pattern, seq, constraints) for seq in db.sequences)
+        assert count == sum(
+            contains_by_enumeration(pattern, seq, constraints) for seq in db.sequences
+        )
+
+
+def patterns(n_items, max_elements=3):
+    return st.lists(
+        st.lists(st.integers(0, n_items - 1), min_size=1, max_size=2),
+        min_size=1,
+        max_size=max_elements,
+    )
+
+
+def one_by_one(db, constraints):
+    """The layout of each sequence on its own, with its first bit in the
+    layout of the whole database."""
+    first = 0
+    for seq in db.sequences:
+        yield first, bit_layout((seq,), constraints)
+        first += len(seq.itemsets) + 1
+
+
+class TestBitLayout:
+    """The whole database as one bit string: each sequence's transactions,
+    then a sentinel bit that no item sets."""
+
+    def test_bits_of_two_sequences(self):
+        db = SequenceDatabase(
+            (
+                make_sequence("s0", (1, (A,)), (2, (B,)), (4, (A, C))),
+                make_sequence("s1", (1, (B,)), (3, (A,))),
+            ),
+            Alphabet(["a", "b", "c"]),
+        )
+        layout = bit_layout(db.sequences, Constraints())
+        assert layout.starts == 0b0010001
+        assert layout.sentinels == 0b1001000
+        assert layout.real == 0b0110111
+        assert layout.items == {A: 0b0100101, B: 0b0010010, C: 0b0000100}
+        assert count_sequences(layout.items[A], layout) == 2
+        assert count_sequences(layout.items[C], layout) == 1
+        assert count_sequences(0, layout) == 0
+        # a's lowest end in s0 is its first bit; in s1 its last, so nothing
+        # may follow it there
+        assert extend(layout.items[A], layout) == 0b0000110
+        # only the items asked for get an int
+        assert bit_layout(db.sequences, Constraints(), {C}).items == {C: 0b0000100}
+
+    @pytest.mark.parametrize(
+        "constraints, allowed",
+        [
+            (Constraints(), 0b11110),
+            (Constraints(min_gap=2), 0b11000),
+            (Constraints(max_gap=2), 0b00110),
+            (Constraints(max_index_gap=0), 0b00010),
+            (Constraints(min_gap=1, max_gap=4), 0b01100),
+        ],
+        ids=["unbounded", "min-gap", "max-gap", "max-index-gap", "window"],
+    )
+    def test_extend_applies_each_rule(self, constraints, allowed):
+        seq = make_sequence("s0", (1, (A,)), (2, (B,)), (3, (B,)), (4, (B,)), (6, (B,)))
+        layout = bit_layout((seq,), constraints)
+        assert extend(0b00001, layout) == allowed
+
+    @pytest.mark.parametrize("constraints", CONSTRAINT_GRID)
+    def test_single_transaction_sequences_extend_to_nothing(self, constraints):
+        seqs = tuple(make_sequence(f"s{k}", (k + 1, (A, B))) for k in range(5))
+        layout = bit_layout(seqs, constraints)
+        assert layout.real == 0b0101010101
+        assert count_sequences(layout.real, layout) == 5
+        assert extend(layout.real, layout) == 0
+
+    @settings(max_examples=80)
+    @given(sequence_dbs(max_seqs=5, max_txns=6), constraint_grid(), st.data())
+    def test_sequences_never_reach_each_other(self, db, constraints, data):
+        # each sequence's segment of extend() depends on that segment alone
+        whole = bit_layout(db.sequences, constraints)
+        ends = data.draw(st.integers(0, whole.real)) & whole.real
+        allowed = extend(ends, whole)
+        count = 0
+        for first, alone in one_by_one(db, constraints):
+            segment = (ends >> first) & alone.real
+            assert (allowed >> first) & (alone.real | alone.sentinels) == extend(segment, alone)
+            count += segment != 0
+        assert count_sequences(ends, whole) == count
+        assert allowed & ~whole.real == 0
 
 
 class TestItemsetSupport:

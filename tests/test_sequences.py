@@ -1,20 +1,29 @@
 """GSP-style and pattern-growth miners, plus the closed-pattern filter."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import A, B, C, make_sequence
-from strategies import constraint_grid, sequence_dbs
+from strategies import CONSTRAINT_GRID, constraint_grid, sequence_dbs
 
 from seqmine.errors import EmptyDatabaseError, InvalidConstraintsError
-from seqmine.model import Alphabet, Constraints, SequenceDatabase, support
+from seqmine.model import (
+    Alphabet,
+    Constraints,
+    SequenceDatabase,
+    bit_layout,
+    count_sequences,
+    extend,
+    support,
+)
 from seqmine.oracle import brute_closed, brute_sequences
 from seqmine.sequences import (
     MiningResult,
     MiningStats,
     SupportedPattern,
     _delete_last_item,
-    _item_rows,
     _prefixspan,
     filter_closed,
     gsp_mine,
@@ -156,12 +165,13 @@ class TestPrefixspanMine:
 
     @pytest.mark.parametrize(
         "constraints, candidates",
-        [(HALF, 14), (Constraints(min_support=0.5, max_gap=1, max_length=3), 13)],
+        [(HALF, 9), (Constraints(min_support=0.5, max_gap=1, max_length=3), 8)],
         ids=["unbounded", "max-gap-1"],
     )
     def test_candidates_generated_pinned(self, db1, constraints, candidates):
-        # skipping items that cannot extend an entry must not change what is
-        # counted as a candidate
+        # the three items, then only the supports actually computed: the
+        # successors of each pattern's last item whose level-2 pattern clears
+        # the threshold
         assert prefixspan_mine(db1, constraints).stats.candidates_generated == candidates
 
 
@@ -171,31 +181,38 @@ def agrees_with_brute(db, constraints):
     return dict(expected)
 
 
-class TestItemRows:
-    """An entry visits only ``rows[low]``, the items with a bit at or after
-    its lowest end position."""
+def layout_of(*seqs, constraints=Constraints()):
+    return bit_layout(seqs, constraints)
 
-    def test_rows_are_last_occurrence_prefixes(self):
-        # a occurs first and last, so it leads the order
-        seq = make_sequence("s0", (1, (A,)), (2, (B, C)), (3, (A,)))
-        rows = _item_rows(seq.item_masks, 3)
-        assert rows[0][0] == (A, 0b101)
-        assert [sorted(row) for row in rows] == [
-            [(A, 0b101), (B, 0b010), (C, 0b010)],
-            [(A, 0b101), (B, 0b010), (C, 0b010)],
-            [(A, 0b101)],
-            [],
-        ]
-        assert rows[0] is rows[1]
-        assert rows[-1] == []
+
+class TestItemRows:
+    """Each item's row of the vertical bitmap: one int over the whole
+    database. A projection grows by AND-ing rows: an s-extension lands in
+    ``extend(ends)``, strictly after the lowest end in each sequence, and an
+    i-extension in ``ends`` itself."""
+
+    def test_rows_span_the_database(self):
+        # a occurs first and last in s0, and alone in s1
+        seqs = (
+            make_sequence("s0", (1, (A,)), (2, (B, C)), (3, (A,))),
+            make_sequence("s1", (4, (A,))),
+        )
+        layout = layout_of(*seqs)
+        assert layout.items == {A: 0b010101, B: 0b000010, C: 0b000010}
+        assert layout.sentinels == 0b101000
+        assert [count_sequences(layout.items[i], layout) for i in (A, B, C)] == [2, 1, 1]
 
     @pytest.mark.parametrize("max_gap", [None, 1])
     def test_lowest_end_at_last_transaction_grows_only_item_extensions(self, max_gap):
-        # <a,b> ends only at the last transaction: its row holds just that
-        # transaction's items, and nothing can follow it
+        # <a,b> ends only at the last transaction: nothing can follow it,
+        # but c sits at that end
         seq = make_sequence("s0", (1, (A,)), (2, (B, C)))
+        layout = layout_of(seq, constraints=Constraints(max_gap=max_gap))
+        ends = extend(layout.items[A], layout) & layout.items[B]
+        assert ends == 0b10
+        assert extend(ends, layout) == 0
+        assert ends & layout.items[C] == 0b10
         db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
-        assert sorted(_item_rows(seq.item_masks, 2)[1]) == [(B, 0b10), (C, 0b10)]
         got = agrees_with_brute(db, Constraints(min_support=1.0, max_gap=max_gap, max_length=3))
         assert got[((A,), (B, C))] == 1
         assert not any(len(p) == 3 for p in got)
@@ -204,8 +221,11 @@ class TestItemRows:
         # under max_gap 1, <a> (ends at t1 and t6) can be followed by nothing:
         # extend() gives 0, yet the i-extension {a c} at t6 remains
         seq = make_sequence("s0", (1, (A,)), (5, (B,)), (6, (A, C)))
-        db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
         constraints = Constraints(min_support=1.0, max_gap=1, max_length=3)
+        layout = layout_of(seq, constraints=constraints)
+        assert extend(layout.items[A], layout) == 0
+        assert layout.items[A] & layout.items[C] == 0b100
+        db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
         got = agrees_with_brute(db, constraints)
         assert got[((A, C),)] == 1
         assert ((A,), (C,)) not in got and ((A,), (A,)) not in got
@@ -216,8 +236,11 @@ class TestItemRows:
         # c occurs only before <a>'s lowest end; b, at a higher end bit of
         # <a>, still gives both the s- and the i-extension
         seq = make_sequence("s0", (1, (C,)), (2, (A,)), (3, (A, B)))
+        layout = layout_of(seq, constraints=Constraints(max_gap=max_gap))
+        ends = layout.items[A]
+        assert extend(ends, layout) & layout.items[C] == 0
+        assert ends & layout.items[C] == 0
         db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
-        assert (C, 0b001) not in _item_rows(seq.item_masks, 3)[1]
         got = agrees_with_brute(db, Constraints(min_support=1.0, max_gap=max_gap, max_length=3))
         assert got[((A, B),)] == 1
         assert got[((A,), (B,))] == 1
@@ -227,13 +250,35 @@ class TestItemRows:
     @pytest.mark.parametrize("max_gap", [None, 2])
     def test_item_only_at_lowest_end_is_kept(self, max_gap):
         # d sits only at <a>'s lowest end, so the i-extension {a d} is found
-        # from the row of that end, not of a higher one
+        # at that end, not at a higher one
         d = 3
         seq = make_sequence("s0", (1, (A, d)), (2, (B,)), (3, (A, B)))
         db = SequenceDatabase((seq,), Alphabet(["a", "b", "c", "d"]))
         got = agrees_with_brute(db, Constraints(min_support=1.0, max_gap=max_gap, max_length=3))
         assert got[((A, d),)] == 1
         assert got[((A, d), (B,))] == 1
+
+    @pytest.mark.parametrize("constraints", CONSTRAINT_GRID)
+    def test_no_pattern_spans_two_sequences(self, constraints):
+        # a ends every sequence and b starts the next one, one time step
+        # later; the middle sequences hold one transaction each, so every
+        # shift out of them lands on a sentinel or past it
+        seqs = (
+            make_sequence("s0", (1, (C,)), (2, (A,))),
+            make_sequence("s1", (3, (B,))),
+            make_sequence("s2", (1, (A,))),
+            make_sequence("s3", (2, (B,)), (3, (C,)), (4, (A,))),
+            make_sequence("s4", (5, (B, C))),
+        )
+        db = SequenceDatabase(seqs, Alphabet(["a", "b", "c"]))
+        assert support(((A,), (B,)), db, constraints).count == 0
+        assert support(((A,), (B, C)), db, constraints).count == 0
+        everything = dataclasses.replace(constraints, min_support=1 / len(seqs))
+        for mine in (gsp_mine, prefixspan_mine):
+            got = dict(pairs(mine(db, everything)))
+            assert not any(p[0] == (A,) and len(p) > 1 for p in got)
+        assert pairs(gsp_mine(db, everything)) == pairs(prefixspan_mine(db, everything))
+        agrees_with_brute(db, everything)
 
     @settings(max_examples=40)
     @given(sequence_dbs(max_txns=8), constraint_grid())

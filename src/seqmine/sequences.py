@@ -25,16 +25,17 @@ never lower support, even under gap constraints, because the surviving
 embedding keeps all its consecutive gaps (an end element either shrinks or
 drops away entirely). Deleting a middle element, by contrast, fuses two
 gaps into one and may violate max_gap, so the classic "every (m-1)-subsequence
-must be frequent" prune is unsound here. GSP's candidate prune therefore
-uses only the first-item deletion. PrefixSpan's successor prune uses only
-first-item deletions too. Let ``a`` be the last item of a pattern P, which
-is the largest item of P's last element. Deleting first items until only
-``a`` is left turns P extended by a new element ``(x)`` into ``<(a)(x)>``,
-and P with ``y > a`` added to its last element into ``<(a y)>``. So an
-extension can be frequent only if that 2-pattern is, and PrefixSpan tests
-only the ``x`` and ``y`` in ``a``'s successor lists. Those lists count,
-gaps ignored, the sequences where ``x`` follows ``a`` or ``y`` shares a
-transaction with it: an upper bound on any constrained count. Every
+must be frequent" prune is unsound here. Both miners therefore prune by
+first-item deletion alone. GSP's join grows a pattern P by an item only the
+way P minus its first item grew by that item and stayed frequent, since that
+deletion of the grown pattern must be frequent too. PrefixSpan applies the
+same deletion until only P's last item ``a`` is left (the largest item of
+P's last element). That turns P extended by a new element ``(x)`` into
+``<(a)(x)>``, and P with ``y > a`` added to its last element into
+``<(a y)>``. So an extension can be frequent only if that 2-pattern is, and
+PrefixSpan tests only the ``x`` and ``y`` in ``a``'s successor lists. Those
+lists count, gaps ignored, the sequences where ``x`` follows ``a`` or ``y``
+shares a transaction with it: an upper bound on any constrained count. Every
 candidate is verified by counting anyway.
 """
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from seqmine.errors import EmptyDatabaseError
 from seqmine.model import (
@@ -80,13 +81,6 @@ def _delete_first_item(pattern: Pattern) -> Pattern:
     return (head[1:],) + pattern[1:]
 
 
-def _delete_last_item(pattern: Pattern) -> Pattern:
-    tail = pattern[-1]
-    if len(tail) == 1:
-        return pattern[:-1]
-    return pattern[:-1] + (tail[:-1],)
-
-
 def _finalize(pairs: dict[Pattern, int], n: int, stats: MiningStats) -> MiningResult:
     patterns = [
         SupportedPattern(p, c, c / n)
@@ -100,32 +94,20 @@ def _item_counts(sequences: Sequence[DataSequence]) -> Counter:
     return Counter(item for seq in sequences for item in set().union(*seq.itemsets))
 
 
-def _candidates(
-    pattern: Pattern, prev_set: set[Pattern], frequent_items: list[int]
-) -> Iterator[tuple[Pattern, int, bool]]:
-    """GSP's children of ``pattern``: ``(candidate, item, is_s_extension)``
-    for each frequent item appended as a new element or into the last one,
-    kept only if deleting the candidate's first item leaves a frequent
-    pattern."""
-    last = pattern[-1]
-    for item in frequent_items:
-        grown = pattern + ((item,),)
-        if _delete_first_item(grown) in prev_set:
-            yield grown, item, True
-        if item > last[-1]:
-            grown = pattern[:-1] + (last + (item,),)
-            if _delete_first_item(grown) in prev_set:
-                yield grown, item, False
-
-
 def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     """Level-wise mining: all patterns meeting the support threshold.
 
-    Level m extends each frequent (m-1)-pattern with each frequent item,
-    either as a new trailing element or into the last element (keeping the
-    element sorted); a candidate is counted only if deleting its first item
-    also leaves a frequent pattern. ``stats.database_passes`` counts one
-    counting sweep per level attempted.
+    Level m is GSP's join of level m-1 with itself. A pattern P grows by an
+    item x, as a new trailing element or into its last element (keeping the
+    element sorted), only if deleting P's first item leaves a pattern D that
+    grew by x the same way and stayed frequent: for P of two or more items,
+    deleting the first item of P extended by x gives D extended by x, and
+    that deletion never lowers support under any gap rule (see the module
+    docstring), so the join loses no frequent pattern. P looks up the
+    frequent children of D once and tries only those; at level 2, D is the
+    empty pattern, every frequent item is its child, and an i-extension must
+    exceed P's item. ``stats.database_passes`` counts one counting sweep per
+    level attempted.
     """
     if not db.sequences:
         raise EmptyDatabaseError("gsp_mine needs a non-empty database")
@@ -140,24 +122,29 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
 
     frequent_items = sorted(i for i, c in item_counts.items() if c >= minc)
     frequent: dict[Pattern, int] = {((i,),): item_counts[i] for i in frequent_items}
-    prev_level: list[Pattern] = sorted(frequent, key=pattern_sort_key)
-    if not prev_level or max_len == 1:
+    if not frequent or max_len == 1:
         return _finalize(frequent, n, stats)
     layout = bit_layout(db.sequences, constraints, frequent_items)
     items = layout.items
-    # the projections of the previous level's patterns
-    prev_ends = {((i,),): items[i] for i in frequent_items}
+    # the previous level's patterns -> their projections
+    level = {((i,),): items[i] for i in frequent_items}
+    # pattern -> its frequent children as (item, is_s_extension), in the
+    # order they were counted
+    children = {(): [(i, s_ext) for i in frequent_items for s_ext in (True, False)]}
 
     m = 2
-    while prev_level and (max_len is None or m <= max_len):
-        prev_set = set(prev_level)
-        level: list[Pattern] = []
-        level_ends: dict[Pattern, int] = {}
+    while level:
+        grown_level: dict[Pattern, int] = {}
+        grown_children: dict[Pattern, list[tuple[int, bool]]] = {}
         stats.database_passes += 1
-        for pattern in prev_level:
-            ends = prev_ends.pop(pattern)
+        # pop each projection once used: at most two levels are held
+        while level:
+            pattern, ends = level.popitem()
             allowed = extend(ends, layout)
-            for grown, item, s_ext in _candidates(pattern, prev_set, frequent_items):
+            last = pattern[-1]
+            for item, s_ext in children.get(_delete_first_item(pattern), ()):
+                if not s_ext and item <= last[-1]:
+                    continue
                 stats.candidates_generated += 1
                 grown_ends = (allowed if s_ext else ends) & items[item]
                 # a cheap bound first: each sequence counted holds a bit
@@ -165,12 +152,12 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
                     continue
                 count = count_sequences(grown_ends, layout)
                 if count >= minc:
+                    grown = pattern + ((item,),) if s_ext else pattern[:-1] + (last + (item,),)
                     frequent[grown] = count
-                    level.append(grown)
                     if max_len is None or m < max_len:
-                        level_ends[grown] = grown_ends
-        prev_level = sorted(level, key=pattern_sort_key)
-        prev_ends = level_ends
+                        grown_level[grown] = grown_ends
+                        grown_children.setdefault(pattern, []).append((item, s_ext))
+        level, children = grown_level, grown_children
         m += 1
 
     return _finalize(frequent, n, stats)

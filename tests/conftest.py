@@ -27,6 +27,14 @@ def make_sequence(seq_id, *txns):
     )
 
 
+def delete_last_item(pattern):
+    """The pattern's parent: the pattern minus its last item."""
+    tail = pattern[-1]
+    if len(tail) == 1:
+        return pattern[:-1]
+    return pattern[:-1] + (tail[:-1],)
+
+
 A, B, C = 0, 1, 2
 
 

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from conftest import make_sequence
+from synthetic import generate_db, linear_fit
 
-from seqmine.bench import generate_db, linear_fit
 from seqmine.dataset import bundled_results, serialize_sequence_db
 from seqmine.itemsets import mine_frequent_itemsets
 from seqmine.model import (
@@ -252,16 +252,20 @@ def test_criterion_5_stream_linearity():
         for size in sizes
     ]
     reps = [[] for _ in sizes]
-    # median of 3, one repetition of every size per round, so that CPU speed
-    # drift hits every size alike instead of skewing one point of the fit
+    # median of 3, one sample of every size per round, so that CPU speed
+    # drift hits every size alike instead of skewing one point of the fit;
+    # a sample replays the stream 8k/size times and divides by that, so each
+    # times as much work as one 8k run and no size is lost in timer noise
     for _ in range(3):
         for size, db, times in zip(sizes, dbs, reps):
-            state = StreamState()
+            replays = sizes[-1] // size
             t0 = time.perf_counter()
-            for lo in range(0, size, config.batch_size):
-                process_batch(state, db.sequences[lo : lo + config.batch_size], config)
-            query_output(state, config)
-            times.append(time.perf_counter() - t0)
+            for _ in range(replays):
+                state = StreamState()
+                for lo in range(0, size, config.batch_size):
+                    process_batch(state, db.sequences[lo : lo + config.batch_size], config)
+                query_output(state, config)
+            times.append((time.perf_counter() - t0) / replays)
     medians = [sorted(times)[1] for times in reps]
     total = time.perf_counter() - started
     slope, _, r2 = linear_fit([float(s) for s in sizes], medians)

@@ -206,7 +206,7 @@ class TestMineStream:
     @pytest.fixture
     def stream_file(self, tmp_path):
         import conftest  # noqa: F401  (sys.path side effect)
-        from seqmine.bench import generate_db
+        from synthetic import generate_db
         from seqmine.dataset import serialize_sequence_db
 
         db = generate_db(50, alphabet_size=4, seed=7)
@@ -355,7 +355,7 @@ class TestMineStream:
         # local T = floor(0.1 * 40) = 4, so patterns missing from a batch get
         # delta bumps, and patterns are both inserted and evicted across batches
         import conftest  # noqa: F401
-        from seqmine.bench import generate_db
+        from synthetic import generate_db
         from seqmine.dataset import serialize_sequence_db
 
         path = tmp_path / "pinned.csv"

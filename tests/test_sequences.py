@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
-from conftest import A, B, C, make_sequence
+from conftest import A, B, C, delete_last_item, make_sequence
 from strategies import CONSTRAINT_GRID, constraint_grid, sequence_dbs
 
 from seqmine.errors import EmptyDatabaseError, InvalidConstraintsError
@@ -23,7 +23,6 @@ from seqmine.sequences import (
     MiningResult,
     MiningStats,
     SupportedPattern,
-    _delete_last_item,
     _prefixspan,
     filter_closed,
     gsp_mine,
@@ -86,6 +85,21 @@ class TestGspMine:
         # a max_length cut stops the loop before the empty attempt
         capped = gsp_mine(db1, Constraints(min_support=0.5, max_length=3))
         assert capped.stats.database_passes == 3
+
+    @pytest.mark.parametrize(
+        "constraints, candidates, passes",
+        [
+            (HALF, 17, 3),
+            (Constraints(min_support=0.5, max_gap=1, max_length=3), 16, 3),
+            (Constraints(min_support=0.25, max_length=4), 41, 4),
+        ],
+        ids=["unbounded", "max-gap-1", "quarter-len-4"],
+    )
+    def test_candidates_generated_pinned(self, db1, constraints, candidates, passes):
+        # the three items, then each level's join: the children of each
+        # pattern's first-item deletion, i-extensions above the last item
+        stats = gsp_mine(db1, constraints).stats
+        assert (stats.candidates_generated, stats.database_passes) == (candidates, passes)
 
     def test_max_length_caps_output(self, db1):
         result = gsp_mine(db1, Constraints(min_support=0.5, max_length=1))
@@ -153,7 +167,7 @@ class TestPrefixspanMine:
         found = list(_prefixspan(db.sequences, 1, constraints))
         seen = set()
         for pattern in found:
-            parent = _delete_last_item(pattern)
+            parent = delete_last_item(pattern)
             assert not parent or parent in seen
             seen.add(pattern)
 

@@ -8,12 +8,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import A, B, C, make_sequence
+from conftest import A, B, C, delete_last_item, make_sequence
+from synthetic import generate_db
 
 from seqmine.errors import BadBatchSizeError, InvalidStreamConfigError
 from seqmine.model import contains, exact_fraction
 from seqmine.oracle import brute_stream, iter_canonical_patterns
-from seqmine.sequences import _delete_last_item
 from seqmine.stream import (
     StreamConfig,
     StreamState,
@@ -37,7 +37,7 @@ def assert_parent_bound(tree):
     no node's count + delta exceeds its parent's (the pattern minus its
     last item)."""
     for pattern, node in tree.items():
-        parent = _delete_last_item(pattern)
+        parent = delete_last_item(pattern)
         if parent:
             parent_node = tree.lookup(parent)
             assert parent_node is not None, f"{pattern} tracked without its parent"
@@ -268,8 +268,6 @@ class TestTreeInvariants:
     def test_parent_bound_under_delta_bumps(self, seed):
         # T = floor(0.1 * 20) = 2: unmined patterns get bumped, new ones get
         # the epsilon * N delta, and nodes are evicted along the way
-        from seqmine.bench import generate_db
-
         db = generate_db(300, alphabet_size=5, seed=seed)
         config = StreamConfig(sigma=0.2, epsilon=0.1, batch_size=20, max_length=3)
         state = StreamState()

@@ -185,10 +185,14 @@ def _cmd_mine_stream(args) -> int:
 
 
 def _parse_anomaly_threshold(text: str) -> Decimal:
+    """A decimal; ``Infinity`` flags no anomaly, NaN is refused."""
     try:
-        return Decimal(text)
+        threshold = Decimal(text)
     except InvalidOperation:
+        threshold = None
+    if threshold is None or threshold.is_nan():
         raise UsageError(f"--anomaly-threshold must be a decimal, got {text!r}")
+    return threshold
 
 
 def _cmd_analyze_results(args) -> int:

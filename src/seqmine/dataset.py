@@ -201,8 +201,8 @@ class BandScheme:
     ``bins`` is an ascending tuple of (upper_bound, label): a value v maps
     to the first bin with v < upper_bound, except that the last bin also
     takes v == 100. Construction (and ``dataclasses.replace``) raises
-    :class:`ValueError` unless there is at least one bin, the bounds
-    strictly increase and the final bound is 100.
+    :class:`ValueError` unless there is at least one bin, no bound is NaN,
+    the bounds strictly increase and the final bound is 100.
     """
 
     bins: tuple[tuple[Decimal, str], ...]
@@ -211,6 +211,8 @@ class BandScheme:
         if not self.bins:
             raise ValueError("band scheme needs at least one bin")
         bounds = [b for b, _ in self.bins]
+        if any(b.is_nan() for b in bounds):
+            raise ValueError(f"band bounds must be numbers: {bounds}")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ValueError(f"band bounds must be strictly increasing: {bounds}")
         if bounds[-1] != Decimal(100):

@@ -1,13 +1,17 @@
 """Sequential-pattern mining under gap constraints.
 
-Two independent miners with an identical contract:
+Two miners with an identical contract, differing only in the order they
+grow patterns and in where a pattern's candidates come from:
 
-* :func:`gsp_mine` grows patterns level by level (m items per level) and
-  counts each candidate from its parent's projection.
-* :func:`prefixspan_mine` grows patterns depth-first, testing for each
-  pattern only the items that can still extend it.
+* :func:`gsp_mine` grows patterns level by level (m items per level); a
+  pattern's candidates are the frequent children of its first-item
+  deletion (GSP's join).
+* :func:`prefixspan_mine` grows patterns depth-first; a pattern's
+  candidates are the successors of its last item.
 
-Both count on the database laid out as one bit string
+Everything else is shared: :func:`_frequent_items` counts level 1, and
+:func:`_children` is the one step that counts a pattern's extensions. It
+works on the database laid out as one bit string
 (:func:`seqmine.model.bit_layout`): sequence s takes one bit per
 transaction, then an always-zero sentinel bit. A pattern's projection is one
 int, the positions in every sequence where its last element can end; that
@@ -15,7 +19,8 @@ frontier is exact even with gap constraints. An s-extension by x is
 ``extend(ends, layout) & items[x]`` and an i-extension by y is
 ``ends & items[y]``, so a candidate costs a few C-level big-int operations
 over the whole database, and :func:`seqmine.model.count_sequences` reads
-its support off the sentinels.
+its support off the sentinels. Each candidate handed to that step counts
+once in ``MiningStats.candidates_generated``.
 
 Both return the same pattern set with the same counts; the test suite and
 the acceptance suite hold them to that.
@@ -44,10 +49,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from seqmine.errors import EmptyDatabaseError
 from seqmine.model import (
+    BitLayout,
     Constraints,
     DataSequence,
     Pattern,
@@ -89,9 +95,45 @@ def _finalize(pairs: dict[Pattern, int], n: int, stats: MiningStats) -> MiningRe
     return MiningResult(patterns, stats)
 
 
-def _item_counts(sequences: Sequence[DataSequence]) -> Counter:
-    """Item -> how many sequences hold it."""
-    return Counter(item for seq in sequences for item in set().union(*seq.itemsets))
+def _frequent_items(
+    sequences: Sequence[DataSequence], minc: int, stats: MiningStats
+) -> tuple[list[int], dict[Pattern, int]]:
+    """Level 1: the frequent items (ascending) and each one's singleton
+    pattern -> count. Every item seen counts as a candidate."""
+    counts = Counter(item for seq in sequences for item in set().union(*seq.itemsets))
+    stats.candidates_generated += len(counts)
+    frequent = sorted(i for i, c in counts.items() if c >= minc)
+    return frequent, {((i,),): counts[i] for i in frequent}
+
+
+def _children(
+    pattern: Pattern,
+    ends: int,
+    s_items: Sequence[tuple[int, int]],
+    i_items: Sequence[tuple[int, int]],
+    layout: BitLayout,
+    minc: int,
+    stats: MiningStats,
+) -> Iterator[tuple[Pattern, int, int]]:
+    """Count ``pattern`` grown by each ``(item, bits)`` candidate, as a new
+    trailing element (``s_items``) or into its last element (``i_items``,
+    items above the last one); yield each frequent child as
+    ``(child, count, child_ends)``, s-extensions first, each list in order.
+    ``ends`` is the pattern's projection."""
+    stats.candidates_generated += len(s_items) + len(i_items)
+    allowed = extend(ends, layout) if s_items else 0
+    for new_element, base, candidates in ((True, allowed, s_items), (False, ends, i_items)):
+        for item, bits in candidates:
+            child_ends = base & bits
+            # a cheap bound first: each sequence counted holds a bit
+            if child_ends.bit_count() >= minc:
+                count = count_sequences(child_ends, layout)
+                if count >= minc:
+                    if new_element:
+                        child = pattern + ((item,),)
+                    else:
+                        child = pattern[:-1] + (pattern[-1] + (item,),)
+                    yield child, count, child_ends
 
 
 def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
@@ -103,61 +145,49 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     grew by x the same way and stayed frequent: for P of two or more items,
     deleting the first item of P extended by x gives D extended by x, and
     that deletion never lowers support under any gap rule (see the module
-    docstring), so the join loses no frequent pattern. P looks up the
-    frequent children of D once and tries only those; at level 2, D is the
-    empty pattern, every frequent item is its child, and an i-extension must
-    exceed P's item. ``stats.database_passes`` counts one counting sweep per
-    level attempted.
+    docstring), so the join loses no frequent pattern. P's candidates are
+    therefore D's frequent children, kept as an (s-list, i-list) pair of
+    ``(item, bits)`` like PrefixSpan's successor lists and counted by the
+    same :func:`_children` step. At level 2, D is the empty pattern: an
+    item's candidates are every frequent item as a new element and the
+    frequent items above it in its element. ``stats.database_passes``
+    counts one counting sweep per level attempted.
     """
     if not db.sequences:
         raise EmptyDatabaseError("gsp_mine needs a non-empty database")
     n = len(db.sequences)
     minc = min_count(constraints.min_support, n)
     max_len = constraints.max_length
-    stats = MiningStats()
+    stats = MiningStats(database_passes=1)
 
-    item_counts = _item_counts(db.sequences)
-    stats.candidates_generated += len(item_counts)
-    stats.database_passes += 1
-
-    frequent_items = sorted(i for i, c in item_counts.items() if c >= minc)
-    frequent: dict[Pattern, int] = {((i,),): item_counts[i] for i in frequent_items}
+    frequent_items, frequent = _frequent_items(db.sequences, minc, stats)
     if not frequent or max_len == 1:
         return _finalize(frequent, n, stats)
     layout = bit_layout(db.sequences, constraints, frequent_items)
     items = layout.items
-    # the previous level's patterns -> their projections
-    level = {((i,),): items[i] for i in frequent_items}
-    # pattern -> its frequent children as (item, is_s_extension), in the
-    # order they were counted
-    children = {(): [(i, s_ext) for i in frequent_items for s_ext in (True, False)]}
+    seeds = [(i, items[i]) for i in frequent_items]
+    # (pattern, its projection, its s- and i-candidates as (item, bits))
+    level = [(((i,),), bits, seeds, seeds[k + 1:]) for k, (i, bits) in enumerate(seeds)]
 
     m = 2
     while level:
-        grown_level: dict[Pattern, int] = {}
-        grown_children: dict[Pattern, list[tuple[int, bool]]] = {}
         stats.database_passes += 1
+        grown: list[tuple[Pattern, int]] = []
+        # pattern -> its frequent children's (s-list, i-list) of (item, bits)
+        children: defaultdict[Pattern, tuple[list, list]] = defaultdict(lambda: ([], []))
         # pop each projection once used: at most two levels are held
         while level:
-            pattern, ends = level.popitem()
-            allowed = extend(ends, layout)
-            last = pattern[-1]
-            for item, s_ext in children.get(_delete_first_item(pattern), ()):
-                if not s_ext and item <= last[-1]:
-                    continue
-                stats.candidates_generated += 1
-                grown_ends = (allowed if s_ext else ends) & items[item]
-                # a cheap bound first: each sequence counted holds a bit
-                if grown_ends.bit_count() < minc:
-                    continue
-                count = count_sequences(grown_ends, layout)
-                if count >= minc:
-                    grown = pattern + ((item,),) if s_ext else pattern[:-1] + (last + (item,),)
-                    frequent[grown] = count
-                    if max_len is None or m < max_len:
-                        grown_level[grown] = grown_ends
-                        grown_children.setdefault(pattern, []).append((item, s_ext))
-        level, children = grown_level, grown_children
+            pattern, ends, s_items, i_items = level.pop()
+            for child, count, child_ends in _children(
+                pattern, ends, s_items, i_items, layout, minc, stats
+            ):
+                frequent[child] = count
+                if max_len is None or m < max_len:
+                    grown.append((child, child_ends))
+                    # a one-item last element is a new element: an s-extension
+                    last = child[-1]
+                    children[pattern][len(last) > 1].append((last[-1], items[last[-1]]))
+        level = [(p, ends, *children.get(_delete_first_item(p), ((), ()))) for p, ends in grown]
         m += 1
 
     return _finalize(frequent, n, stats)
@@ -209,17 +239,13 @@ def _prefixspan(
     A stack entry is a pattern, its item count and its projection ``ends``.
     Every pattern is added after its parent (the pattern minus its last
     item), so the result is parents-first. A pattern whose last item is
-    ``a`` tests only ``a``'s successors (see :func:`_successors` and the
-    module docstring); ``stats.candidates_generated`` counts the
-    (pattern, item) supports actually computed.
+    ``a`` hands only ``a``'s successors (see :func:`_successors` and the
+    module docstring) to :func:`_children`, the counting step GSP uses too.
     """
     stats = stats if stats is not None else MiningStats()
     max_len = constraints.max_length
 
-    item_counts = _item_counts(sequences)
-    stats.candidates_generated += len(item_counts)
-    frequent = sorted(i for i, c in item_counts.items() if c >= minc)
-    found: dict[Pattern, int] = {((i,),): item_counts[i] for i in frequent}
+    frequent, found = _frequent_items(sequences, minc, stats)
     if not frequent or max_len == 1:
         return found
     layout = bit_layout(sequences, constraints, frequent)
@@ -235,30 +261,12 @@ def _prefixspan(
     while stack:
         pattern, plen, ends = stack.pop()
         last = pattern[-1][-1]
-        s_items = s_next.get(last, ())
-        allowed = extend(ends, layout) if s_items else 0
-        grown: list[tuple[Pattern, int, int]] = []
-        for new_element, base, candidates in (
-            (True, allowed, s_items if allowed else ()),
-            (False, ends, i_next.get(last, ())),
+        for child, count, child_ends in _children(
+            pattern, ends, s_next.get(last, ()), i_next.get(last, ()), layout, minc, stats
         ):
-            stats.candidates_generated += len(candidates)
-            for item, bits in candidates:
-                grown_ends = base & bits
-                # a cheap bound first: each sequence counted holds a bit
-                if grown_ends.bit_count() >= minc:
-                    count = count_sequences(grown_ends, layout)
-                    if count >= minc:
-                        if new_element:
-                            child = pattern + ((item,),)
-                        else:
-                            child = pattern[:-1] + (pattern[-1] + (item,),)
-                        grown.append((child, count, grown_ends))
-
-        for child, count, grown_ends in grown:
             found[child] = count
             if max_len is None or plen + 1 < max_len:
-                stack.append((child, plen + 1, grown_ends))
+                stack.append((child, plen + 1, child_ends))
 
     return found
 

@@ -17,7 +17,7 @@ batch go unobserved, so:
 * when T > 1, every tracked pattern that was not seen in a batch gets its
   delta bumped by T - 1, the most it could have occurred while unreported;
 * after each batch, every node with ``count + delta <= floor(epsilon * N)``
-  is evicted.
+  is evicted, and a new pattern already below that bar is never inserted.
 
 A node's ``count + delta`` never exceeds its parent's (the pattern minus its
 last item): a batch that mines the child mines the parent with at least the
@@ -73,21 +73,34 @@ class PatternTree:
     def lookup(self, pattern: Pattern) -> Optional[_Node]:
         return self._nodes.get(pattern)
 
-    def insert(self, pattern: Pattern, count: int, delta: int, batch: int) -> _Node:
-        node = self._nodes[pattern] = _Node(count, delta, batch)
-        return node
+    def absorb(
+        self, mined: dict[Pattern, int], bump: int, delta: int, bar: int, batch: int
+    ) -> None:
+        """Merge one batch's mined counts in one pass over the table.
+
+        A tracked pattern adds its mined count, or, if the batch did not
+        mine it, ``bump`` to its delta; a new pattern is inserted with
+        ``delta``. Only nodes with ``count + delta > bar`` are kept.
+        """
+        kept: dict[Pattern, _Node] = {}
+        for pattern, node in self._nodes.items():
+            count = mined.get(pattern)
+            if count is None:
+                node.delta += bump
+            else:
+                node.count += count
+            if node.count + node.delta > bar:
+                kept[pattern] = node
+        for pattern, count in mined.items():
+            if count + delta > bar and pattern not in self._nodes:
+                kept[pattern] = _Node(count, delta, batch)
+        self._nodes = kept
 
     def items(self) -> ItemsView[Pattern, _Node]:
         return self._nodes.items()
 
     def nodes(self) -> ValuesView[_Node]:
         return self._nodes.values()
-
-    def prune(self, threshold: int) -> None:
-        """Drop every node whose count + delta <= threshold."""
-        self._nodes = {
-            p: node for p, node in self._nodes.items() if node.count + node.delta > threshold
-        }
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -146,32 +159,13 @@ def _local_threshold(epsilon, batch_len: int) -> int:
 
 def _absorb_batch(state: StreamState, batch: Sequence[DataSequence], config: StreamConfig) -> None:
     eps = exact_fraction(config.epsilon)
-    n_batch = len(batch)
-    n_before = state.sequences_seen
-    local_t = _local_threshold(eps, n_batch)
-
-    mined = _prefixspan(
-        batch, local_t, Constraints(min_support=1.0, max_length=config.max_length)
-    )
-
-    tree = state.tree
-    if local_t > 1:
-        for pattern, node in tree.items():
-            if pattern not in mined:
-                node.delta += local_t - 1
-
-    insert_delta = math.floor(eps * n_before)
-    batch_no = state.batches_seen + 1
-    for pattern, count in mined.items():
-        node = tree.lookup(pattern)
-        if node is None:
-            tree.insert(pattern, count, insert_delta, batch_no)
-        else:
-            node.count += count
-
-    state.sequences_seen += n_batch
+    local_t = _local_threshold(eps, len(batch))
+    mined = _prefixspan(batch, local_t, Constraints(min_support=1.0, max_length=config.max_length))
+    insert_delta = math.floor(eps * state.sequences_seen)
+    state.sequences_seen += len(batch)
     state.batches_seen += 1
-    tree.prune(math.floor(eps * state.sequences_seen))
+    bar = math.floor(eps * state.sequences_seen)
+    state.tree.absorb(mined, local_t - 1, insert_delta, bar, state.batches_seen)
 
 
 def process_batch(

@@ -442,6 +442,26 @@ class TestAnalyzeResults:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--bands", "NaN:F,100:A"),
+            ("--bands", "sNaN:F,100:A"),
+            ("--anomaly-threshold", "NaN"),
+            ("--anomaly-threshold", "sNaN"),
+        ],
+    )
+    def test_nan_exit_3(self, flag, value):
+        proc = run_cli("analyze-results", flag, value)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"error: {flag}")
+        assert proc.stderr.count("\n") == 1
+
+    def test_infinite_anomaly_threshold_flags_none(self):
+        proc = run_cli("analyze-results", "--anomaly-threshold", "Infinity")
+        assert proc.returncode == 0
+        assert "anomalies:\n  none\n" in proc.stdout
+
 
 class TestDeterminism:
     def test_mine_seq_stable_across_runs(self, db1_file, tmp_path):

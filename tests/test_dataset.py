@@ -164,6 +164,14 @@ class TestBands:
         with pytest.raises(ValueError):
             parse_band_spec("50:F,70:C,85:B")
 
+    @pytest.mark.parametrize("bound", ["NaN", "sNaN"])
+    def test_nan_bound_rejected(self, bound):
+        # a NaN bound would make every later comparison raise InvalidOperation
+        with pytest.raises(ValueError, match="^band bounds must be numbers"):
+            parse_band_spec(f"{bound}:F,100:A")
+        with pytest.raises(ValueError, match="^band bounds must be numbers"):
+            dataclasses.replace(DEFAULT_BANDS, bins=((Decimal(bound), "A"),))
+
     def test_replace_checks_like_construction(self):
         with pytest.raises(ValueError, match="^band scheme needs at least one bin$"):
             dataclasses.replace(DEFAULT_BANDS, bins=())

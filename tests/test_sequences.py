@@ -179,13 +179,18 @@ class TestPrefixspanMine:
 
     @pytest.mark.parametrize(
         "constraints, candidates",
-        [(HALF, 9), (Constraints(min_support=0.5, max_gap=1, max_length=3), 8)],
-        ids=["unbounded", "max-gap-1"],
+        [
+            (HALF, 9),
+            (Constraints(min_support=0.5, max_gap=1, max_length=3), 8),
+            (Constraints(min_support=0.25, max_length=4), 47),
+        ],
+        ids=["unbounded", "max-gap-1", "quarter-len-4"],
     )
     def test_candidates_generated_pinned(self, db1, constraints, candidates):
-        # the three items, then only the supports actually computed: the
-        # successors of each pattern's last item whose level-2 pattern clears
-        # the threshold
+        # the three items, then the successors of each grown pattern's last
+        # item whose level-2 pattern clears the threshold, counted as GSP
+        # counts its join: s-candidates count even when the pattern ends at
+        # the last transaction of every sequence it occurs in
         assert prefixspan_mine(db1, constraints).stats.candidates_generated == candidates
 
 

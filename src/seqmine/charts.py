@@ -34,6 +34,7 @@ def _y_position(pct: Decimal) -> Decimal:
 def svg_line_chart(title: str, rows: Sequence[tuple[int, Decimal]]) -> str:
     """A year-vs-percentage line chart as a standalone SVG document."""
     xs = _x_positions(len(rows))
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW_W}" height="{VIEW_H}" '
         f'viewBox="0 0 {VIEW_W} {VIEW_H}">',

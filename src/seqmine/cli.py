@@ -2,10 +2,12 @@
 
 Subcommands: mine-itemsets, mine-seq, mine-stream, analyze-results.
 Exit codes: 0 ok, 2 unreadable, undecodable or unparsable input (or a
-results file without two years for every subject), 3 usage/flag error, 4
+results file without two years for every subject, or with a subject code
+that cannot name a file under ``--plot-dir``), 3 usage/flag error, 4
 internal invariant failure (see ``_EXIT_CODES``). Every failure prints one
 line starting with ``error:`` to stderr. Outputs are byte-deterministic for
-fixed inputs and flags.
+fixed inputs and flags. Input files are read as UTF-8, a leading byte-order
+mark skipped.
 """
 
 from __future__ import annotations
@@ -39,11 +41,15 @@ class UsageError(Exception):
     """A flag combination the parser cannot catch; maps to exit 3."""
 
 
+class InputError(Exception):
+    """Input that parses but that the command cannot act on; maps to exit 2."""
+
+
 # An error exits with the code of the most specific of its classes listed
 # here, so undecodable input exits 2 although UnicodeDecodeError is a ValueError.
 _EXIT_CODES: dict[type[Exception], int] = {
     OSError: 2, UnicodeDecodeError: 2, ParseError: 2, EmptyDatabaseError: 2,
-    InsufficientHistoryError: 2,
+    InsufficientHistoryError: 2, InputError: 2,
     UsageError: 3, ValueError: 3, InvalidThresholdError: 3,
     InvalidConstraintsError: 3, InvalidStreamConfigError: 3,
     SeqmineError: 4,
@@ -85,7 +91,7 @@ def _build_config(config_class, **fields):
 
 
 def _load_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8").splitlines()
+    return Path(path).read_text(encoding="utf-8-sig").splitlines()
 
 
 def _cmd_mine_itemsets(args) -> int:
@@ -136,7 +142,7 @@ def _stream_lines(path: str, watch: bool, idle_timeout: float) -> Iterator[str]:
     """Yield lines from a file; with watch, keep polling for appended lines
     until none arrive for idle_timeout seconds. A line is held until its
     newline arrives, or until EOF or the idle timeout ends the stream."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         idle = 0.0
         poll = 0.05
         pending = ""
@@ -205,6 +211,12 @@ def _cmd_analyze_results(args) -> int:
         records = dataset.bundled_results()
     else:
         records = dataset.load_results(_load_lines(args.input))
+    if args.plot_dir is not None:
+        for record in records:
+            if Path(record.subject_code).name != record.subject_code:
+                raise InputError(
+                    f"subject code {record.subject_code!r} is not a plain file name for --plot-dir"
+                )
     summary = dataset.trend(records, anomaly_threshold=threshold)
 
     print(f"{'subject':<10} {'year':<6} {'pass_pct':>8} {'delta':>8} {'direction':<9} band")

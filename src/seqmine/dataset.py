@@ -1,13 +1,17 @@
 """File formats, the bundled university-results data, and trend analysis.
 
-Three text formats, all UTF-8 with ``#`` comment lines:
+Three text formats, all UTF-8 with ``#`` comment lines. Every other
+non-blank line is split on ``,`` into a fixed number of fields, each
+stripped of surrounding whitespace; a line with another field count is a
+:class:`ParseError` ``expected '<fields>', got '<line>'``.
 
 * sequence-CSV: one transaction per line, ``seq_id,time,items`` with
   space-separated item tokens and a base-10 integer time. Lines may arrive
   unsorted; equal-time transactions of one sequence are merged.
 * transactions-CSV: ``txn_id,items``.
-* results-CSV: header ``year,subject_code,pass_pct``; pass percentages are
-  exact decimals with at most 2 fractional digits.
+* results-CSV: header ``year,subject_code,pass_pct``, compared field by
+  field; pass percentages are exact decimals with at most 2 fractional
+  digits.
 
 Pass percentages are kept as :class:`decimal.Decimal` throughout so the
 bundled tables reproduce bit-exactly.
@@ -32,32 +36,49 @@ from seqmine.model import Alphabet, DataSequence, SequenceDatabase
 BUNDLED_RESULTS = "university_results.csv"
 
 
-def _lines(source) -> Iterator[tuple[int, str]]:
-    """Yield (line_no, stripped_line) skipping blanks and comments."""
+def _rows(source, fields: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_no, stripped fields) for each line that is not blank or a
+    comment, numbering lines from 1. ``fields`` names the columns, as in
+    ``'txn_id,items'``; a line with another field count is a ParseError."""
     if isinstance(source, str):
         source = source.splitlines()
+    width = fields.count(",") + 1
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        yield line_no, line
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ParseError(line_no, f"expected {fields!r}, got {line!r}")
+        yield line_no, [*map(str.strip, parts)]
 
 
-def _parse_sequence_line(line_no: int, line: str, alphabet: Alphabet):
-    parts = line.split(",")
-    if len(parts) != 3:
-        raise ParseError(line_no, f"expected 'seq_id,time,items', got {line!r}")
-    seq_id, time_text, items_text = (p.strip() for p in parts)
+def _items(line_no: int, text: str, alphabet: Alphabet) -> set[int]:
+    """The ids of a space-separated item field, interned in token order."""
+    tokens = text.split()
+    if not tokens:
+        raise ParseError(line_no, "transaction has no items")
+    # Nearly every line holds only known tokens, and these are looked up in
+    # C; a line with a new token interns all its tokens in order instead.
+    try:
+        return set(map(alphabet._id_by_token.__getitem__, tokens))
+    except KeyError:
+        return {alphabet.intern(t) for t in tokens}
+
+
+_SEQUENCE_FIELDS = "seq_id,time,items"
+
+
+def _sequence_row(line_no: int, fields: list[str], alphabet: Alphabet):
+    """(seq_id, time, item ids) of one sequence-CSV row."""
+    seq_id, time_text, items_text = fields
     if not seq_id:
         raise ParseError(line_no, "empty seq_id")
     try:
         time = int(time_text)
     except ValueError:
         raise NonIntegerTimeError(line_no, f"time must be a base-10 integer, got {time_text!r}")
-    tokens = items_text.split()
-    if not tokens:
-        raise ParseError(line_no, "transaction has no items")
-    return seq_id, time, [alphabet.intern(t) for t in tokens]
+    return seq_id, time, _items(line_no, items_text, alphabet)
 
 
 def _build_sequence(seq_id: str, by_time: dict[int, set[int]]) -> DataSequence:
@@ -70,8 +91,8 @@ def load_sequence_db(source) -> SequenceDatabase:
     """Parse sequence-CSV text into a database with dense interned item ids."""
     alphabet = Alphabet()
     by_seq: dict[str, dict[int, set[int]]] = {}
-    for line_no, line in _lines(source):
-        seq_id, time, items = _parse_sequence_line(line_no, line, alphabet)
+    for line_no, fields in _rows(source, _SEQUENCE_FIELDS):
+        seq_id, time, items = _sequence_row(line_no, fields, alphabet)
         by_seq.setdefault(seq_id, {}).setdefault(time, set()).update(items)
     sequences = tuple(_build_sequence(seq_id, by_time) for seq_id, by_time in by_seq.items())
     return SequenceDatabase(sequences, alphabet)
@@ -89,8 +110,8 @@ def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[DataSequence]:
     current_id: Optional[str] = None
     by_time: dict[int, set[int]] = {}
     done: set[str] = set()
-    for line_no, line in _lines(source):
-        seq_id, time, items = _parse_sequence_line(line_no, line, alphabet)
+    for line_no, fields in _rows(source, _SEQUENCE_FIELDS):
+        seq_id, time, items = _sequence_row(line_no, fields, alphabet)
         if seq_id != current_id:
             if current_id is not None:
                 yield _build_sequence(current_id, by_time)
@@ -121,16 +142,10 @@ def serialize_sequence_db(db: SequenceDatabase) -> str:
 def load_transactions(source) -> tuple[list[tuple[int, ...]], Alphabet]:
     """Parse transactions-CSV into (itemset list, alphabet), in file order."""
     alphabet = Alphabet()
-    transactions = []
-    for line_no, line in _lines(source):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(line_no, f"expected 'txn_id,items', got {line!r}")
-        _, items_text = parts
-        tokens = items_text.split()
-        if not tokens:
-            raise ParseError(line_no, "transaction has no items")
-        transactions.append(tuple(sorted({alphabet.intern(t) for t in tokens})))
+    transactions = [
+        tuple(sorted(_items(line_no, items_text, alphabet)))
+        for line_no, (_, items_text) in _rows(source, "txn_id,items")
+    ]
     return transactions, alphabet
 
 
@@ -146,19 +161,16 @@ RESULTS_HEADER = "year,subject_code,pass_pct"
 
 def load_results(source) -> list[ResultRecord]:
     """Parse results-CSV; exact decimals, unique (year, subject) keys."""
+    rows = _rows(source, RESULTS_HEADER)
+    header = next(rows, None)
+    if header is None:
+        raise ParseError(0, "results file is empty")
+    line_no, fields = header
+    if fields != RESULTS_HEADER.split(","):
+        raise ParseError(line_no, f"expected header {RESULTS_HEADER!r}, got {','.join(fields)!r}")
     records = []
     seen: set[tuple[int, str]] = set()
-    header_seen = False
-    for line_no, line in _lines(source):
-        if not header_seen:
-            if line != RESULTS_HEADER:
-                raise ParseError(line_no, f"expected header {RESULTS_HEADER!r}, got {line!r}")
-            header_seen = True
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 3:
-            raise ParseError(line_no, f"expected 'year,subject_code,pass_pct', got {line!r}")
-        year_text, subject, pct_text = parts
+    for line_no, (year_text, subject, pct_text) in rows:
         try:
             year = int(year_text)
         except ValueError:
@@ -178,8 +190,6 @@ def load_results(source) -> list[ResultRecord]:
             raise DuplicateKeyError(line_no, f"duplicate (year, subject) pair {key}")
         seen.add(key)
         records.append(ResultRecord(year, subject, pct))
-    if not header_seen:
-        raise ParseError(0, "results file is empty")
     return records
 
 
@@ -225,16 +235,6 @@ class BandScheme:
         return self.bins[-1][1]
 
 
-DEFAULT_BANDS = BandScheme(
-    (
-        (Decimal(50), "F"),
-        (Decimal(70), "C"),
-        (Decimal(85), "B"),
-        (Decimal(100), "A"),
-    )
-)
-
-
 def parse_band_spec(spec: str) -> BandScheme:
     """Parse a CLI band spec like ``50:F,70:C,85:B,100:A``."""
     bins = []
@@ -248,6 +248,9 @@ def parse_band_spec(spec: str) -> BandScheme:
             raise ValueError(f"band bound must be a decimal, got {bound_text!r}")
         bins.append((bound, label.strip()))
     return BandScheme(tuple(bins))
+
+
+DEFAULT_BANDS = parse_band_spec("50:F,70:C,85:B,100:A")
 
 
 def _by_subject(records: Sequence[ResultRecord]) -> dict[str, list[ResultRecord]]:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -412,6 +413,51 @@ def test_undecodable_input_exit_2(tmp_path, command, content, flags):
     assert proc.stderr.count("\n") == 1
 
 
+BUNDLED_CSV = (SRC / "seqmine" / "data" / "university_results.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, content, flags",
+    [
+        ("mine-seq", b"s1,1,a\ns1,2,b\ns2,1,a\ns2,2,b\n", ("--min-support", "1.0")),
+        ("mine-stream", b"s1,1,a\ns1,2,b\ns2,1,a\ns2,2,b\n",
+         ("--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "2")),
+        ("mine-itemsets", b"# baskets\nt1,a b\nt2,a\n", ("--min-support", "0.5")),
+        ("analyze-results", BUNDLED_CSV, ()),
+    ],
+    ids=["mine-seq", "mine-stream", "mine-itemsets", "analyze-results"],
+)
+def test_leading_bom_is_skipped(tmp_path, command, content, flags):
+    stdouts = []
+    for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(prefix + content)
+        proc = run_cli(command, str(path), *flags)
+        assert proc.returncode == 0, proc.stderr
+        stdouts.append(proc.stdout)
+    assert stdouts[0] == stdouts[1]
+
+
+@pytest.mark.parametrize(
+    "command, content, flags, message",
+    [
+        ("mine-seq", "s1,1,a\ns1,2,b\ns2,1\n", ("--min-support", "0.5"),
+         "expected 'seq_id,time,items', got 's2,1'"),
+        ("mine-itemsets", "t1,a\nt2,b\nt3,a,b\n", ("--min-support", "0.5"),
+         "expected 'txn_id,items', got 't3,a,b'"),
+        ("analyze-results", "year,subject_code,pass_pct\n2003,X,50\n2004,X\n", (),
+         "expected 'year,subject_code,pass_pct', got '2004,X'"),
+    ],
+    ids=["mine-seq", "mine-itemsets", "analyze-results"],
+)
+def test_wrong_field_count_message(tmp_path, command, content, flags, message):
+    path = tmp_path / "input.csv"
+    path.write_text(content)
+    proc = run_cli(command, str(path), *flags)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: line 3: {message}\n"
+
+
 class TestAnalyzeResults:
     def test_bundled_five_svgs(self, tmp_path):
         plot_dir = tmp_path / "plots"
@@ -424,6 +470,30 @@ class TestAnalyzeResults:
         assert "254.99" in be105
         assert 'width="640" height="400"' in be105
         assert be105.count("<polyline") == 1
+
+    def test_svg_escapes_subject_code(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("year,subject_code,pass_pct\n2003,R&D<x>,50\n2004,R&D<x>,60\n")
+        plot_dir = tmp_path / "plots"
+        proc = run_cli("analyze-results", str(path), "--plot-dir", str(plot_dir))
+        assert proc.returncode == 0, proc.stderr
+        root = ET.parse(plot_dir / "R&D<x>.svg").getroot()
+        title = root.find("{http://www.w3.org/2000/svg}title")
+        assert title.text == "R&D<x>"
+
+    @pytest.mark.parametrize("subject", ["../evil", "sub/evil", "."])
+    def test_plot_dir_refuses_path_subject(self, tmp_path, subject):
+        work = tmp_path / "work"
+        work.mkdir()
+        path = work / "results.csv"
+        path.write_text(f"year,subject_code,pass_pct\n2003,{subject},50\n2004,{subject},60\n")
+        plot_dir = work / "plots"
+        proc = run_cli("analyze-results", str(path), "--plot-dir", str(plot_dir))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["results.csv", "work"]
 
     def test_anomaly_listed(self):
         proc = run_cli("analyze-results")

@@ -159,7 +159,9 @@ def exact_fraction(x) -> Fraction:
     database sizes and flooring/ceiling them is exactly the kind of place
     where 0.07 * 100 == 7.000000000000001 ruins a count, so every threshold
     comparison in the toolkit goes through this, and so does the check that
-    rejects an infinite or NaN float.
+    rejects an infinite or NaN float. A nonzero value too small to round
+    (below 5e-10) keeps its exact binary value, so that a positive
+    threshold never becomes 0.
     """
     if isinstance(x, Fraction):
         return x
@@ -167,7 +169,8 @@ def exact_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, float) and not math.isfinite(x):
         raise InvalidThresholdError(f"threshold must be a finite number, got {x}")
-    return Fraction(x).limit_denominator(10**9)
+    exact = Fraction(x)
+    return exact.limit_denominator(10**9) or exact
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,19 @@
 """Sequential-pattern mining under gap constraints.
 
 Two miners with an identical contract, differing only in the order they
-grow patterns and in where a pattern's candidates come from:
+grow patterns and in where a pattern of two or more items takes its
+candidates from:
 
 * :func:`gsp_mine` grows patterns level by level (m items per level); a
   pattern's candidates are the frequent children of its first-item
   deletion (GSP's join).
 * :func:`prefixspan_mine` grows patterns depth-first; a pattern's
-  candidates are the successors of its last item.
+  candidates are the frequent level-2 children of its last item.
 
-Everything else is shared: :func:`_frequent_items` counts level 1, and
-:func:`_children` is the one step that counts a pattern's extensions. It
-works on the database laid out as one bit string
+Everything else is shared: :func:`_frequent_items` counts level 1,
+:func:`_level2_candidates` gives each frequent item its level-2
+candidates, and :func:`_children` is the one step that counts a pattern's
+extensions. It works on the database laid out as one bit string
 (:func:`seqmine.model.bit_layout`): sequence s takes one bit per
 transaction, then an always-zero sentinel bit. A pattern's projection is one
 int, the positions in every sequence where its last element can end; that
@@ -21,6 +23,12 @@ frontier is exact even with gap constraints. An s-extension by x is
 over the whole database, and :func:`seqmine.model.count_sequences` reads
 its support off the sentinels. Each candidate handed to that step counts
 once in ``MiningStats.candidates_generated``.
+
+Level 2 is where the alphabet's width tells. With F frequent items and n
+sequences, testing every pair on the bit layout costs F² candidates, while
+bounding them first by :func:`_successors` costs a Python pass over all n
+sequences. The step takes every pair while F² <= n, and the successor lists
+otherwise.
 
 Both return the same pattern set with the same counts; the test suite and
 the acceptance suite hold them to that.
@@ -38,10 +46,11 @@ same deletion until only P's last item ``a`` is left (the largest item of
 P's last element). That turns P extended by a new element ``(x)`` into
 ``<(a)(x)>``, and P with ``y > a`` added to its last element into
 ``<(a y)>``. So an extension can be frequent only if that 2-pattern is, and
-PrefixSpan tests only the ``x`` and ``y`` in ``a``'s successor lists. Those
-lists count, gaps ignored, the sequences where ``x`` follows ``a`` or ``y``
-shares a transaction with it: an upper bound on any constrained count. Every
-candidate is verified by counting anyway.
+PrefixSpan counts level 2 for every item before it grows any deeper
+pattern, then tests only the ``x`` and ``y`` whose 2-pattern was frequent.
+Those lists are counted under the gap rules, so they are never looser than
+the successor lists (which ignore gaps), and equal them when gaps are
+unbounded. Every candidate is verified by counting anyway.
 """
 
 from __future__ import annotations
@@ -147,11 +156,12 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     that deletion never lowers support under any gap rule (see the module
     docstring), so the join loses no frequent pattern. P's candidates are
     therefore D's frequent children, kept as an (s-list, i-list) pair of
-    ``(item, bits)`` like PrefixSpan's successor lists and counted by the
-    same :func:`_children` step. At level 2, D is the empty pattern: an
-    item's candidates are every frequent item as a new element and the
-    frequent items above it in its element. ``stats.database_passes``
-    counts one counting sweep per level attempted.
+    ``(item, bits)`` and counted by the :func:`_children` step PrefixSpan
+    uses too. At level 2, D is the empty pattern, and an item's candidates
+    come from :func:`_level2_candidates`, as PrefixSpan's do: every frequent
+    item while the frequent items number at most the square root of the
+    sequences, the item's successor lists above that.
+    ``stats.database_passes`` counts one counting sweep per level attempted.
     """
     if not db.sequences:
         raise EmptyDatabaseError("gsp_mine needs a non-empty database")
@@ -165,9 +175,9 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
         return _finalize(frequent, n, stats)
     layout = bit_layout(db.sequences, constraints, frequent_items)
     items = layout.items
-    seeds = [(i, items[i]) for i in frequent_items]
+    pairs = _level2_candidates(db.sequences, frequent_items, layout, minc)
     # (pattern, its projection, its s- and i-candidates as (item, bits))
-    level = [(((i,),), bits, seeds, seeds[k + 1:]) for k, (i, bits) in enumerate(seeds)]
+    level = [(((i,),), items[i], *pairs[i]) for i in frequent_items]
 
     m = 2
     while level:
@@ -228,6 +238,33 @@ def _successors(
     return s_next, i_next
 
 
+def _level2_candidates(
+    sequences: Sequence[DataSequence], frequent: list[int], layout: BitLayout, minc: int
+) -> dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+    """Each frequent item's level-2 candidates, as an (s-list, i-list) of
+    ``(item, bits)`` for :func:`_children`.
+
+    With F frequent items and n sequences, testing every pair on the bit
+    layout costs F² candidates of a few C-level operations each, while
+    :func:`_successors` visits all n sequences in Python; on synthetic
+    inputs the two cost about the same somewhere between F² = 5 n and
+    15 n. So while F² <= n, well on the bitmap's side, an item's candidates
+    are every frequent item as a new element and the frequent items above
+    it in its element; otherwise they are its successor lists, which drop
+    every pair that co-occurs, gaps ignored, in fewer than ``minc``
+    sequences.
+    """
+    items = layout.items
+    if len(frequent) ** 2 <= len(sequences):
+        every = [(i, items[i]) for i in frequent]
+        return {i: (every, every[k + 1:]) for k, i in enumerate(frequent)}
+    s_next, i_next = _successors(sequences, minc)
+    return {
+        a: ([(x, items[x]) for x in s_next.get(a, ())], [(y, items[y]) for y in i_next.get(a, ())])
+        for a in frequent
+    }
+
+
 def _prefixspan(
     sequences: Sequence[DataSequence],
     minc: int,
@@ -236,11 +273,14 @@ def _prefixspan(
 ) -> dict[Pattern, int]:
     """Pattern-growth over bit-string projections; returns pattern -> count.
 
-    A stack entry is a pattern, its item count and its projection ``ends``.
-    Every pattern is added after its parent (the pattern minus its last
-    item), so the result is parents-first. A pattern whose last item is
-    ``a`` hands only ``a``'s successors (see :func:`_successors` and the
-    module docstring) to :func:`_children`, the counting step GSP uses too.
+    Level 2 is counted first, for every frequent item, from
+    :func:`_level2_candidates`. A deeper pattern whose last item is ``a``
+    then hands only ``a``'s frequent level-2 children to :func:`_children`,
+    the counting step GSP uses too; that bound is sound under every gap
+    rule (see the module docstring). A stack entry is a pattern, its item
+    count and its projection ``ends``. Every pattern is added after its
+    parent (the pattern minus its last item), so the result is
+    parents-first, which the stream's prefix-closed table relies on.
     """
     stats = stats if stats is not None else MiningStats()
     max_len = constraints.max_length
@@ -250,19 +290,24 @@ def _prefixspan(
         return found
     layout = bit_layout(sequences, constraints, frequent)
     items = layout.items
-    # item -> its (successor, successor's bits) pairs, s- and i-extensions
-    s_next, i_next = (
-        {a: [(x, items[x]) for x in xs] for a, xs in successors.items()}
-        for successors in _successors(sequences, minc)
-    )
+    pairs = _level2_candidates(sequences, frequent, layout, minc)
 
     # (pattern, its item count, its projection)
-    stack: list[tuple[Pattern, int, int]] = [(((i,),), 1, items[i]) for i in frequent]
+    stack: list[tuple[Pattern, int, int]] = []
+    # item -> its frequent level-2 children's (s-list, i-list) of (item, bits)
+    bounds: dict[int, tuple[list, list]] = {}
+    for a in frequent:
+        bounds[a] = grown = ([], [])
+        for child, count, child_ends in _children(((a,),), items[a], *pairs[a], layout, minc, stats):
+            found[child] = count
+            last = child[-1]
+            grown[len(last) > 1].append((last[-1], items[last[-1]]))
+            if max_len is None or max_len > 2:
+                stack.append((child, 2, child_ends))
     while stack:
         pattern, plen, ends = stack.pop()
-        last = pattern[-1][-1]
         for child, count, child_ends in _children(
-            pattern, ends, s_next.get(last, ()), i_next.get(last, ()), layout, minc, stats
+            pattern, ends, *bounds[pattern[-1][-1]], layout, minc, stats
         ):
             found[child] = count
             if max_len is None or plen + 1 < max_len:

@@ -264,6 +264,18 @@ class TestMineStream:
             "error: --epsilon must be in (0, --sigma), got --epsilon=0.6 --sigma=0.5\n"
         )
 
+    def test_tiny_epsilon_accepted(self, stream_file):
+        # an epsilon this small leaves every count exact, so the final report
+        # is the offline answer; it once rounded to 0 and was refused
+        proc = run_cli(
+            "mine-stream", stream_file, "--sigma", "0.5", "--epsilon", "1e-10",
+            "--batch-size", "10", "--max-length", "3",
+        )
+        assert proc.returncode == 0, proc.stderr
+        final = proc.stdout[proc.stdout.index("# final batches=5 sequences=50") :]
+        offline = run_cli("mine-seq", stream_file, "--min-support", "0.5", "--max-length", "3")
+        assert final.split("\n", 1)[1] == offline.stdout != ""
+
     def test_batch_size_error_names_flag(self, stream_file):
         proc = run_cli(
             "mine-stream", stream_file, "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "0"
@@ -391,6 +403,19 @@ def test_non_finite_threshold_exit_3(db1_file, flags):
     assert proc.stderr.count("\n") == 1
     bad_flag = next(flag for flag, value in zip(flags, flags[1:]) if value in ("inf", "nan"))
     assert bad_flag in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, content", [("mine-seq", DB1_CSV), ("mine-itemsets", TDB1_CSV)],
+    ids=["mine-seq", "mine-itemsets"],
+)
+def test_tiny_min_support_stays_positive(tmp_path, command, content):
+    # below 5e-10 a threshold once rounded to 0 and was refused
+    path = tmp_path / "input.csv"
+    path.write_text(content)
+    tiny, small = (run_cli(command, str(path), "--min-support", v) for v in ("1e-12", "1e-9"))
+    assert (tiny.returncode, small.returncode) == (0, 0), tiny.stderr
+    assert tiny.stdout == small.stdout != ""
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from conftest import A, B, C, delete_last_item, make_sequence
 from strategies import CONSTRAINT_GRID, constraint_grid, sequence_dbs
+from synthetic import generate_db
 
 from seqmine.errors import EmptyDatabaseError, InvalidConstraintsError
 from seqmine.model import (
@@ -16,6 +17,8 @@ from seqmine.model import (
     bit_layout,
     count_sequences,
     extend,
+    min_count,
+    pattern_length,
     support,
 )
 from seqmine.oracle import brute_closed, brute_sequences
@@ -23,6 +26,9 @@ from seqmine.sequences import (
     MiningResult,
     MiningStats,
     SupportedPattern,
+    _children,
+    _frequent_items,
+    _level2_candidates,
     _prefixspan,
     filter_closed,
     gsp_mine,
@@ -89,15 +95,16 @@ class TestGspMine:
     @pytest.mark.parametrize(
         "constraints, candidates, passes",
         [
-            (HALF, 17, 3),
-            (Constraints(min_support=0.5, max_gap=1, max_length=3), 16, 3),
-            (Constraints(min_support=0.25, max_length=4), 41, 4),
+            (HALF, 9, 3),
+            (Constraints(min_support=0.5, max_gap=1, max_length=3), 8, 3),
+            (Constraints(min_support=0.25, max_length=4), 37, 4),
         ],
         ids=["unbounded", "max-gap-1", "quarter-len-4"],
     )
     def test_candidates_generated_pinned(self, db1, constraints, candidates, passes):
-        # the three items, then each level's join: the children of each
-        # pattern's first-item deletion, i-extensions above the last item
+        # the three items, then each item's successor lists (three frequent
+        # items squared exceed four sequences), then each deeper level's
+        # join: the children of each pattern's first-item deletion
         stats = gsp_mine(db1, constraints).stats
         assert (stats.candidates_generated, stats.database_passes) == (candidates, passes)
 
@@ -192,6 +199,53 @@ class TestPrefixspanMine:
         # counts its join: s-candidates count even when the pattern ends at
         # the last transaction of every sequence it occurs in
         assert prefixspan_mine(db1, constraints).stats.candidates_generated == candidates
+
+
+# The level-2 step tests every pair while F² <= n (F frequent items, n
+# sequences) and takes the successor lists otherwise; under every grid entry
+# NARROW has at most 4 frequent items over 40 sequences and WIDE at least 3
+# over 6.
+NARROW = generate_db(40, alphabet_size=4, seed=0, geometric_p=0.8)
+WIDE = generate_db(6, alphabet_size=6, seed=0, geometric_p=0.8)
+
+
+class TestLevel2Candidates:
+    @pytest.mark.parametrize("db, narrow", [(NARROW, True), (WIDE, False)], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("constraints", CONSTRAINT_GRID)
+    def test_both_sides_agree_with_brute(self, db, narrow, constraints):
+        minc = min_count(constraints.min_support, len(db.sequences))
+        frequent, _ = _frequent_items(db.sequences, minc, MiningStats())
+        assert (len(frequent) ** 2 <= len(db.sequences)) == narrow
+        expected = [(sp.pattern, sp.count) for sp in brute_sequences(db, constraints)]
+        assert pairs(gsp_mine(db, constraints)) == expected
+        assert pairs(prefixspan_mine(db, constraints)) == expected
+        # each item's candidates, counted, give exactly the frequent 2-patterns
+        layout = bit_layout(db.sequences, constraints, frequent)
+        candidates = _level2_candidates(db.sequences, frequent, layout, minc)
+        level2 = {
+            child: count
+            for a in frequent
+            for child, count, _ in _children(
+                ((a,),), layout.items[a], *candidates[a], layout, minc, MiningStats()
+            )
+        }
+        assert level2 == {p: c for p, c in expected if pattern_length(p) == 2}
+
+    @pytest.mark.parametrize(
+        "db, constraints, candidates",
+        [
+            (NARROW, CONSTRAINT_GRID[0], 64),
+            (NARROW, CONSTRAINT_GRID[1], 26),
+            (WIDE, CONSTRAINT_GRID[0], 90),
+            (WIDE, CONSTRAINT_GRID[1], 23),
+        ],
+        ids=["narrow-unbounded", "narrow-max-gap-1", "wide-unbounded", "wide-max-gap-1"],
+    )
+    def test_candidates_generated_pinned(self, db, constraints, candidates):
+        # both miners count the same level 2; from level 3 on GSP's join and
+        # PrefixSpan's level-2 bound happen to test the same candidates here
+        assert gsp_mine(db, constraints).stats.candidates_generated == candidates
+        assert prefixspan_mine(db, constraints).stats.candidates_generated == candidates
 
 
 def agrees_with_brute(db, constraints):

@@ -14,9 +14,11 @@ from synthetic import generate_db
 from seqmine.errors import BadBatchSizeError, InvalidStreamConfigError
 from seqmine.model import contains, exact_fraction
 from seqmine.oracle import brute_stream, iter_canonical_patterns
+from seqmine.sequences import MiningStats, _frequent_items
 from seqmine.stream import (
     StreamConfig,
     StreamState,
+    _local_threshold,
     flush,
     process_batch,
     query_output,
@@ -274,6 +276,30 @@ class TestTreeInvariants:
         for lo in range(0, len(db.sequences), config.batch_size):
             process_batch(state, db.sequences[lo : lo + config.batch_size], config)
             assert_parent_bound(state.tree)
+
+
+@pytest.mark.parametrize("batch_size, narrow", [(20, True), (4, False)], ids=["narrow", "wide"])
+def test_guarantees_on_each_side_of_the_level2_rule(batch_size, narrow):
+    # a batch's level 2 tests every pair while F² <= batch size (F items
+    # frequent in the batch) and takes the successor lists otherwise
+    db = generate_db(60, alphabet_size=4, seed=1, geometric_p=0.8)
+    config = StreamConfig(sigma=0.3, epsilon=0.1, batch_size=batch_size, max_length=3)
+    local_t = _local_threshold(config.epsilon, batch_size)
+    sigma, epsilon = exact_fraction(config.sigma), exact_fraction(config.epsilon)
+    state = StreamState()
+    seen = []
+    for lo in range(0, len(db.sequences), batch_size):
+        batch = db.sequences[lo : lo + batch_size]
+        frequent, _ = _frequent_items(batch, local_t, MiningStats())
+        assert (len(frequent) ** 2 <= batch_size) == narrow
+        process_batch(state, batch, config)
+        seen.extend(batch)
+        n = len(seen)
+        out = {sp.pattern for sp in query_output(state, config)}
+        for pattern in iter_canonical_patterns(range(4), 3):
+            count = true_count(pattern, seen)
+            assert pattern in out or count < sigma * n
+            assert pattern not in out or count >= (sigma - epsilon) * n
 
 
 class OneShot:

@@ -24,11 +24,14 @@ over the whole database, and :func:`seqmine.model.count_sequences` reads
 its support off the sentinels. Each candidate handed to that step counts
 once in ``MiningStats.candidates_generated``.
 
-Level 2 is where the alphabet's width tells. With F frequent items and n
-sequences, testing every pair on the bit layout costs F² candidates, while
-bounding them first by :func:`_successors` costs a Python pass over all n
-sequences. The step takes every pair while F² <= n, and the successor lists
-otherwise.
+Level 2 is where the alphabet's width tells. With F frequent items,
+testing every pair on the bit layout ANDs about 1.5 F² ints, each as wide
+as the layout (W bits), and W grows with the number of sequences; bounding
+the pairs first by :func:`_successors` costs one Python visit per item
+occurrence, which grows with the database too. So the step weighs their
+work, F² W bits against ``_BITS_PER_VISIT`` bits per occurrence, and tests
+every pair only while that is the lighter side (see
+:func:`_level2_candidates`).
 
 Both return the same pattern set with the same counts; the test suite and
 the acceptance suite hold them to that.
@@ -159,8 +162,7 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     ``(item, bits)`` and counted by the :func:`_children` step PrefixSpan
     uses too. At level 2, D is the empty pattern, and an item's candidates
     come from :func:`_level2_candidates`, as PrefixSpan's do: every frequent
-    item while the frequent items number at most the square root of the
-    sequences, the item's successor lists above that.
+    item on narrow alphabets, the item's successor lists on wide ones.
     ``stats.database_passes`` counts one counting sweep per level attempted.
     """
     if not db.sequences:
@@ -204,12 +206,12 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
 
 
 def _successors(
-    sequences: Sequence[DataSequence], minc: int
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    sequences: Sequence[DataSequence], minc: int, items: dict[int, int]
+) -> tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]:
     """For each item ``a``, the items ``x`` that follow ``a`` and the items
     ``y > a`` that share a transaction with ``a``, each in at least ``minc``
-    sequences, gaps ignored (ascending). No pair with an infrequent item
-    clears ``minc``."""
+    sequences, gaps ignored (ascending), as ``(item, items[item])``. No pair
+    with an infrequent item clears ``minc``."""
     follows: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
     i_pairs: list[tuple[int, int]] = []
     for seq in sequences:
@@ -231,11 +233,20 @@ def _successors(
     for a, afters in follows.items():
         if len(afters) >= minc:
             counts = Counter(chain.from_iterable(afters))
-            s_next[a] = sorted(x for x, count in counts.items() if count >= minc)
-    i_next: defaultdict[int, list[int]] = defaultdict(list)
+            s_next[a] = [(x, items[x]) for x in sorted(x for x, c in counts.items() if c >= minc)]
+    i_next: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for a, y in sorted(pair for pair, count in Counter(i_pairs).items() if count >= minc):
-        i_next[a].append(y)
+        i_next[a].append((y, items[y]))
     return s_next, i_next
+
+
+# One Python visit of an item occurrence in _successors costs about as much
+# as ANDing this many bits of the layout. On synthetic inputs of 4,000 to
+# 400,000 sequences (CPython 3.11, x86-64) the two level-2 passes cost the
+# same between 16,000 and 42,000 bits, so below that the pairs are cheaper.
+# At 400,000 sequences, 632 frequent items (F² = n) took 69 s as pairs and
+# 25 s through the lists, while 128 items took 8.5 s and 9.8 s.
+_BITS_PER_VISIT = 1 << 14
 
 
 def _level2_candidates(
@@ -244,25 +255,24 @@ def _level2_candidates(
     """Each frequent item's level-2 candidates, as an (s-list, i-list) of
     ``(item, bits)`` for :func:`_children`.
 
-    With F frequent items and n sequences, testing every pair on the bit
-    layout costs F² candidates of a few C-level operations each, while
-    :func:`_successors` visits all n sequences in Python; on synthetic
-    inputs the two cost about the same somewhere between F² = 5 n and
-    15 n. So while F² <= n, well on the bitmap's side, an item's candidates
-    are every frequent item as a new element and the frequent items above
-    it in its element; otherwise they are its successor lists, which drop
-    every pair that co-occurs, gaps ignored, in fewer than ``minc``
-    sequences.
+    Testing every pair of the F frequent items ANDs and popcounts an int of
+    the layout's width W for each of about 1.5 F² pairs; :func:`_successors`
+    visits each item occurrence in Python, and its lists drop every pair
+    that co-occurs, gaps ignored, in fewer than ``minc`` sequences. W and
+    the occurrences both grow with the number of sequences, so the choice
+    rests on F and on the price of a visit, not on the database's size.
+    While F² W is at most ``_BITS_PER_VISIT`` bits per occurrence of a
+    frequent item, an item's candidates are every frequent item as a new
+    element and the frequent items above it in its element; otherwise they
+    are its successor lists.
     """
     items = layout.items
-    if len(frequent) ** 2 <= len(sequences):
+    visits = sum(items[i].bit_count() for i in frequent)
+    if len(frequent) ** 2 * layout.sentinels.bit_length() <= _BITS_PER_VISIT * visits:
         every = [(i, items[i]) for i in frequent]
         return {i: (every, every[k + 1:]) for k, i in enumerate(frequent)}
-    s_next, i_next = _successors(sequences, minc)
-    return {
-        a: ([(x, items[x]) for x in s_next.get(a, ())], [(y, items[y]) for y in i_next.get(a, ())])
-        for a in frequent
-    }
+    s_next, i_next = _successors(sequences, minc, items)
+    return {a: (s_next.get(a, []), i_next.get(a, [])) for a in frequent}
 
 
 def _prefixspan(
@@ -278,8 +288,10 @@ def _prefixspan(
     then hands only ``a``'s frequent level-2 children to :func:`_children`,
     the counting step GSP uses too; that bound is sound under every gap
     rule (see the module docstring). A stack entry is a pattern, its item
-    count and its projection ``ends``. Every pattern is added after its
-    parent (the pattern minus its last item), so the result is
+    count and its projection ``ends``. A level-2 entry holds ``None``, and
+    its projection is rebuilt from item bits when it is popped, so the
+    level-2 projections are never all held at once. Every pattern is added
+    after its parent (the pattern minus its last item), so the result is
     parents-first, which the stream's prefix-closed table relies on.
     """
     stats = stats if stats is not None else MiningStats()
@@ -292,20 +304,23 @@ def _prefixspan(
     items = layout.items
     pairs = _level2_candidates(sequences, frequent, layout, minc)
 
-    # (pattern, its item count, its projection)
-    stack: list[tuple[Pattern, int, int]] = []
+    # (pattern, its item count, its projection or None at level 2)
+    stack: list[tuple[Pattern, int, Optional[int]]] = []
     # item -> its frequent level-2 children's (s-list, i-list) of (item, bits)
     bounds: dict[int, tuple[list, list]] = {}
     for a in frequent:
         bounds[a] = grown = ([], [])
-        for child, count, child_ends in _children(((a,),), items[a], *pairs[a], layout, minc, stats):
+        for child, count, _ in _children(((a,),), items[a], *pairs[a], layout, minc, stats):
             found[child] = count
             last = child[-1]
             grown[len(last) > 1].append((last[-1], items[last[-1]]))
             if max_len is None or max_len > 2:
-                stack.append((child, 2, child_ends))
+                stack.append((child, 2, None))
     while stack:
         pattern, plen, ends = stack.pop()
+        if ends is None:
+            first = items[pattern[0][0]]
+            ends = (extend(first, layout) if len(pattern) == 2 else first) & items[pattern[-1][-1]]
         for child, count, child_ends in _children(
             pattern, ends, *bounds[pattern[-1][-1]], layout, minc, stats
         ):

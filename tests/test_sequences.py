@@ -9,6 +9,7 @@ from conftest import A, B, C, delete_last_item, make_sequence
 from strategies import CONSTRAINT_GRID, constraint_grid, sequence_dbs
 from synthetic import generate_db
 
+from seqmine import sequences
 from seqmine.errors import EmptyDatabaseError, InvalidConstraintsError
 from seqmine.model import (
     Alphabet,
@@ -95,16 +96,15 @@ class TestGspMine:
     @pytest.mark.parametrize(
         "constraints, candidates, passes",
         [
-            (HALF, 9, 3),
-            (Constraints(min_support=0.5, max_gap=1, max_length=3), 8, 3),
-            (Constraints(min_support=0.25, max_length=4), 37, 4),
+            (HALF, 17, 3),
+            (Constraints(min_support=0.5, max_gap=1, max_length=3), 16, 3),
+            (Constraints(min_support=0.25, max_length=4), 41, 4),
         ],
         ids=["unbounded", "max-gap-1", "quarter-len-4"],
     )
     def test_candidates_generated_pinned(self, db1, constraints, candidates, passes):
-        # the three items, then each item's successor lists (three frequent
-        # items squared exceed four sequences), then each deeper level's
-        # join: the children of each pattern's first-item deletion
+        # the three items, then each level's join: the children of each
+        # pattern's first-item deletion, i-extensions above the last item
         stats = gsp_mine(db1, constraints).stats
         assert (stats.candidates_generated, stats.database_passes) == (candidates, passes)
 
@@ -187,65 +187,108 @@ class TestPrefixspanMine:
     @pytest.mark.parametrize(
         "constraints, candidates",
         [
-            (HALF, 9),
-            (Constraints(min_support=0.5, max_gap=1, max_length=3), 8),
-            (Constraints(min_support=0.25, max_length=4), 47),
+            (HALF, 17),
+            (Constraints(min_support=0.5, max_gap=1, max_length=3), 16),
+            (Constraints(min_support=0.25, max_length=4), 51),
         ],
         ids=["unbounded", "max-gap-1", "quarter-len-4"],
     )
     def test_candidates_generated_pinned(self, db1, constraints, candidates):
-        # the three items, then the successors of each grown pattern's last
-        # item whose level-2 pattern clears the threshold, counted as GSP
-        # counts its join: s-candidates count even when the pattern ends at
-        # the last transaction of every sequence it occurs in
+        # the three items, then every pair of frequent items (three items
+        # are a narrow alphabet), then for each deeper pattern the frequent
+        # level-2 children of its last item: s-candidates count even when
+        # the pattern ends at the last transaction of every sequence it
+        # occurs in
         assert prefixspan_mine(db1, constraints).stats.candidates_generated == candidates
 
 
-# The level-2 step tests every pair while F² <= n (F frequent items, n
-# sequences) and takes the successor lists otherwise; under every grid entry
-# NARROW has at most 4 frequent items over 40 sequences and WIDE at least 3
-# over 6.
-NARROW = generate_db(40, alphabet_size=4, seed=0, geometric_p=0.8)
-WIDE = generate_db(6, alphabet_size=6, seed=0, geometric_p=0.8)
+# The level-2 step tests every pair of frequent items on narrow alphabets
+# and takes the successor lists on wide ones. Brute force allows at most 6
+# items, where every pair is always the cheaper side, so the successor side
+# is forced there by pricing a Python visit at 0 bits.
+FOUR_ITEMS = generate_db(40, alphabet_size=4, seed=0, geometric_p=0.8)
+SIX_ITEMS = generate_db(6, alphabet_size=6, seed=0, geometric_p=0.8)
+# 400 sequences over 300 items: the 159 items in at least 2 sequences are a
+# wide alphabet, the 113 in at least 3 are not
+WIDE_ALPHABET = generate_db(400, alphabet_size=300, seed=0)
+
+
+@pytest.fixture(params=["pairs", "successors"])
+def side(request, monkeypatch):
+    if request.param == "successors":
+        monkeypatch.setattr(sequences, "_BITS_PER_VISIT", 0)
+    return request.param
+
+
+def level2(db, constraints):
+    """How many level-2 candidates the step hands out, and what the
+    frequent ones count."""
+    minc = min_count(constraints.min_support, len(db.sequences))
+    frequent, _ = _frequent_items(db.sequences, minc, MiningStats())
+    layout = bit_layout(db.sequences, constraints, frequent)
+    candidates = _level2_candidates(db.sequences, frequent, layout, minc)
+    found = {
+        child: count
+        for a in frequent
+        for child, count, _ in _children(
+            ((a,),), layout.items[a], *candidates[a], layout, minc, MiningStats()
+        )
+    }
+    f = len(frequent)
+    tested = sum(len(s_items) + len(i_items) for s_items, i_items in candidates.values())
+    # every pair: each item as a new element, and each one above it in its element
+    return tested == f * f + f * (f - 1) // 2, found
 
 
 class TestLevel2Candidates:
-    @pytest.mark.parametrize("db, narrow", [(NARROW, True), (WIDE, False)], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("db", [FOUR_ITEMS, SIX_ITEMS], ids=["four-items", "six-items"])
     @pytest.mark.parametrize("constraints", CONSTRAINT_GRID)
-    def test_both_sides_agree_with_brute(self, db, narrow, constraints):
-        minc = min_count(constraints.min_support, len(db.sequences))
-        frequent, _ = _frequent_items(db.sequences, minc, MiningStats())
-        assert (len(frequent) ** 2 <= len(db.sequences)) == narrow
+    def test_both_sides_agree_with_brute(self, db, constraints, side):
         expected = [(sp.pattern, sp.count) for sp in brute_sequences(db, constraints)]
         assert pairs(gsp_mine(db, constraints)) == expected
         assert pairs(prefixspan_mine(db, constraints)) == expected
         # each item's candidates, counted, give exactly the frequent 2-patterns
-        layout = bit_layout(db.sequences, constraints, frequent)
-        candidates = _level2_candidates(db.sequences, frequent, layout, minc)
-        level2 = {
-            child: count
-            for a in frequent
-            for child, count, _ in _children(
-                ((a,),), layout.items[a], *candidates[a], layout, minc, MiningStats()
-            )
-        }
-        assert level2 == {p: c for p, c in expected if pattern_length(p) == 2}
+        every_pair, found = level2(db, constraints)
+        assert every_pair == (side == "pairs")
+        assert found == {p: c for p, c in expected if pattern_length(p) == 2}
 
     @pytest.mark.parametrize(
         "db, constraints, candidates",
         [
-            (NARROW, CONSTRAINT_GRID[0], 64),
-            (NARROW, CONSTRAINT_GRID[1], 26),
-            (WIDE, CONSTRAINT_GRID[0], 90),
-            (WIDE, CONSTRAINT_GRID[1], 23),
+            (FOUR_ITEMS, CONSTRAINT_GRID[0], {"pairs": 64, "successors": 53}),
+            (FOUR_ITEMS, CONSTRAINT_GRID[1], {"pairs": 26, "successors": 15}),
+            (SIX_ITEMS, CONSTRAINT_GRID[0], {"pairs": 108, "successors": 90}),
+            (SIX_ITEMS, CONSTRAINT_GRID[1], {"pairs": 41, "successors": 23}),
         ],
-        ids=["narrow-unbounded", "narrow-max-gap-1", "wide-unbounded", "wide-max-gap-1"],
+        ids=[
+            "four-items-unbounded",
+            "four-items-max-gap-1",
+            "six-items-unbounded",
+            "six-items-max-gap-1",
+        ],
     )
-    def test_candidates_generated_pinned(self, db, constraints, candidates):
+    def test_candidates_generated_pinned(self, db, constraints, candidates, side):
         # both miners count the same level 2; from level 3 on GSP's join and
         # PrefixSpan's level-2 bound happen to test the same candidates here
-        assert gsp_mine(db, constraints).stats.candidates_generated == candidates
-        assert prefixspan_mine(db, constraints).stats.candidates_generated == candidates
+        assert gsp_mine(db, constraints).stats.candidates_generated == candidates[side]
+        assert prefixspan_mine(db, constraints).stats.candidates_generated == candidates[side]
+
+    @pytest.mark.parametrize(
+        "min_support, every_pair, candidates",
+        [(0.005, False, 5976), (0.0075, True, 20835)],
+        ids=["wide", "narrow"],
+    )
+    def test_side_follows_the_alphabet_width(self, min_support, every_pair, candidates):
+        constraints = Constraints(min_support=min_support, max_length=3)
+        gsp = gsp_mine(WIDE_ALPHABET, constraints)
+        prefixspan = prefixspan_mine(WIDE_ALPHABET, constraints)
+        assert pairs(gsp) == pairs(prefixspan)
+        assert gsp.stats.candidates_generated == candidates
+        assert prefixspan.stats.candidates_generated == candidates
+        got, found = level2(WIDE_ALPHABET, constraints)
+        assert got == every_pair
+        mined = {sp.pattern: sp.count for sp in gsp.patterns if pattern_length(sp.pattern) == 2}
+        assert found == mined
 
 
 def agrees_with_brute(db, constraints):

@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from conftest import A, B, C, delete_last_item, make_sequence
 from synthetic import generate_db
 
+from seqmine import sequences
 from seqmine.errors import BadBatchSizeError, InvalidStreamConfigError
 from seqmine.model import contains, exact_fraction
 from seqmine.oracle import brute_stream, iter_canonical_patterns
-from seqmine.sequences import MiningStats, _frequent_items
 from seqmine.stream import (
     StreamConfig,
     StreamState,
-    _local_threshold,
     flush,
     process_batch,
     query_output,
@@ -278,20 +277,27 @@ class TestTreeInvariants:
             assert_parent_bound(state.tree)
 
 
-@pytest.mark.parametrize("batch_size, narrow", [(20, True), (4, False)], ids=["narrow", "wide"])
-def test_guarantees_on_each_side_of_the_level2_rule(batch_size, narrow):
-    # a batch's level 2 tests every pair while F² <= batch size (F items
-    # frequent in the batch) and takes the successor lists otherwise
+@pytest.mark.parametrize("side", ["pairs", "successors"])
+def test_guarantees_on_each_side_of_the_level2_rule(side, monkeypatch):
+    # a batch over four items tests every pair of its frequent items at
+    # level 2; pricing a Python visit at 0 bits forces the successor lists
+    calls = []
+    successors = sequences._successors
+
+    def counted(*args):
+        calls.append(args)
+        return successors(*args)
+
+    monkeypatch.setattr(sequences, "_successors", counted)
+    if side == "successors":
+        monkeypatch.setattr(sequences, "_BITS_PER_VISIT", 0)
     db = generate_db(60, alphabet_size=4, seed=1, geometric_p=0.8)
-    config = StreamConfig(sigma=0.3, epsilon=0.1, batch_size=batch_size, max_length=3)
-    local_t = _local_threshold(config.epsilon, batch_size)
+    config = StreamConfig(sigma=0.3, epsilon=0.1, batch_size=10, max_length=3)
     sigma, epsilon = exact_fraction(config.sigma), exact_fraction(config.epsilon)
     state = StreamState()
     seen = []
-    for lo in range(0, len(db.sequences), batch_size):
-        batch = db.sequences[lo : lo + batch_size]
-        frequent, _ = _frequent_items(batch, local_t, MiningStats())
-        assert (len(frequent) ** 2 <= batch_size) == narrow
+    for lo in range(0, len(db.sequences), config.batch_size):
+        batch = db.sequences[lo : lo + config.batch_size]
         process_batch(state, batch, config)
         seen.extend(batch)
         n = len(seen)
@@ -300,6 +306,7 @@ def test_guarantees_on_each_side_of_the_level2_rule(batch_size, narrow):
             count = true_count(pattern, seen)
             assert pattern in out or count < sigma * n
             assert pattern not in out or count >= (sigma - epsilon) * n
+    assert len(calls) == (state.batches_seen if side == "successors" else 0)
 
 
 class OneShot:

@@ -8,7 +8,7 @@ stripped of surrounding whitespace; a line with another field count is a
 * sequence-CSV: one transaction per line, ``seq_id,time,items`` with
   space-separated item tokens and a base-10 integer time. Lines may arrive
   unsorted; equal-time transactions of one sequence are merged.
-* transactions-CSV: ``txn_id,items``.
+* transactions-CSV: ``txn_id,items``, each txn_id non-empty and unique.
 * results-CSV: header ``year,subject_code,pass_pct``, compared field by
   field; pass percentages are exact decimals with at most 2 fractional
   digits.
@@ -140,12 +140,21 @@ def serialize_sequence_db(db: SequenceDatabase) -> str:
 
 
 def load_transactions(source) -> tuple[list[tuple[int, ...]], Alphabet]:
-    """Parse transactions-CSV into (itemset list, alphabet), in file order."""
+    """Parse transactions-CSV into (itemset list, alphabet), in file order.
+
+    Each txn_id names one transaction: an empty or repeated txn_id is an
+    error, as a repeat would otherwise count one basket as two.
+    """
     alphabet = Alphabet()
-    transactions = [
-        tuple(sorted(_items(line_no, items_text, alphabet)))
-        for line_no, (_, items_text) in _rows(source, "txn_id,items")
-    ]
+    transactions = []
+    seen: set[str] = set()
+    for line_no, (txn_id, items_text) in _rows(source, "txn_id,items"):
+        if not txn_id:
+            raise ParseError(line_no, "empty txn_id")
+        if txn_id in seen:
+            raise DuplicateKeyError(line_no, f"duplicate txn_id {txn_id!r}")
+        seen.add(txn_id)
+        transactions.append(tuple(sorted(_items(line_no, items_text, alphabet))))
     return transactions, alphabet
 
 

@@ -71,7 +71,8 @@ class NonIntegerTimeError(ParseError):
 
 
 class DuplicateKeyError(ParseError):
-    """A (year, subject_code) pair appeared twice in a results file."""
+    """A key that must be unique appeared twice: a txn_id in a transactions
+    file, or a (year, subject_code) pair in a results file."""
 
 
 class OutOfRangeError(ParseError):

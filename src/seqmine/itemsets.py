@@ -1,13 +1,18 @@
 """Level-wise frequent-itemset mining and association-rule generation.
 
-The miner follows the classic scheme: pass m counts only candidates built
-from the frequent (m-1)-itemsets, and a candidate survives generation only
-if all of its (m-1)-subsets were frequent. Counting is by tidset
-intersection in bitmap form: every frequent itemset carries a Python-int
-bitmask of the transactions that contain it, and a candidate's mask is the
-AND of the masks of the two (m-1)-itemsets it was joined from, so no pass
-rescans the transactions. Transactions here are plain itemsets; time plays
-no role.
+The miner follows the classic scheme (apriori-gen, Agrawal & Srikant, VLDB
+1994): pass m counts only candidates built from the frequent
+(m-1)-itemsets, and a candidate survives generation only if all of its
+(m-1)-subsets were frequent. Two of those subsets are the joined itemsets
+themselves; the subset without the first item is tested next, because it
+rejects most joins, and only then, from m = 4 up, the middle ones.
+Counting is by tidset intersection in bitmap form (Zaki, IEEE TKDE 2000):
+every frequent itemset carries a Python-int bitmask of the transactions
+that contain it, and a candidate's mask is the AND of the masks of the two
+(m-1)-itemsets it was joined from, so no pass rescans the transactions.
+Rules keep X -> Z \\ X when count(X) is at most one integer bound computed
+per Z from the exact confidence threshold. Transactions here are plain
+itemsets; time plays no role.
 """
 
 from __future__ import annotations
@@ -44,9 +49,13 @@ class AssociationRule:
 def generate_candidates(frequent_prev: Sequence[Itemset]) -> list[Itemset]:
     """Join frequent (m-1)-itemsets into m-candidates and prune by subsets.
 
-    Two itemsets sharing their first m-2 items join into one candidate; the
-    candidate is kept only if every (m-1)-subset is itself in the input.
-    Output is sorted and duplicate-free.
+    Two itemsets a < b sharing their first m-2 items join into the
+    candidate ``a + b[-1:]``; it is kept only if every (m-1)-subset is
+    itself in the input. Dropping its last item gives a, and the item
+    before it b, so those two hold by construction. The subset without the
+    first item is tested inline next; at m = 3 it is the whole test, and
+    on larger inputs it rejects most joins before any of the m - 3 middle
+    subsets (m >= 4 only) is built. Output is sorted and duplicate-free.
     """
     if not frequent_prev:
         return []
@@ -60,8 +69,10 @@ def generate_candidates(frequent_prev: Sequence[Itemset]) -> list[Itemset]:
     for _, group in groupby(prev, key=lambda i: i[:-1]):
         for a, b in combinations(group, 2):
             candidate = a + b[-1:]
-            # dropping the last item gives a and the one before it b; check the rest
-            if all(candidate[:i] + candidate[i + 1 :] in prev_set for i in range(m - 2)):
+            if candidate[1:] in prev_set and (
+                m < 4
+                or all(candidate[:i] + candidate[i + 1 :] in prev_set for i in range(1, m - 2))
+            ):
                 candidates.append(candidate)
     return candidates  # already sorted: prev is, and so is each group's pair order
 
@@ -80,8 +91,11 @@ def mine_frequent_itemsets(
 
     Level 1 gives each item the bitmask of the transactions whose item set
     holds it, so unsorted or repeated items in a transaction count once.
-    Level m takes its candidates from :func:`generate_candidates` and counts
-    candidate ``c`` as the popcount of ``mask[c[:-1]] & mask[c[:-2] + c[-1:]]``;
+    Level m takes its candidates from :func:`generate_candidates` (so every
+    (m-1)-subset of a counted candidate is frequent; the subset without the
+    first item is checked first, the middle ones only from m = 4 up) and
+    counts candidate ``c`` as the popcount of
+    ``mask[c[:-1]] & mask[c[:-2] + c[-1:]]``;
     only the previous level's masks are kept, each dropped after its last
     use. Mining stops at the first level that yields nothing frequent.
     Output is sorted by (size, lexicographic).
@@ -128,35 +142,34 @@ def mine_frequent_itemsets(
     ]
 
 
-def _proper_subsets(itemset: Itemset):
-    """Non-empty proper subsets in (size, lexicographic) order, since
-    ``combinations`` of an ascending tuple emits each size in that order."""
-    for size in range(1, len(itemset)):
-        yield from combinations(itemset, size)
-
-
 def generate_rules(
     frequent: Sequence[FrequentItemset], min_confidence: float
 ) -> list[AssociationRule]:
     """Emit X -> Z \\ X for every frequent Z and non-empty proper X subset of Z.
 
     Confidence is support(Z) / support(X); a rule is emitted iff its
-    confidence reaches ``min_confidence``. The rule inherits Z's support.
+    confidence reaches ``min_confidence``. With ``num/den`` the threshold
+    as an exact fraction, count(Z) / count(X) >= num / den holds exactly
+    when count(X) <= count(Z) * den // num, so each Z computes that one
+    integer bound and each X costs one comparison. Every subset X must be
+    in ``frequent`` (MissingSubsetSupportError otherwise), even where no
+    rule comes of it. The rule inherits Z's support.
     Output order: Z in (size, lexicographic) order, then X likewise.
     """
     min_conf = _validate_threshold(min_confidence, "min_confidence")
+    num, den = min_conf.numerator, min_conf.denominator
     count_by_itemset = {f.itemset: f.count for f in frequent}
     rules = []
     for f in sorted(frequent, key=lambda f: (len(f.itemset), f.itemset)):
         z = f.itemset
-        if len(z) < 2:
-            continue
-        for x in _proper_subsets(z):
-            if x not in count_by_itemset:
-                raise MissingSubsetSupportError(f"support of subset {x} is missing")
-            cx = count_by_itemset[x]
-            if f.count * min_conf.denominator < min_conf.numerator * cx:
-                continue
-            consequent = tuple(i for i in z if i not in x)
-            rules.append(AssociationRule(x, consequent, f.support, f.count / cx))
+        # count(Z) / count(X) >= num / den  <=>  count(X) <= count(Z) * den // num
+        limit = f.count * den // num
+        for size in range(1, len(z)):
+            for x in combinations(z, size):
+                cx = count_by_itemset.get(x)
+                if cx is None:
+                    raise MissingSubsetSupportError(f"support of subset {x} is missing")
+                if cx <= limit:
+                    consequent = tuple(i for i in z if i not in x)
+                    rules.append(AssociationRule(x, consequent, f.support, f.count / cx))
     return rules

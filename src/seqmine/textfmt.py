@@ -15,7 +15,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from seqmine.itemsets import AssociationRule, FrequentItemset
-from seqmine.model import Alphabet, Pattern, SupportedPattern, pattern_length
+from seqmine.model import Alphabet, Itemset, Pattern, SupportedPattern, pattern_length
+
+
+def _itemset_tokens(itemset: Itemset, alphabet: Alphabet) -> tuple[str, ...]:
+    return tuple(sorted(alphabet.token(i) for i in itemset))
 
 
 def _token_elements(pattern: Pattern, alphabet: Alphabet) -> tuple[tuple[str, ...], ...]:
@@ -30,29 +34,44 @@ def pattern_to_text(pattern: Pattern, alphabet: Alphabet) -> str:
     return _elements_text(_token_elements(pattern, alphabet))
 
 
+def _sorted_lines(rows: list[tuple]) -> list[str]:
+    """Pattern lines from (sort key, pattern text, count, support) rows, in
+    key order; the one place that writes the ``count= support=`` tail."""
+    return [
+        f"{text} count={count} support={support:.4f}" for _, text, count, support in sorted(rows)
+    ]
+
+
 def supported_pattern_lines(
     patterns: Sequence[SupportedPattern], alphabet: Alphabet
 ) -> list[str]:
     rows = []
     for sp in patterns:
         elements = _token_elements(sp.pattern, alphabet)
-        line = f"{_elements_text(elements)} count={sp.count} support={sp.support:.4f}"
-        rows.append(((pattern_length(sp.pattern), elements), line))
-    return [line for _, line in sorted(rows)]
+        key = (pattern_length(sp.pattern), elements)
+        rows.append((key, _elements_text(elements), sp.count, sp.support))
+    return _sorted_lines(rows)
 
 
 def frequent_itemset_lines(itemsets: Sequence[FrequentItemset], alphabet: Alphabet) -> list[str]:
-    as_patterns = [SupportedPattern((f.itemset,), f.count, f.support) for f in itemsets]
-    return supported_pattern_lines(as_patterns, alphabet)
-
-
-def _itemset_text(itemset, alphabet: Alphabet) -> str:
-    return "{" + " ".join(sorted(alphabet.token(i) for i in itemset)) + "}"
+    """Each itemset as the one-element pattern ``<{...}>``, in the order
+    :func:`supported_pattern_lines` gives patterns."""
+    rows = []
+    for f in itemsets:
+        tokens = _itemset_tokens(f.itemset, alphabet)
+        rows.append(((len(tokens), tokens), _elements_text((tokens,)), f.count, f.support))
+    return _sorted_lines(rows)
 
 
 def rule_lines(rules: Sequence[AssociationRule], alphabet: Alphabet) -> list[str]:
+    # rules share their sides, so each side's text is built once per call
+    text: dict[Itemset, str] = {}
+    for r in rules:
+        for side in (r.antecedent, r.consequent):
+            if side not in text:
+                text[side] = "{" + " ".join(_itemset_tokens(side, alphabet)) + "}"
     return [
-        f"{_itemset_text(r.antecedent, alphabet)} => {_itemset_text(r.consequent, alphabet)}"
+        f"{text[r.antecedent]} => {text[r.consequent]}"
         f" support={r.support:.4f} confidence={r.confidence:.4f}"
         for r in rules
     ]

@@ -84,6 +84,23 @@ class TestMineItemsets:
         proc = run_cli("mine-itemsets", "/nonexistent.csv", "--min-support", "0.5")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("t1,a b\nt2,a\nt1,c\n", "line 3: duplicate txn_id 't1'"),
+            ("t1,a b\n ,a\n", "line 2: empty txn_id"),
+        ],
+        ids=["duplicate", "empty"],
+    )
+    def test_bad_txn_id_exits_2(self, tmp_path, content, message):
+        # a repeated id would count one basket twice and change every support
+        path = tmp_path / "baskets.csv"
+        path.write_text(content)
+        proc = run_cli("mine-itemsets", str(path), "--min-support", "0.6")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
     def test_stdout_bytes_pinned(self, tmp_path):
         # baskets list items unsorted and repeated; the loader sorts and dedups
         import random

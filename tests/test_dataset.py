@@ -104,6 +104,10 @@ class TestLoadTransactions:
         with pytest.raises(ParseError):
             load_transactions("t1,")
 
+    def test_repeated_txn_id_rejected(self):
+        with pytest.raises(DuplicateKeyError, match="line 3: duplicate txn_id 't1'"):
+            load_transactions("t1,a b\nt2,a\nt1,c")
+
 
 class TestLoadResults:
     def test_bundled_values_from_each_table(self):

@@ -1,6 +1,8 @@
 """Level-wise itemset mining and rule generation."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
@@ -21,7 +23,7 @@ from seqmine.itemsets import (
     generate_rules,
     mine_frequent_itemsets,
 )
-from seqmine.model import exact_fraction
+from seqmine.model import exact_fraction, itemset_support, min_count
 from seqmine.oracle import brute_itemsets
 
 
@@ -45,6 +47,25 @@ class TestGenerateCandidates:
 
     def test_empty_input(self):
         assert generate_candidates([]) == []
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equals_plain_definition(self, data):
+        # sizes 1-5 over a small universe, so that many joins miss exactly one
+        # subset: the first-item one, or (from size 3 up) a middle one
+        size = data.draw(st.integers(1, 5), label="size")
+        universe = list(combinations(range(data.draw(st.integers(size + 1, 8))), size))
+        prev = sorted(data.draw(st.sets(st.sampled_from(universe), min_size=1), label="prev"))
+        prev_set = set(prev)
+        want = sorted(
+            a + b[-1:]
+            for a in prev
+            for b in prev
+            if a[:-1] == b[:-1]
+            and a[-1] < b[-1]
+            and all(sub in prev_set for sub in combinations(a + b[-1:], size))
+        )
+        assert generate_candidates(prev) == want
 
 
 class TestMineFrequentItemsets:
@@ -107,6 +128,38 @@ class TestMineFrequentItemsets:
                 sub = itemset[:drop] + itemset[drop + 1 :]
                 if sub:
                     assert sub in emitted
+
+
+def planted_baskets(seed, n=400, items=40):
+    """Baskets of 1-4 noise items over ``items`` products; about a quarter
+    also hold one of three planted sets of 6 or 7 items."""
+    rng = random.Random(seed)
+    planted = [tuple(range(0, 7)), tuple(range(10, 16)), (3, 4, 20, 21, 22, 23, 24)]
+    baskets = []
+    for _ in range(n):
+        basket = set(rng.sample(range(items), rng.randint(1, 4)))
+        if rng.random() < 0.25:
+            basket.update(rng.choice(planted))
+        baskets.append(tuple(sorted(basket)))
+    return baskets
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_levels_past_the_oracle_cap(seed):
+    # brute_itemsets stops at 6 items; here levels 6-8 are checked by recounting
+    transactions = planted_baskets(seed)
+    minc = min_count(0.05, len(transactions))
+    mined = {f.itemset: f.count for f in mine_frequent_itemsets(transactions, 0.05)}
+    assert max(map(len, mined)) >= 7
+    for itemset, count in mined.items():
+        assert count == itemset_support(itemset, transactions)[0] >= minc
+        assert all(sub in mined for sub in combinations(itemset, len(itemset) - 1) if sub)
+    level = sorted({(i,) for t in transactions for i in t})
+    while level:
+        for c in level:
+            if c not in mined:
+                assert itemset_support(c, transactions)[0] < minc, c
+        level = generate_candidates(sorted(i for i in mined if len(i) == len(level[0])))
 
 
 class TestGenerateRules:

@@ -6,8 +6,10 @@ results file without two years for every subject, or with a subject code
 that cannot name a file under ``--plot-dir``), 3 usage/flag error, 4
 internal invariant failure (see ``_EXIT_CODES``). Every failure prints one
 line starting with ``error:`` to stderr. Outputs are byte-deterministic for
-fixed inputs and flags. Input files are read as UTF-8, a leading byte-order
-mark skipped.
+fixed inputs and flags. Every command reads its input file line by line
+through :func:`_lines`, as UTF-8 with a leading byte-order mark skipped; a
+line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere else, and error line
+numbers count those breaks.
 """
 
 from __future__ import annotations
@@ -90,15 +92,36 @@ def _build_config(config_class, **fields):
         raise type(exc)(names.sub(lambda m: "--" + m[1].replace("_", "-"), str(exc))) from None
 
 
-def _load_lines(path: str) -> list[str]:
-    return Path(path).read_text(encoding="utf-8-sig").splitlines()
+def _lines(path: str, watch: bool = False, idle_timeout: float = 0.0) -> Iterator[str]:
+    """Yield the lines of a file, one at a time. With watch, keep polling for
+    appended lines until none arrive for idle_timeout seconds; a line is held
+    until its newline arrives, or until the idle timeout ends the stream."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        if not watch:
+            yield from handle
+            return
+        pending = ""
+        deadline = time.monotonic() + idle_timeout
+        while True:
+            # a file's iterator picks up lines appended after it reached EOF
+            for line in handle:
+                pending += line
+                if pending.endswith("\n"):
+                    yield pending
+                    pending = ""
+                    deadline = time.monotonic() + idle_timeout
+            if time.monotonic() >= deadline:
+                break
+            time.sleep(0.05)
+        if pending:
+            yield pending
 
 
 def _cmd_mine_itemsets(args) -> int:
     _check_fraction(args.min_support, "--min-support")
     if args.min_confidence is not None:
         _check_fraction(args.min_confidence, "--min-confidence")
-    transactions, alphabet = dataset.load_transactions(_load_lines(args.input))
+    transactions, alphabet = dataset.load_transactions(_lines(args.input))
     frequent = mine_frequent_itemsets(transactions, args.min_support)
     lines = textfmt.frequent_itemset_lines(frequent, alphabet)
     if args.min_confidence is not None:
@@ -122,7 +145,7 @@ def _build_constraints(args) -> Constraints:
 
 def _cmd_mine_seq(args) -> int:
     constraints = _build_constraints(args)
-    db = dataset.load_sequence_db(_load_lines(args.input))
+    db = dataset.load_sequence_db(_lines(args.input))
     if args.max_length is None and len(db.alphabet) > 26:
         raise UsageError(
             f"--max-length is required for alphabets larger than 26 items "
@@ -136,29 +159,6 @@ def _cmd_mine_seq(args) -> int:
         result = filter_closed(result)
     _write_out(args.out, textfmt.supported_pattern_lines(result.patterns, db.alphabet))
     return 0
-
-
-def _stream_lines(path: str, watch: bool, idle_timeout: float) -> Iterator[str]:
-    """Yield lines from a file; with watch, keep polling for appended lines
-    until none arrive for idle_timeout seconds. A line is held until its
-    newline arrives, or until EOF or the idle timeout ends the stream."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        idle = 0.0
-        poll = 0.05
-        pending = ""
-        while True:
-            pending += handle.readline()
-            if pending.endswith("\n"):
-                idle = 0.0
-                yield pending
-                pending = ""
-                continue
-            if not watch or idle >= idle_timeout:
-                break
-            time.sleep(poll)
-            idle += poll
-        if pending:
-            yield pending
 
 
 def _cmd_mine_stream(args) -> int:
@@ -176,7 +176,7 @@ def _cmd_mine_stream(args) -> int:
     if not args.idle_timeout >= 0:
         raise UsageError(f"--idle-timeout must be >= 0, got {args.idle_timeout}")
     alphabet = Alphabet()
-    lines = _stream_lines(args.input, args.watch, args.idle_timeout)
+    lines = _lines(args.input, args.watch, args.idle_timeout)
     sequences = dataset.iter_sequence_db(lines, alphabet)
     for report in replay(sequences, config, report_every=args.report_every):
         tag = "final" if report.final else "report"
@@ -210,7 +210,7 @@ def _cmd_analyze_results(args) -> int:
     if args.input is None:
         records = dataset.bundled_results()
     else:
-        records = dataset.load_results(_load_lines(args.input))
+        records = dataset.load_results(_lines(args.input))
     if args.plot_dir is not None:
         for record in records:
             if Path(record.subject_code).name != record.subject_code:

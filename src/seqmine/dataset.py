@@ -1,9 +1,11 @@
 """File formats, the bundled university-results data, and trend analysis.
 
-Three text formats, all UTF-8 with ``#`` comment lines. Every other
-non-blank line is split on ``,`` into a fixed number of fields, each
-stripped of surrounding whitespace; a line with another field count is a
-:class:`ParseError` ``expected '<fields>', got '<line>'``.
+Three text formats, all UTF-8 with ``#`` comment lines. A line ends at
+``\n``, ``\r\n`` or ``\r``; other Unicode line breaks, such as U+0085 or
+U+2028, do not end a line. Every non-blank line that is not a comment is
+split on ``,`` into a fixed number of fields, each stripped of surrounding
+whitespace; a line with another field count is a :class:`ParseError`
+``expected '<fields>', got '<line>'``.
 
 * sequence-CSV: one transaction per line, ``seq_id,time,items`` with
   space-separated item tokens and a base-10 integer time. Lines may arrive
@@ -19,6 +21,7 @@ bundled tables reproduce bit-exactly.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from importlib import resources
@@ -38,10 +41,13 @@ BUNDLED_RESULTS = "university_results.csv"
 
 def _rows(source, fields: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line_no, stripped fields) for each line that is not blank or a
-    comment, numbering lines from 1. ``fields`` names the columns, as in
-    ``'txn_id,items'``; a line with another field count is a ParseError."""
+    comment, numbering lines from 1. ``source`` is an iterable of lines, such
+    as an open text file, or a str, which is split as a text-mode file splits
+    it: a line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere else. ``fields``
+    names the columns, as in ``'txn_id,items'``; a line with another field
+    count is a ParseError."""
     if isinstance(source, str):
-        source = source.splitlines()
+        source = io.StringIO(source, newline=None)
     width = fields.count(",") + 1
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -88,7 +94,11 @@ def _build_sequence(seq_id: str, by_time: dict[int, set[int]]) -> DataSequence:
 
 
 def load_sequence_db(source) -> SequenceDatabase:
-    """Parse sequence-CSV text into a database with dense interned item ids."""
+    """Parse sequence-CSV into a database with dense interned item ids.
+
+    ``source`` is the text as a str, or an iterable of its lines such as an
+    open file; both give the same database and the same error line numbers.
+    """
     alphabet = Alphabet()
     by_seq: dict[str, dict[int, set[int]]] = {}
     for line_no, fields in _rows(source, _SEQUENCE_FIELDS):

@@ -292,7 +292,9 @@ def _prefixspan(
     its projection is rebuilt from item bits when it is popped, so the
     level-2 projections are never all held at once. Every pattern is added
     after its parent (the pattern minus its last item), so the result is
-    parents-first, which the stream's prefix-closed table relies on.
+    parents-first. No caller reads that order: the stream's table stays
+    prefix-closed because a mined pattern's parent is mined too, with at
+    least its count.
     """
     stats = stats if stats is not None else MiningStats()
     max_len = constraints.max_length

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -8,7 +10,11 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
+
+from seqmine import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -489,15 +495,66 @@ def test_leading_bom_is_skipped(tmp_path, command, content, flags):
          "expected 'txn_id,items', got 't3,a,b'"),
         ("analyze-results", "year,subject_code,pass_pct\n2003,X,50\n2004,X\n", (),
          "expected 'year,subject_code,pass_pct', got '2004,X'"),
+        # only \n, \r\n and \r end a line, so these are still line 3
+        ("mine-seq", "s1,1,a\x85b\ns1,2,c\u2028d\x0ce\ns2,1\n", ("--min-support", "0.5"),
+         "expected 'seq_id,time,items', got 's2,1'"),
+        ("mine-itemsets", "t1,a\u2028b\r\nt2,b\x85c\nt3,a,b\n", ("--min-support", "0.5"),
+         "expected 'txn_id,items', got 't3,a,b'"),
+        ("analyze-results", "year,subject_code,pass_pct\n2003,X\x0c,50\n2004,X\n", (),
+         "expected 'year,subject_code,pass_pct', got '2004,X'"),
     ],
-    ids=["mine-seq", "mine-itemsets", "analyze-results"],
+    ids=["mine-seq", "mine-itemsets", "analyze-results",
+         "mine-seq-odd-breaks", "mine-itemsets-odd-breaks", "analyze-results-odd-breaks"],
 )
 def test_wrong_field_count_message(tmp_path, command, content, flags, message):
     path = tmp_path / "input.csv"
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
     proc = run_cli(command, str(path), *flags)
     assert proc.returncode == 2
     assert proc.stderr == f"error: line 3: {message}\n"
+
+
+# U+0085, U+2028 and a form feed end a line for str.splitlines() but not for a
+# text-mode file; inside an items field they separate items as a space does
+ODD_BREAKS = "\x85\u2028\x0c"
+ODD_SEQ_CSV = "s1,1,a\x85b\ns1,2,c\x0cd\ns2,1,a\u2028c\ns2,3,d\n"
+ODD_TXN_CSV = "t1,a\x85b\nt2,a\u2028b\x0cc\nt3,c\n"
+
+
+@pytest.mark.parametrize(
+    "command, content, flags",
+    [
+        ("mine-seq", ODD_SEQ_CSV, ("--min-support", "0.5", "--max-length", "5")),
+        ("mine-stream", ODD_SEQ_CSV,
+         ("--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "10")),
+        ("mine-itemsets", ODD_TXN_CSV, ("--min-support", "0.3", "--min-confidence", "0.5")),
+    ],
+    ids=["mine-seq", "mine-stream", "mine-itemsets"],
+)
+def test_odd_line_breaks_stay_inside_a_line(tmp_path, command, content, flags):
+    stdouts = []
+    for name, text in (("odd.csv", content), ("plain.csv", re.sub(f"[{ODD_BREAKS}]", " ", content))):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        proc = run_cli(command, str(path), *flags)
+        assert proc.returncode == 0, proc.stderr
+        stdouts.append(proc.stdout)
+    assert stdouts[0] == stdouts[1] != ""
+
+
+def test_mine_seq_and_mine_stream_read_the_same_lines(tmp_path):
+    # one batch of 2 mines at T = 1, so the stream's counts are exact
+    path = tmp_path / "odd.csv"
+    path.write_text(ODD_SEQ_CSV, encoding="utf-8")
+    seq = run_cli("mine-seq", str(path), "--min-support", "0.5", "--max-length", "5")
+    stream = run_cli(
+        "mine-stream", str(path), "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "10"
+    )
+    assert (seq.returncode, stream.returncode) == (0, 0), seq.stderr + stream.stderr
+    header, *patterns = stream.stdout.splitlines()
+    assert header.startswith("# final batches=1 sequences=2 ")
+    assert patterns == seq.stdout.splitlines()
+    assert "<{a b},{c d}> count=1 support=0.5000" in patterns
 
 
 class TestAnalyzeResults:
@@ -587,3 +644,59 @@ class TestDeterminism:
             assert proc.returncode == 0
             outputs.append(out.read_bytes())
         assert len(set(outputs)) == 1
+
+
+# bytes that a damaged or foreign file holds: NUL, a BOM, U+0085, U+2028, a
+# lone \r, invalid UTF-8, and the separators the formats split on
+JUNK = (b"\x00", b"\xef\xbb\xbf", "\x85".encode(), "\u2028".encode(), b"\r", b"\xff",
+        b"\xc3", b",", b"\n", b" ", b"#", b"-1")
+FUZZ_RUNS = [
+    ("mine-seq", "--min-support", "0.5", "--max-length", "4"),
+    ("mine-stream", "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "2"),
+    ("mine-itemsets", "--min-support", "0.5", "--min-confidence", "0.5"),
+    ("analyze-results",),
+]
+
+
+@st.composite
+def mutated_inputs(draw):
+    """One of the three CSV formats with its lines shuffled and bytes deleted,
+    inserted or duplicated."""
+    data = draw(st.sampled_from([DB1_CSV.encode(), TDB1_CSV.encode(), BUNDLED_CSV]))
+    if draw(st.booleans()):
+        data = b"\n".join(draw(st.permutations(data.split(b"\n"))))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        kind = draw(st.sampled_from(["delete", "insert", "duplicate"]))
+        if kind == "delete":
+            data = data[:i] + data[j:]
+        elif kind == "insert":
+            data = data[:i] + draw(st.sampled_from(JUNK) | st.binary(min_size=1, max_size=3)) + data[i:]
+        else:
+            data = data[:j] + data[i:j] + data[j:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.csv"
+
+
+@settings(max_examples=150)
+@given(data=mutated_inputs())
+def test_fuzzed_input_exits_0_or_2_with_one_error_line(fuzz_path, data):
+    fuzz_path.write_bytes(data)
+    for command, *flags in FUZZ_RUNS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, str(fuzz_path), *flags])
+        assert code in (0, 2), (command, err.getvalue())
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+            # only mine-stream reports before it has read its whole input
+            if command != "mine-stream":
+                assert out.getvalue() == ""

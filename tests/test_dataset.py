@@ -73,6 +73,24 @@ class TestLoadSequenceDb:
         with pytest.raises(ParseError):
             load_sequence_db("s1,1")
 
+    def test_str_splits_lines_as_a_file_does(self, tmp_path):
+        # U+0085, U+2028 and a form feed end a line for str.splitlines() but
+        # not for a text-mode file; \r\n and a lone \r end one for both
+        text = "s1,1,a\x85b\r\ns1,2,c\u2028d\rs2,1,a\x0cc\n"
+        path = tmp_path / "odd.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            assert load_sequence_db(text) == load_sequence_db(handle)
+        assert db_signature(load_sequence_db(text)) == [
+            ("s1", [(1, ("a", "b")), (2, ("c", "d"))]),
+            ("s2", [(1, ("a", "c"))]),
+        ]
+        path.write_bytes(f"{text}s2,2\n".encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            for source in (f"{text}s2,2\n", handle):
+                with pytest.raises(ParseError, match="^line 4: expected"):
+                    load_sequence_db(source)
+
     @given(sequence_dbs())
     def test_serialize_load_round_trip(self, db):
         text = serialize_sequence_db(db)

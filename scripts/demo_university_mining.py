@@ -21,8 +21,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from seqmine.dataset import DEFAULT_BANDS, bundled_results, discretize, load_sequence_db, trend
+from seqmine.dataset import load_sequence_db
 from seqmine.model import Constraints
+from seqmine.results import DEFAULT_BANDS, bundled_results, discretize, trend
 from seqmine.sequences import filter_closed, gsp_mine, prefixspan_mine
 from seqmine.textfmt import supported_pattern_lines
 

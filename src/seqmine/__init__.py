@@ -1,75 +1,61 @@
-"""seqmine: frequent-itemset, sequential-pattern, and stream pattern mining."""
+"""seqmine: frequent-itemset, sequential-pattern, and stream pattern mining.
 
-from seqmine.itemsets import (
-    AssociationRule,
-    FrequentItemset,
-    generate_candidates,
-    generate_rules,
-    mine_frequent_itemsets,
-)
-from seqmine.model import (
-    Alphabet,
-    Constraints,
-    DataSequence,
-    Itemset,
-    Pattern,
-    SequenceDatabase,
-    SupportedPattern,
-    canonicalize,
-    contains,
-    itemset_support,
-    min_count,
-    pattern_length,
-    support,
-)
-from seqmine.sequences import (
-    MiningResult,
-    MiningStats,
-    filter_closed,
-    gsp_mine,
-    prefixspan_mine,
-)
-from seqmine.stream import (
-    PatternTree,
-    StreamConfig,
-    StreamState,
-    flush,
-    process_batch,
-    query_output,
-    replay,
-)
+The names in ``__all__`` are loaded from their submodules on first use
+(PEP 562), so importing ``seqmine``, or one submodule such as
+``seqmine.cli``, does not load the miners a run does not call.
+"""
+
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "AssociationRule",
-    "Constraints",
-    "DataSequence",
-    "FrequentItemset",
-    "Itemset",
-    "MiningResult",
-    "MiningStats",
-    "Pattern",
-    "PatternTree",
-    "SequenceDatabase",
-    "StreamConfig",
-    "StreamState",
-    "SupportedPattern",
-    "canonicalize",
-    "contains",
-    "filter_closed",
-    "flush",
-    "generate_candidates",
-    "generate_rules",
-    "gsp_mine",
-    "itemset_support",
-    "min_count",
-    "mine_frequent_itemsets",
-    "pattern_length",
-    "prefixspan_mine",
-    "process_batch",
-    "query_output",
-    "replay",
-    "support",
-]
+# each public name and the submodule that defines it
+_EXPORTS = {
+    "AssociationRule": "itemsets",
+    "FrequentItemset": "itemsets",
+    "generate_candidates": "itemsets",
+    "generate_rules": "itemsets",
+    "mine_frequent_itemsets": "itemsets",
+    "Alphabet": "model",
+    "Constraints": "model",
+    "DataSequence": "model",
+    "Itemset": "model",
+    "Pattern": "model",
+    "SequenceDatabase": "model",
+    "SupportedPattern": "model",
+    "canonicalize": "model",
+    "contains": "model",
+    "itemset_support": "model",
+    "min_count": "model",
+    "pattern_length": "model",
+    "support": "model",
+    "MiningResult": "sequences",
+    "MiningStats": "sequences",
+    "filter_closed": "sequences",
+    "gsp_mine": "sequences",
+    "prefixspan_mine": "sequences",
+    "PatternTree": "stream",
+    "StreamConfig": "stream",
+    "StreamState": "stream",
+    "flush": "stream",
+    "process_batch": "stream",
+    "query_output": "stream",
+    "replay": "stream",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = f"{__name__}.{_EXPORTS[name]}"
+    # an import statement's path, unlike importlib.import_module's, is what
+    # python -X importtime lists
+    __import__(module)
+    value = globals()[name] = getattr(sys.modules[module], name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -7,8 +7,8 @@ All coordinate arithmetic is done in Decimal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from decimal import Decimal
-from typing import Sequence
 
 VIEW_W = 640
 VIEW_H = 400

@@ -9,7 +9,7 @@ line starting with ``error:`` to stderr. Outputs are byte-deterministic for
 fixed inputs and flags. Every command reads its input file line by line
 through :func:`_lines`, as UTF-8 with a leading byte-order mark skipped; a
 line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere else, and error line
-numbers count those breaks.
+numbers count those breaks. A command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import math
 import re
 import sys
 import time
+from collections.abc import Iterator
 from decimal import Decimal, InvalidOperation
-from pathlib import Path
-from typing import Iterator, Optional
 
-from seqmine import charts, dataset, textfmt
+import seqmine
+from seqmine import dataset, textfmt
 from seqmine.errors import (
     EmptyDatabaseError,
     InsufficientHistoryError,
@@ -33,10 +33,24 @@ from seqmine.errors import (
     ParseError,
     SeqmineError,
 )
-from seqmine.itemsets import generate_rules, mine_frequent_itemsets
 from seqmine.model import Alphabet, Constraints
-from seqmine.sequences import filter_closed, gsp_mine, prefixspan_mine
-from seqmine.stream import StreamConfig, replay
+
+# The miners the commands call, each imported on first use, so that a command
+# loads only the miner it runs. A command calls them as attributes of this
+# module (``_cli.gsp_mine``): perfbench's probes rebind them here.
+_MINERS = frozenset(
+    {"gsp_mine", "prefixspan_mine", "filter_closed", "mine_frequent_itemsets", "generate_rules"}
+)
+
+
+def __getattr__(name):
+    if name not in _MINERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(seqmine, name)
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 class UsageError(Exception):
@@ -47,10 +61,9 @@ class InputError(Exception):
     """Input that parses but that the command cannot act on; maps to exit 2."""
 
 
-# An error exits with the code of the most specific of its classes listed
-# here, so undecodable input exits 2 although UnicodeDecodeError is a ValueError.
+# An error exits with the code of the most specific of its classes listed here.
 _EXIT_CODES: dict[type[Exception], int] = {
-    OSError: 2, UnicodeDecodeError: 2, ParseError: 2, EmptyDatabaseError: 2,
+    OSError: 2, ParseError: 2, EmptyDatabaseError: 2,
     InsufficientHistoryError: 2, InputError: 2,
     UsageError: 3, ValueError: 3, InvalidThresholdError: 3,
     InvalidConstraintsError: 3, InvalidStreamConfigError: 3,
@@ -67,12 +80,13 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_out(path: Optional[str], lines: list[str]) -> None:
+def _write_out(path: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
     if path is None:
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
 
 
 def _check_fraction(value: float, flag: str) -> None:
@@ -96,7 +110,8 @@ def _lines(path: str, watch: bool = False, idle_timeout: float = 0.0) -> Iterato
     """Yield the lines of a file, one at a time. With watch, keep polling for
     appended lines until none arrive for idle_timeout seconds; a line is held
     until its newline arrives, or until the idle timeout ends the stream."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
+    # an undecodable byte reaches dataset._rows, which names its line
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         if not watch:
             yield from handle
             return
@@ -122,10 +137,10 @@ def _cmd_mine_itemsets(args) -> int:
     if args.min_confidence is not None:
         _check_fraction(args.min_confidence, "--min-confidence")
     transactions, alphabet = dataset.load_transactions(_lines(args.input))
-    frequent = mine_frequent_itemsets(transactions, args.min_support)
+    frequent = _cli.mine_frequent_itemsets(transactions, args.min_support)
     lines = textfmt.frequent_itemset_lines(frequent, alphabet)
     if args.min_confidence is not None:
-        rules = generate_rules(frequent, args.min_confidence)
+        rules = _cli.generate_rules(frequent, args.min_confidence)
         lines.extend(textfmt.rule_lines(rules, alphabet))
     _write_out(args.out, lines)
     return 0
@@ -152,16 +167,18 @@ def _cmd_mine_seq(args) -> int:
             f"(this input has {len(db.alphabet)})"
         )
     if args.algo == "gsp":
-        result = gsp_mine(db, constraints)
+        result = _cli.gsp_mine(db, constraints)
     else:
-        result = prefixspan_mine(db, constraints)
+        result = _cli.prefixspan_mine(db, constraints)
     if args.closed:
-        result = filter_closed(result)
+        result = _cli.filter_closed(result)
     _write_out(args.out, textfmt.supported_pattern_lines(result.patterns, db.alphabet))
     return 0
 
 
 def _cmd_mine_stream(args) -> int:
+    from seqmine.stream import StreamConfig, replay
+
     _check_fraction(args.sigma, "--sigma")
     _check_fraction(args.epsilon, "--epsilon")
     config = _build_config(
@@ -202,22 +219,26 @@ def _parse_anomaly_threshold(text: str) -> Decimal:
 
 
 def _cmd_analyze_results(args) -> int:
+    from pathlib import Path
+
+    from seqmine import charts, results
+
     try:
-        bands = dataset.parse_band_spec(args.bands) if args.bands else dataset.DEFAULT_BANDS
+        bands = results.parse_band_spec(args.bands) if args.bands else results.DEFAULT_BANDS
     except ValueError as exc:
         raise UsageError(f"--bands: {exc}")
     threshold = _parse_anomaly_threshold(args.anomaly_threshold)
     if args.input is None:
-        records = dataset.bundled_results()
+        records = results.bundled_results()
     else:
-        records = dataset.load_results(_lines(args.input))
+        records = results.load_results(_lines(args.input))
     if args.plot_dir is not None:
         for record in records:
             if Path(record.subject_code).name != record.subject_code:
                 raise InputError(
                     f"subject code {record.subject_code!r} is not a plain file name for --plot-dir"
                 )
-    summary = dataset.trend(records, anomaly_threshold=threshold)
+    summary = results.trend(records, anomaly_threshold=threshold)
 
     print(f"{'subject':<10} {'year':<6} {'pass_pct':>8} {'delta':>8} {'direction':<9} band")
     for subject, rows in summary.per_subject.items():
@@ -292,7 +313,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,42 +1,45 @@
-"""File formats, the bundled university-results data, and trend analysis.
+"""The sequence and transaction file formats.
 
-Three text formats, all UTF-8 with ``#`` comment lines. A line ends at
-``\n``, ``\r\n`` or ``\r``; other Unicode line breaks, such as U+0085 or
-U+2028, do not end a line. Every non-blank line that is not a comment is
-split on ``,`` into a fixed number of fields, each stripped of surrounding
-whitespace; a line with another field count is a :class:`ParseError`
-``expected '<fields>', got '<line>'``.
+Every text format seqmine reads, results-CSV (:mod:`seqmine.results`)
+included, is UTF-8 with ``#`` comment lines and is split into rows by
+:func:`_rows`. A line ends at ``\n``, ``\r\n`` or ``\r``; other Unicode line
+breaks, such as U+0085 or U+2028, do not end a line. A line holding a byte
+that is not UTF-8 is a :class:`ParseError` ``byte 0x.. is not UTF-8``. Every
+non-blank line that is not a comment is split on ``,`` into a fixed number
+of fields, each stripped of surrounding whitespace; a line with another
+field count is a :class:`ParseError` ``expected '<fields>', got '<line>'``.
+Numeric fields take ASCII digits only.
 
 * sequence-CSV: one transaction per line, ``seq_id,time,items`` with
   space-separated item tokens and a base-10 integer time. Lines may arrive
   unsorted; equal-time transactions of one sequence are merged.
 * transactions-CSV: ``txn_id,items``, each txn_id non-empty and unique.
-* results-CSV: header ``year,subject_code,pass_pct``, compared field by
-  field; pass percentages are exact decimals with at most 2 fractional
-  digits.
-
-Pass percentages are kept as :class:`decimal.Decimal` throughout so the
-bundled tables reproduce bit-exactly.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
-from importlib import resources
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator
 
-from seqmine.errors import (
-    DuplicateKeyError,
-    InsufficientHistoryError,
-    NonIntegerTimeError,
-    OutOfRangeError,
-    ParseError,
-)
+from seqmine.errors import DuplicateKeyError, NonIntegerTimeError, ParseError
 from seqmine.model import Alphabet, DataSequence, SequenceDatabase
 
-BUNDLED_RESULTS = "university_results.csv"
+
+def _not_utf8(char: str) -> str:
+    """What is wrong with a character that cannot be encoded as UTF-8: the
+    byte it escapes, when a file was read with ``errors="surrogateescape"``."""
+    code = ord(char)
+    if 0xDC80 <= code <= 0xDCFF:
+        return f"byte 0x{code - 0xDC00:02x} is not UTF-8"
+    return f"character U+{code:04X} is not UTF-8"
+
+
+def _ascii_number(parse, text: str):
+    """``parse(text)`` for ``int`` or ``Decimal``, with ValueError for the
+    underscores and non-ASCII digits both accept (``1_0`` as 10, ``٣`` as 3)."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII number: {text!r}")
+    return parse(text)
 
 
 def _rows(source, fields: str) -> Iterator[tuple[int, list[str]]]:
@@ -45,11 +48,17 @@ def _rows(source, fields: str) -> Iterator[tuple[int, list[str]]]:
     as an open text file, or a str, which is split as a text-mode file splits
     it: a line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere else. ``fields``
     names the columns, as in ``'txn_id,items'``; a line with another field
-    count is a ParseError."""
+    count is a ParseError, and so is a line with an undecodable byte, even
+    in a comment."""
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
     width = fields.count(",") + 1
     for line_no, raw in enumerate(source, start=1):
+        if not raw.isascii():
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError(line_no, _not_utf8(raw[exc.start])) from None
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -81,7 +90,7 @@ def _sequence_row(line_no: int, fields: list[str], alphabet: Alphabet):
     if not seq_id:
         raise ParseError(line_no, "empty seq_id")
     try:
-        time = int(time_text)
+        time = _ascii_number(int, time_text)
     except ValueError:
         raise NonIntegerTimeError(line_no, f"time must be a base-10 integer, got {time_text!r}")
     return seq_id, time, _items(line_no, items_text, alphabet)
@@ -117,7 +126,7 @@ def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[DataSequence]:
     its memory grows by one id per sequence read; only the transactions of
     the current sequence are held.
     """
-    current_id: Optional[str] = None
+    current_id: str | None = None
     by_time: dict[int, set[int]] = {}
     done: set[str] = set()
     for line_no, fields in _rows(source, _SEQUENCE_FIELDS):
@@ -166,159 +175,3 @@ def load_transactions(source) -> tuple[list[tuple[int, ...]], Alphabet]:
         seen.add(txn_id)
         transactions.append(tuple(sorted(_items(line_no, items_text, alphabet))))
     return transactions, alphabet
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    year: int
-    subject_code: str
-    pass_pct: Decimal
-
-
-RESULTS_HEADER = "year,subject_code,pass_pct"
-
-
-def load_results(source) -> list[ResultRecord]:
-    """Parse results-CSV; exact decimals, unique (year, subject) keys."""
-    rows = _rows(source, RESULTS_HEADER)
-    header = next(rows, None)
-    if header is None:
-        raise ParseError(0, "results file is empty")
-    line_no, fields = header
-    if fields != RESULTS_HEADER.split(","):
-        raise ParseError(line_no, f"expected header {RESULTS_HEADER!r}, got {','.join(fields)!r}")
-    records = []
-    seen: set[tuple[int, str]] = set()
-    for line_no, (year_text, subject, pct_text) in rows:
-        try:
-            year = int(year_text)
-        except ValueError:
-            raise ParseError(line_no, f"year must be an integer, got {year_text!r}")
-        if not subject:
-            raise ParseError(line_no, "empty subject_code")
-        try:
-            pct = Decimal(pct_text)
-        except InvalidOperation:
-            raise ParseError(line_no, f"pass_pct must be a decimal, got {pct_text!r}")
-        if not pct.is_finite() or -pct.as_tuple().exponent > 2:
-            raise OutOfRangeError(line_no, f"pass_pct must have at most 2 fractional digits: {pct_text}")
-        if not Decimal(0) <= pct <= Decimal(100):
-            raise OutOfRangeError(line_no, f"pass_pct out of [0, 100]: {pct_text}")
-        key = (year, subject)
-        if key in seen:
-            raise DuplicateKeyError(line_no, f"duplicate (year, subject) pair {key}")
-        seen.add(key)
-        records.append(ResultRecord(year, subject, pct))
-    return records
-
-
-def bundled_results_text() -> str:
-    return (
-        resources.files("seqmine").joinpath("data").joinpath(BUNDLED_RESULTS).read_text(encoding="utf-8")
-    )
-
-
-def bundled_results() -> list[ResultRecord]:
-    """The packaged university pass-percentage dataset."""
-    return load_results(bundled_results_text())
-
-
-@dataclass(frozen=True)
-class BandScheme:
-    """Half-open bins over [0, 100]; the final bound is inclusive.
-
-    ``bins`` is an ascending tuple of (upper_bound, label): a value v maps
-    to the first bin with v < upper_bound, except that the last bin also
-    takes v == 100. Construction (and ``dataclasses.replace``) raises
-    :class:`ValueError` unless there is at least one bin, no bound is NaN,
-    the bounds strictly increase and the final bound is 100.
-    """
-
-    bins: tuple[tuple[Decimal, str], ...]
-
-    def __post_init__(self):
-        if not self.bins:
-            raise ValueError("band scheme needs at least one bin")
-        bounds = [b for b, _ in self.bins]
-        if any(b.is_nan() for b in bounds):
-            raise ValueError(f"band bounds must be numbers: {bounds}")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError(f"band bounds must be strictly increasing: {bounds}")
-        if bounds[-1] != Decimal(100):
-            raise ValueError(f"final band bound must be 100, got {bounds[-1]}")
-
-    def label(self, value: Decimal) -> str:
-        for bound, label in self.bins[:-1]:
-            if value < bound:
-                return label
-        return self.bins[-1][1]
-
-
-def parse_band_spec(spec: str) -> BandScheme:
-    """Parse a CLI band spec like ``50:F,70:C,85:B,100:A``."""
-    bins = []
-    for part in spec.split(","):
-        bound_text, _, label = part.partition(":")
-        if not label:
-            raise ValueError(f"band {part!r} must look like '<bound>:<label>'")
-        try:
-            bound = Decimal(bound_text.strip())
-        except InvalidOperation:
-            raise ValueError(f"band bound must be a decimal, got {bound_text!r}")
-        bins.append((bound, label.strip()))
-    return BandScheme(tuple(bins))
-
-
-DEFAULT_BANDS = parse_band_spec("50:F,70:C,85:B,100:A")
-
-
-def _by_subject(records: Sequence[ResultRecord]) -> dict[str, list[ResultRecord]]:
-    """Records grouped by subject, subjects sorted and each group in year order."""
-    groups: dict[str, list[ResultRecord]] = {}
-    for record in records:
-        groups.setdefault(record.subject_code, []).append(record)
-    return {subject: sorted(groups[subject], key=lambda r: r.year) for subject in sorted(groups)}
-
-
-def discretize(records: Sequence[ResultRecord], scheme: BandScheme = DEFAULT_BANDS) -> SequenceDatabase:
-    """One data-sequence per subject; each year becomes one transaction whose
-    single item is ``subject:band``, enabling cross-year sequential mining."""
-    alphabet = Alphabet()
-    sequences = []
-    for subject, rows in _by_subject(records).items():
-        times = tuple(r.year for r in rows)
-        itemsets = tuple((alphabet.intern(f"{subject}:{scheme.label(r.pass_pct)}"),) for r in rows)
-        sequences.append(DataSequence(subject, times, itemsets))
-    return SequenceDatabase(tuple(sequences), alphabet)
-
-
-@dataclass(frozen=True)
-class TrendRow:
-    year: int
-    pass_pct: Decimal
-    delta: Optional[Decimal]
-    direction: Optional[str]
-
-
-@dataclass(frozen=True)
-class TrendSummary:
-    per_subject: dict[str, list[TrendRow]]
-    anomalies: list[tuple[str, int, Decimal]]
-
-
-def trend(records: Sequence[ResultRecord], anomaly_threshold: Decimal = Decimal("20.0")) -> TrendSummary:
-    """Year-over-year deltas, directions, and |delta| > threshold anomalies."""
-    per_subject: dict[str, list[TrendRow]] = {}
-    anomalies: list[tuple[str, int, Decimal]] = []
-    for subject, rows in _by_subject(records).items():
-        if len(rows) < 2:
-            raise InsufficientHistoryError(subject)
-        out = [TrendRow(rows[0].year, rows[0].pass_pct, None, None)]
-        for prev, cur in zip(rows, rows[1:]):
-            delta = cur.pass_pct - prev.pass_pct
-            direction = "flat" if delta == 0 else ("up" if delta > 0 else "down")
-            out.append(TrendRow(cur.year, cur.pass_pct, delta, direction))
-            if abs(delta) > anomaly_threshold:
-                anomalies.append((subject, cur.year, delta))
-        per_subject[subject] = out
-    return TrendSummary(per_subject, anomalies)

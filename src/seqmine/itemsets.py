@@ -17,10 +17,10 @@ itemsets; time plays no role.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
-from typing import Sequence
 
 from seqmine.errors import (
     EmptyDatabaseError,

@@ -38,11 +38,12 @@ here is pure.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import ge
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -191,9 +192,9 @@ class Constraints:
 
     min_support: float = 1.0
     min_gap: int = 0
-    max_gap: Optional[int] = None
-    max_index_gap: Optional[int] = None
-    max_length: Optional[int] = None
+    max_gap: int | None = None
+    max_index_gap: int | None = None
+    max_length: int | None = None
 
     def __post_init__(self):
         ms = exact_fraction(self.min_support)
@@ -258,8 +259,12 @@ def min_count(min_support, db_size: int) -> int:
     return math.ceil(exact_fraction(min_support) * db_size)
 
 
-class BitLayout(NamedTuple):
+class BitLayout(namedtuple("BitLayout", "starts sentinels real items bounded steps")):
     """A list of data-sequences as one bit string, with the gap rules as masks.
+
+    ``starts``, ``sentinels`` and ``real`` are ints used as bit sets,
+    ``items`` maps each item id to its int, ``bounded`` is a bool and
+    ``steps`` a tuple of ``(k, mask)`` int pairs.
 
     Transaction j of a sequence whose first bit is ``o`` is bit ``o + j``;
     the sentinel after the sequence is never set in ``items`` or ``real``.
@@ -270,12 +275,7 @@ class BitLayout(NamedTuple):
     after one matched at j - k, and every later one is allowed too.
     """
 
-    starts: int
-    sentinels: int
-    real: int
-    items: dict[int, int]
-    bounded: bool
-    steps: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
 
 def _int_of(bits: Iterable[int], size: int) -> int:
@@ -288,7 +288,7 @@ def _int_of(bits: Iterable[int], size: int) -> int:
 def bit_layout(
     sequences: Sequence[DataSequence],
     constraints: Constraints,
-    items: Optional[Collection[int]] = None,
+    items: Collection[int] | None = None,
 ) -> BitLayout:
     """Lay ``sequences`` out as one bit string and turn the gap rules into
     shift masks; ``items`` limits which item ints are built (default: all).
@@ -415,7 +415,7 @@ def _count(pattern: Pattern, sequences: Sequence[DataSequence], constraints: Con
     return count_sequences(_pattern_ends(pattern, layout), layout)
 
 
-def contains(pattern: Pattern, seq: DataSequence, constraints: Optional[Constraints] = None) -> bool:
+def contains(pattern: Pattern, seq: DataSequence, constraints: Constraints | None = None) -> bool:
     """True iff ``pattern`` embeds into ``seq`` under the gap constraints.
 
     An embedding maps elements to transactions at strictly increasing
@@ -428,7 +428,7 @@ def contains(pattern: Pattern, seq: DataSequence, constraints: Optional[Constrai
 
 
 def support(
-    pattern: Pattern, db: SequenceDatabase, constraints: Optional[Constraints] = None
+    pattern: Pattern, db: SequenceDatabase, constraints: Constraints | None = None
 ) -> SupportedPattern:
     """Count supporting data-sequences; each sequence contributes at most 1."""
     if not db.sequences:

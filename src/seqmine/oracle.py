@@ -7,8 +7,8 @@ the real miners are checked against, so they share no containment code.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
 
 from seqmine.errors import (
     AlphabetTooLargeError,
@@ -35,7 +35,7 @@ MAX_SEQUENCE_PATTERN_LENGTH = 4
 
 
 def contains_by_enumeration(
-    pattern: Pattern, seq: DataSequence, constraints: Optional[Constraints] = None
+    pattern: Pattern, seq: DataSequence, constraints: Constraints | None = None
 ) -> bool:
     """Independent containment oracle: try every index combination."""
     c = constraints or Constraints()

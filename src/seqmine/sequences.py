@@ -59,9 +59,9 @@ unbounded. Every candidate is verified by counting anyway.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator, Optional, Sequence
 
 from seqmine.errors import EmptyDatabaseError
 from seqmine.model import (
@@ -279,7 +279,7 @@ def _prefixspan(
     sequences: Sequence[DataSequence],
     minc: int,
     constraints: Constraints,
-    stats: Optional[MiningStats] = None,
+    stats: MiningStats | None = None,
 ) -> dict[Pattern, int]:
     """Pattern-growth over bit-string projections; returns pattern -> count.
 
@@ -307,7 +307,7 @@ def _prefixspan(
     pairs = _level2_candidates(sequences, frequent, layout, minc)
 
     # (pattern, its item count, its projection or None at level 2)
-    stack: list[tuple[Pattern, int, Optional[int]]] = []
+    stack: list[tuple[Pattern, int, int | None]] = []
     # item -> its frequent level-2 children's (s-list, i-list) of (item, bits)
     bounds: dict[int, tuple[list, list]] = {}
     for a in frequent:

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import ItemsView, Iterable, Iterator, Sequence, ValuesView
 from dataclasses import dataclass, field
-from typing import ItemsView, Iterable, Iterator, Optional, Sequence, ValuesView
 
 from seqmine.errors import BadBatchSizeError, InvalidStreamConfigError
 from seqmine.model import (
@@ -70,7 +70,7 @@ class PatternTree:
     def __init__(self):
         self._nodes: dict[Pattern, _Node] = {}
 
-    def lookup(self, pattern: Pattern) -> Optional[_Node]:
+    def lookup(self, pattern: Pattern) -> _Node | None:
         return self._nodes.get(pattern)
 
     def absorb(
@@ -223,7 +223,7 @@ def replay(
     sequences: Iterable[DataSequence],
     config: StreamConfig,
     report_every: int = 1,
-    state: Optional[StreamState] = None,
+    state: StreamState | None = None,
 ) -> Iterator[StreamReport]:
     """Drive a stream through the miner, consuming the iterable exactly once.
 

@@ -12,10 +12,15 @@ internal ids keeps the bytes stable no matter how a file was interned.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
-from seqmine.itemsets import AssociationRule, FrequentItemset
 from seqmine.model import Alphabet, Itemset, Pattern, SupportedPattern, pattern_length
+
+# typing.TYPE_CHECKING without importing typing: the names below are read by
+# type checkers only, so formatting patterns does not load the itemset miner
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from seqmine.itemsets import AssociationRule, FrequentItemset
 
 
 def _itemset_tokens(itemset: Itemset, alphabet: Alphabet) -> tuple[str, ...]:

@@ -18,7 +18,7 @@ import pytest
 from conftest import make_sequence
 from synthetic import generate_db, linear_fit
 
-from seqmine.dataset import bundled_results, serialize_sequence_db
+from seqmine.dataset import serialize_sequence_db
 from seqmine.itemsets import mine_frequent_itemsets
 from seqmine.model import (
     Alphabet,
@@ -34,6 +34,7 @@ from seqmine.oracle import (
     brute_sequences,
     iter_canonical_patterns,
 )
+from seqmine.results import bundled_results
 from seqmine.sequences import filter_closed, gsp_mine, prefixspan_mine
 from seqmine.stream import StreamConfig, StreamState, flush, process_batch, query_output
 

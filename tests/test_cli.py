@@ -447,18 +447,32 @@ def test_tiny_min_support_stays_positive(tmp_path, command, content):
         ("mine-seq", b"s1,1,a\n\xff,2,b\n", ("--min-support", "0.5")),
         ("mine-stream", b"s1,1,a\n\xff,2,b\n",
          ("--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "2")),
-        ("analyze-results", b"s1,1,a\n\xff,2,b\n", ()),
+        ("analyze-results", b"year,subject_code,pass_pct\n\xff,2,b\n", ()),
         ("mine-itemsets", b"t1,a b\n\xff,c\n", ("--min-support", "0.5")),
+        ("mine-seq", b"s1,1,a\n# caf\xe9\n", ("--min-support", "0.5")),
     ],
-    ids=["mine-seq", "mine-stream", "analyze-results", "mine-itemsets"],
+    ids=["mine-seq", "mine-stream", "analyze-results", "mine-itemsets", "in-a-comment"],
 )
 def test_undecodable_input_exit_2(tmp_path, command, content, flags):
     path = tmp_path / "input.csv"
     path.write_bytes(content)
     proc = run_cli(command, str(path), *flags)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
-    assert proc.stderr.count("\n") == 1
+    # the one non-ASCII byte of each input is the undecodable one, on line 2
+    assert proc.stderr == f"error: line 2: byte 0x{max(content):02x} is not UTF-8\n"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("mine-seq", ("--min-support", "0.5")),
+    ("mine-stream", ("--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "100")),
+])
+def test_undecodable_byte_past_the_first_8kb_names_its_line(tmp_path, command, flags):
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"".join(b"s%d,1,a\n" % i for i in range(1, 2000)) + b"s0,1,\xff\n")
+    assert path.stat().st_size > 16 * 1024
+    proc = run_cli(command, str(path), *flags)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: line 2000: byte 0xff is not UTF-8\n"
 
 
 BUNDLED_CSV = (SRC / "seqmine" / "data" / "university_results.csv").read_bytes()
@@ -555,6 +569,52 @@ def test_mine_seq_and_mine_stream_read_the_same_lines(tmp_path):
     assert header.startswith("# final batches=1 sequences=2 ")
     assert patterns == seq.stdout.splitlines()
     assert "<{a b},{c d}> count=1 support=0.5000" in patterns
+
+
+def imported_modules(*args, python_flags=()):
+    """The modules a fresh interpreter holds after running the CLI on args,
+    as ``python -m seqmine args`` does."""
+    script = (
+        "import sys\n"
+        "from seqmine.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stderr.write(' '.join(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, *python_flags, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "command, content, flags, absent",
+    [
+        ("mine-seq", "s1,1,a\n", ("--min-support", "0.5"),
+         {"seqmine.itemsets", "seqmine.stream", "seqmine.charts", "seqmine.results"}),
+        ("mine-itemsets", "t1,a b\n", ("--min-support", "0.5", "--min-confidence", "0.5"),
+         {"seqmine.sequences", "seqmine.stream", "seqmine.charts", "seqmine.results"}),
+        ("mine-stream", "s1,1,a\n", ("--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "1"),
+         {"seqmine.itemsets", "seqmine.charts", "seqmine.results"}),
+    ],
+    ids=["mine-seq", "mine-itemsets", "mine-stream"],
+)
+def test_command_loads_only_the_modules_it_runs(tmp_path, command, content, flags, absent):
+    path = tmp_path / "input.csv"
+    path.write_text(content)
+    loaded = imported_modules(command, str(path), *flags)
+    assert "seqmine.cli" in loaded
+    assert not loaded & absent
+
+
+def test_mine_seq_loads_no_typing_pathlib_or_resources(db1_file):
+    # -S: no site-packages .pth file imports any of these before seqmine does
+    loaded = imported_modules("mine-seq", db1_file, "--min-support", "0.5", python_flags=("-S",))
+    assert "seqmine.sequences" in loaded
+    assert not loaded & {"typing", "pathlib", "importlib.resources"}
 
 
 class TestAnalyzeResults:

@@ -10,17 +10,10 @@ from hypothesis import given
 from strategies import sequence_dbs
 
 from seqmine.dataset import (
-    DEFAULT_BANDS,
-    bundled_results,
-    bundled_results_text,
-    discretize,
     iter_sequence_db,
-    load_results,
     load_sequence_db,
     load_transactions,
-    parse_band_spec,
     serialize_sequence_db,
-    trend,
 )
 from seqmine.errors import (
     DuplicateKeyError,
@@ -30,6 +23,15 @@ from seqmine.errors import (
     ParseError,
 )
 from seqmine.model import Alphabet
+from seqmine.results import (
+    DEFAULT_BANDS,
+    bundled_results,
+    bundled_results_text,
+    discretize,
+    load_results,
+    parse_band_spec,
+    trend,
+)
 
 BUNDLED_SHA256 = "acfc1a223a8432f60619ef30f684be014e00abbc9d9486af4b68e5bb39574062"
 
@@ -56,6 +58,20 @@ class TestLoadSequenceDb:
             load_sequence_db("s1,x,a")
         with pytest.raises(NonIntegerTimeError):
             load_sequence_db("s1,1.5,a")
+
+    @pytest.mark.parametrize("time_text", ["1_0", "\u0663", "\uff11"])
+    def test_time_takes_ascii_digits_only(self, time_text):
+        # int() reads these as 10, 3 and 1
+        message = f"line 2: time must be a base-10 integer, got {time_text!r}"
+        with pytest.raises(NonIntegerTimeError, match=message):
+            load_sequence_db(f"s1,1,a\ns1,{time_text},b")
+
+    def test_escaped_byte_names_its_line(self):
+        # a file read with errors="surrogateescape" holds byte 0xff as U+DCFF
+        with pytest.raises(ParseError, match="line 3: byte 0xff is not UTF-8"):
+            load_sequence_db("s1,1,a\n\ns1,2,\udcff")
+        with pytest.raises(ParseError, match="line 1: byte 0xe9 is not UTF-8"):
+            load_sequence_db("# caf\udce9\ns1,1,a")
 
     def test_unsorted_lines_are_ordered_by_time(self):
         db = load_sequence_db("s1,5,b\ns1,1,a")
@@ -154,6 +170,18 @@ class TestLoadResults:
     def test_three_fractional_digits_rejected(self):
         with pytest.raises(OutOfRangeError):
             load_results("year,subject_code,pass_pct\n2003,X,50.123")
+
+    @pytest.mark.parametrize("year_text", ["2_003", "\u0662\u0660\u0660\u0663"])
+    def test_year_takes_ascii_digits_only(self, year_text):
+        message = f"line 2: year must be an integer, got {year_text!r}"
+        with pytest.raises(ParseError, match=message):
+            load_results(f"year,subject_code,pass_pct\n{year_text},X,50")
+
+    @pytest.mark.parametrize("pct_text", ["5_0", "\u0665\u0660.5"])
+    def test_pass_pct_takes_ascii_digits_only(self, pct_text):
+        message = f"line 2: pass_pct must be a decimal, got {pct_text!r}"
+        with pytest.raises(ParseError, match=message):
+            load_results(f"year,subject_code,pass_pct\n2003,X,{pct_text}")
 
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):

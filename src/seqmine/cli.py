@@ -1,4 +1,4 @@
-"""Command-line front end.
+r"""Command-line front end.
 
 Subcommands: mine-itemsets, mine-seq, mine-stream, analyze-results.
 Exit codes: 0 ok, 2 unreadable, undecodable or unparsable input (or a
@@ -7,9 +7,10 @@ that cannot name a file under ``--plot-dir``), 3 usage/flag error, 4
 internal invariant failure (see ``_EXIT_CODES``). Every failure prints one
 line starting with ``error:`` to stderr. Outputs are byte-deterministic for
 fixed inputs and flags. Every command reads its input file line by line
-through :func:`_lines`, as UTF-8 with a leading byte-order mark skipped; a
-line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere else, and error line
-numbers count those breaks. A command imports only the modules it runs.
+through :func:`seqmine.dataset.read_lines`, as UTF-8 with a leading
+byte-order mark skipped; a line ends at ``\n``, ``\r\n`` or ``\r`` and
+nowhere else, and error line numbers count those breaks. A command imports
+only the modules it runs.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import argparse
 import math
 import re
 import sys
-import time
-from collections.abc import Iterator
 from decimal import Decimal, InvalidOperation
 
 import seqmine
@@ -106,37 +105,11 @@ def _build_config(config_class, **fields):
         raise type(exc)(names.sub(lambda m: "--" + m[1].replace("_", "-"), str(exc))) from None
 
 
-def _lines(path: str, watch: bool = False, idle_timeout: float = 0.0) -> Iterator[str]:
-    """Yield the lines of a file, one at a time. With watch, keep polling for
-    appended lines until none arrive for idle_timeout seconds; a line is held
-    until its newline arrives, or until the idle timeout ends the stream."""
-    # an undecodable byte reaches dataset._rows, which names its line
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        if not watch:
-            yield from handle
-            return
-        pending = ""
-        deadline = time.monotonic() + idle_timeout
-        while True:
-            # a file's iterator picks up lines appended after it reached EOF
-            for line in handle:
-                pending += line
-                if pending.endswith("\n"):
-                    yield pending
-                    pending = ""
-                    deadline = time.monotonic() + idle_timeout
-            if time.monotonic() >= deadline:
-                break
-            time.sleep(0.05)
-        if pending:
-            yield pending
-
-
 def _cmd_mine_itemsets(args) -> int:
     _check_fraction(args.min_support, "--min-support")
     if args.min_confidence is not None:
         _check_fraction(args.min_confidence, "--min-confidence")
-    transactions, alphabet = dataset.load_transactions(_lines(args.input))
+    transactions, alphabet = dataset.load_transactions(dataset.read_lines(args.input))
     frequent = _cli.mine_frequent_itemsets(transactions, args.min_support)
     lines = textfmt.frequent_itemset_lines(frequent, alphabet)
     if args.min_confidence is not None:
@@ -160,7 +133,7 @@ def _build_constraints(args) -> Constraints:
 
 def _cmd_mine_seq(args) -> int:
     constraints = _build_constraints(args)
-    db = dataset.load_sequence_db(_lines(args.input))
+    db = dataset.load_sequence_db(dataset.read_lines(args.input))
     if args.max_length is None and len(db.alphabet) > 26:
         raise UsageError(
             f"--max-length is required for alphabets larger than 26 items "
@@ -193,7 +166,7 @@ def _cmd_mine_stream(args) -> int:
     if not args.idle_timeout >= 0:
         raise UsageError(f"--idle-timeout must be >= 0, got {args.idle_timeout}")
     alphabet = Alphabet()
-    lines = _lines(args.input, args.watch, args.idle_timeout)
+    lines = dataset.read_lines(args.input, args.idle_timeout if args.watch else None)
     sequences = dataset.iter_sequence_db(lines, alphabet)
     for report in replay(sequences, config, report_every=args.report_every):
         tag = "final" if report.final else "report"
@@ -231,7 +204,7 @@ def _cmd_analyze_results(args) -> int:
     if args.input is None:
         records = results.bundled_results()
     else:
-        records = results.load_results(_lines(args.input))
+        records = results.load_results(dataset.read_lines(args.input))
     if args.plot_dir is not None:
         for record in records:
             if Path(record.subject_code).name != record.subject_code:
@@ -240,31 +213,32 @@ def _cmd_analyze_results(args) -> int:
                 )
     summary = results.trend(records, anomaly_threshold=threshold)
 
-    print(f"{'subject':<10} {'year':<6} {'pass_pct':>8} {'delta':>8} {'direction':<9} band")
+    lines = [f"{'subject':<10} {'year':<6} {'pass_pct':>8} {'delta':>8} {'direction':<9} band"]
     for subject, rows in summary.per_subject.items():
         for row in rows:
             delta = "-" if row.delta is None else f"{row.delta:+.2f}"
             direction = row.direction or "-"
             band = bands.label(row.pass_pct)
-            print(
+            lines.append(
                 f"{subject:<10} {row.year:<6} {row.pass_pct:>8.2f} {delta:>8} {direction:<9} {band}"
             )
-    print("anomalies:")
+    lines.append("anomalies:")
     if not summary.anomalies:
-        print("  none")
+        lines.append("  none")
     for subject, year, delta in summary.anomalies:
-        print(f"  {subject} {year} delta={delta:+.2f}")
+        lines.append(f"  {subject} {year} delta={delta:+.2f}")
 
+    # the charts are written before stdout, so a failure leaves stdout empty
+    if args.plot_dir is not None:
+        plot_dir = Path(args.plot_dir)
+        plot_dir.mkdir(parents=True, exist_ok=True)
     for subject, trend_rows in summary.per_subject.items():
         rows = [(row.year, row.pass_pct) for row in trend_rows]
-        print()
-        for line in charts.ascii_chart(subject, rows):
-            print(line)
+        lines += ["", *charts.ascii_chart(subject, rows)]
         if args.plot_dir is not None:
-            plot_dir = Path(args.plot_dir)
-            plot_dir.mkdir(parents=True, exist_ok=True)
             svg = charts.svg_line_chart(subject, rows)
             (plot_dir / f"{subject}.svg").write_text(svg, encoding="utf-8", newline="\n")
+    _write_out(None, lines)
     return 0
 
 
@@ -300,7 +274,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report-every", type=int, default=1)
     p.add_argument("--watch", action="store_true", help="keep tailing the file for appended lines")
     p.add_argument("--idle-timeout", type=float, default=5.0,
-                   help="with --watch, stop after this many idle seconds")
+                   help="with --watch, stop once no byte has arrived for this many seconds")
     p.set_defaults(func=_cmd_mine_stream)
 
     p = sub.add_parser("analyze-results", help="trend analysis and charts for results-CSV")

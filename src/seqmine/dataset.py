@@ -1,14 +1,16 @@
-"""The sequence and transaction file formats.
+r"""The sequence and transaction file formats.
 
 Every text format seqmine reads, results-CSV (:mod:`seqmine.results`)
 included, is UTF-8 with ``#`` comment lines and is split into rows by
-:func:`_rows`. A line ends at ``\n``, ``\r\n`` or ``\r``; other Unicode line
-breaks, such as U+0085 or U+2028, do not end a line. A line holding a byte
-that is not UTF-8 is a :class:`ParseError` ``byte 0x.. is not UTF-8``. Every
-non-blank line that is not a comment is split on ``,`` into a fixed number
-of fields, each stripped of surrounding whitespace; a line with another
-field count is a :class:`ParseError` ``expected '<fields>', got '<line>'``.
-Numeric fields take ASCII digits only.
+:func:`_rows`. A file is read through :func:`read_lines`, which decodes it
+as UTF-8 with a leading byte-order mark skipped. A line ends at ``\n``,
+``\r\n`` or ``\r``; other Unicode line breaks, such as U+0085 or U+2028, do
+not end a line. A line holding a byte that is not UTF-8 is a
+:class:`ParseError` ``byte 0x.. is not UTF-8``. Every non-blank line that
+is not a comment is split on ``,`` into a fixed number of fields, each
+stripped of surrounding whitespace; a line with another field count is a
+:class:`ParseError` ``expected '<fields>', got '<line>'``. Numeric fields
+take ASCII digits only.
 
 * sequence-CSV: one transaction per line, ``seq_id,time,items`` with
   space-separated item tokens and a base-10 integer time. Lines may arrive
@@ -18,8 +20,10 @@ Numeric fields take ASCII digits only.
 
 from __future__ import annotations
 
+import codecs
 import io
 from collections.abc import Iterator
+from time import monotonic, sleep
 
 from seqmine.errors import DuplicateKeyError, NonIntegerTimeError, ParseError
 from seqmine.model import Alphabet, DataSequence, SequenceDatabase
@@ -42,11 +46,49 @@ def _ascii_number(parse, text: str):
     return parse(text)
 
 
+def read_lines(path: str, idle_timeout: float | None = None) -> Iterator[str]:
+    """Yield the lines of a file without their line breaks, each as soon as
+    it is read. Without ``idle_timeout`` the file ends at the first read that
+    finds no byte. With it, the file is watched: reading goes on past the
+    current end, and the file ends once ``idle_timeout`` seconds go by with
+    no new byte, counted from when the lines of the last bytes read were
+    taken."""
+    with open(path, "rb") as handle:
+        yield from _lines(handle, idle_timeout)
+
+
+def _lines(handle, idle_timeout: float | None) -> Iterator[str]:
+    r"""The lines of a binary file read in pieces of up to 8 KiB, split as
+    :func:`_rows` splits a str. One decoder spans every read, so a character
+    or a ``\r\n`` cut where a read stopped is held until the next read
+    completes it; the decoder is finalized only where the file ends. An
+    undecodable byte is kept as a surrogate escape, for :func:`_rows` to
+    name its line."""
+    utf8 = codecs.getincrementaldecoder("utf-8-sig")("surrogateescape")
+    decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
+    tail = ""
+    idle_since = monotonic()
+    while True:
+        data = handle.read(8192)
+        if data:
+            *lines, tail = (tail + decoder.decode(data)).split("\n")
+            yield from lines
+            idle_since = monotonic()
+        elif idle_timeout is None or monotonic() - idle_since >= idle_timeout:
+            break
+        else:
+            sleep(0.05)
+    *lines, tail = (tail + decoder.decode(b"", final=True)).split("\n")
+    yield from lines
+    if tail:
+        yield tail
+
+
 def _rows(source, fields: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_no, stripped fields) for each line that is not blank or a
+    r"""Yield (line_no, stripped fields) for each line that is not blank or a
     comment, numbering lines from 1. ``source`` is an iterable of lines, such
-    as an open text file, or a str, which is split as a text-mode file splits
-    it: a line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere else. ``fields``
+    as :func:`read_lines` yields, or a str, which is split as a file is
+    split: a line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere else. ``fields``
     names the columns, as in ``'txn_id,items'``; a line with another field
     count is a ParseError, and so is a line with an undecodable byte, even
     in a comment."""

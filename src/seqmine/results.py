@@ -63,7 +63,8 @@ def load_results(source) -> list[ResultRecord]:
         if key in seen:
             raise DuplicateKeyError(line_no, f"duplicate (year, subject) pair {key}")
         seen.add(key)
-        records.append(ResultRecord(year, subject, pct))
+        # pct is in [0, 100], so this changes only a -0, which would print as -0.00
+        records.append(ResultRecord(year, subject, pct.copy_abs()))
     return records
 
 

@@ -232,19 +232,13 @@ def replay(
     final boundary is folded into the final one.
     """
     state = state if state is not None else StreamState()
-    it = iter(sequences)
-    sentinel = object()
     batch: list[DataSequence] = []
-    nxt = next(it, sentinel)
-    while nxt is not sentinel:
-        current = nxt
-        nxt = next(it, sentinel)
-        batch.append(current)  # type: ignore[arg-type]
+    for sequence in sequences:
+        # a full batch is mined once the next sequence shows it is not the last
         if len(batch) == config.batch_size:
             process_batch(state, batch, config)
             batch = []
-            at_end = nxt is sentinel
-            if report_every > 0 and state.batches_seen % report_every == 0 and not at_end:
+            if report_every > 0 and state.batches_seen % report_every == 0:
                 yield StreamReport(
                     False,
                     state.batches_seen,
@@ -252,5 +246,9 @@ def replay(
                     len(state.tree),
                     query_output(state, config),
                 )
+        batch.append(sequence)
+    if len(batch) == config.batch_size:
+        process_batch(state, batch, config)
+        batch = []
     out = flush(state, batch, config)
     yield StreamReport(True, state.batches_seen, state.sequences_seen, len(state.tree), out)

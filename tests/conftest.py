@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,6 +20,30 @@ settings.register_profile(
 settings.load_profile("seqmine")
 
 from seqmine.model import Alphabet, DataSequence, SequenceDatabase
+
+
+def start_cli(*args, python_args=("-m", "seqmine")):
+    """Start ``python -m seqmine args`` in a child interpreter that imports
+    seqmine from src/, its stdout and stderr piped as text. ``python_args``
+    replace ``-m seqmine``, as in ``("-S", "-c", script)``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, *python_args, *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def run_cli(*args, timeout=None, python_args=("-m", "seqmine")):
+    """Run :func:`start_cli`'s process to its end and return it as a
+    ``subprocess.CompletedProcess``; past ``timeout`` seconds it is killed."""
+    with start_cli(*args, python_args=python_args) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def make_sequence(seq_id, *txns):

@@ -5,17 +5,13 @@ either computed by the exhaustive oracles in seqmine.oracle or checked
 against the bundled dataset with tolerance 0.
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 
-from conftest import make_sequence
+from conftest import make_sequence, run_cli
 from synthetic import generate_db, linear_fit
 
 from seqmine.dataset import serialize_sequence_db
@@ -37,8 +33,6 @@ from seqmine.oracle import (
 from seqmine.results import bundled_results
 from seqmine.sequences import filter_closed, gsp_mine, prefixspan_mine
 from seqmine.stream import StreamConfig, StreamState, flush, process_batch, query_output
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def report(number, description, ok, detail=""):
@@ -316,14 +310,6 @@ def test_criterion_7_closed_filter_correctness(sequence_equivalence_cases):
     assert mismatches == 0
 
 
-def _run_cli(args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "seqmine", *args], capture_output=True, text=True, env=env
-    )
-
-
 def test_criterion_8_cli_determinism(tmp_path):
     tdb = tmp_path / "tdb.csv"
     tdb.write_text("t1,a b c\nt2,a b\nt3,a c\nt4,b c\n")
@@ -337,7 +323,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         for run in range(3):
             out = tmp_path / f"{name}_{run}.out"
             full = [a.replace("@OUT@", str(out)) for a in args]
-            proc = _run_cli(full)
+            proc = run_cli(*full)
             if proc.returncode != 0:
                 failures.append(f"{name}: exit {proc.returncode}")
                 return
@@ -359,7 +345,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     svg_blobs = []
     for run in range(3):
         plot_dir = tmp_path / f"plots{run}"
-        proc = _run_cli(["analyze-results", "--plot-dir", str(plot_dir)])
+        proc = run_cli("analyze-results", "--plot-dir", str(plot_dir))
         if proc.returncode != 0:
             failures.append(f"analyze: exit {proc.returncode}")
             break

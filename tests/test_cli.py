@@ -3,10 +3,8 @@
 import contextlib
 import hashlib
 import io
-import os
 import re
-import subprocess
-import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,9 +12,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from seqmine import cli
+from conftest import SRC, run_cli, start_cli
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from seqmine import cli
 
 TDB1_CSV = "t1,a b c\nt2,a b\nt3,a c\nt4,b c\n"
 DB1_CSV = (
@@ -27,16 +25,17 @@ DB1_CSV = (
 )
 
 
-def run_cli(*args, timeout=None):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "seqmine", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
+def watch_appends(path, appends, *flags):
+    """Run ``mine-stream path flags --watch --idle-timeout 2.0``, appending
+    each of ``appends`` to the file 0.5 s after the one before; return the
+    exit code, stdout and stderr."""
+    proc = start_cli("mine-stream", str(path), *flags, "--watch", "--idle-timeout", "2.0")
+    for data in appends:
+        time.sleep(0.5)
+        with open(path, "ab") as handle:
+            handle.write(data)
+    stdout, stderr = proc.communicate(timeout=30)
+    return proc.returncode, stdout, stderr
 
 
 @pytest.fixture
@@ -229,7 +228,6 @@ class TestMineSeq:
 class TestMineStream:
     @pytest.fixture
     def stream_file(self, tmp_path):
-        import conftest  # noqa: F401  (sys.path side effect)
         from synthetic import generate_db
         from seqmine.dataset import serialize_sequence_db
 
@@ -239,7 +237,6 @@ class TestMineStream:
         return str(path)
 
     def test_five_reports_and_guarantees(self, stream_file):
-        import conftest  # noqa: F401
         from seqmine.dataset import load_sequence_db
         from seqmine.model import exact_fraction
         from seqmine.oracle import brute_stream
@@ -335,46 +332,50 @@ class TestMineStream:
         assert "# final" in proc.stdout
 
     def test_watch_mode_picks_up_appended_lines(self, tmp_path):
-        import time
-
         path = tmp_path / "grow.csv"
         path.write_text("".join(f"g{i},1,a\n" for i in range(5)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "seqmine", "mine-stream", str(path),
-             "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "5",
-             "--watch", "--idle-timeout", "2.0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        appended = "".join(f"h{i},1,a\n" for i in range(5)).encode()
+        code, stdout, _ = watch_appends(
+            path, [appended], "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "5"
         )
-        time.sleep(0.4)
-        with open(path, "a") as handle:
-            handle.write("".join(f"h{i},1,a\n" for i in range(5)))
-        stdout, _ = proc.communicate(timeout=30)
-        assert proc.returncode == 0
+        assert code == 0
         assert "# final batches=2 sequences=10" in stdout
 
     def test_watch_mode_waits_for_torn_line(self, tmp_path):
-        import time
-
         path = tmp_path / "torn.csv"
         path.write_text("s1,2,b")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "seqmine", "mine-stream", str(path),
-             "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "1",
-             "--watch", "--idle-timeout", "2.0"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        code, stdout, stderr = watch_appends(
+            path, [b"c\n"], "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "1"
         )
-        time.sleep(0.5)
-        with open(path, "a") as handle:
-            handle.write("c\n")
-        stdout, stderr = proc.communicate(timeout=30)
-        assert proc.returncode == 0, stderr
+        assert code == 0, stderr
         assert "error:" not in stderr
         assert "<{bc}> count=1 support=1.0000" in stdout
         assert "<{b}>" not in stdout
+
+    def test_watch_mode_waits_for_torn_character(self, tmp_path):
+        # the two bytes of \u00e9 arrive in two appends
+        path = tmp_path / "torn.csv"
+        path.write_text("s1,1,a\ns2,1,a\n")
+        code, stdout, stderr = watch_appends(
+            path, [b"s3,1,caf\xc3", b"\xa9\n"],
+            "--sigma", "0.3", "--epsilon", "0.1", "--batch-size", "2",
+        )
+        assert code == 0, stderr
+        assert stdout.endswith(
+            "# final batches=2 sequences=3 tree_nodes=2\n"
+            "<{a}> count=2 support=0.6667\n<{caf\u00e9}> count=1 support=0.3333\n"
+        )
+
+    def test_watch_mode_waits_for_torn_crlf(self, tmp_path):
+        # the \r\n ending line 3 arrives in two appends, so the bad time is on line 4
+        path = tmp_path / "torn.csv"
+        path.write_text("s1,1,a\ns2,1,a\n")
+        code, stdout, stderr = watch_appends(
+            path, [b"s3,1,a\r", b"\ns3,x,b\n"],
+            "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "2",
+        )
+        assert code == 2
+        assert stderr == "error: line 4: time must be a base-10 integer, got 'x'\n"
 
     def test_unterminated_last_line_is_read(self, tmp_path):
         path = tmp_path / "tail.csv"
@@ -390,7 +391,6 @@ class TestMineStream:
     def test_stdout_bytes_pinned(self, tmp_path):
         # local T = floor(0.1 * 40) = 4, so patterns missing from a batch get
         # delta bumps, and patterns are both inserted and evicted across batches
-        import conftest  # noqa: F401
         from synthetic import generate_db
         from seqmine.dataset import serialize_sequence_db
 
@@ -581,11 +581,7 @@ def imported_modules(*args, python_flags=()):
         "sys.stderr.write(' '.join(sys.modules))\n"
         "sys.exit(code)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, *python_flags, "-c", script, *args], capture_output=True, text=True, env=env
-    )
+    proc = run_cli(*args, python_args=(*python_flags, "-c", script))
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.split())
 
@@ -653,6 +649,15 @@ class TestAnalyzeResults:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["results.csv", "work"]
+
+    def test_plot_dir_failure_leaves_stdout_empty(self, tmp_path):
+        plot_dir = tmp_path / "plots"
+        plot_dir.write_text("")
+        proc = run_cli("analyze-results", "--plot-dir", str(plot_dir))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
 
     def test_anomaly_listed(self):
         proc = run_cli("analyze-results")

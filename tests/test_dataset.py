@@ -4,15 +4,19 @@ import dataclasses
 import hashlib
 from decimal import Decimal
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from strategies import sequence_dbs
 
 from seqmine.dataset import (
+    _lines,
+    _rows,
     iter_sequence_db,
     load_sequence_db,
     load_transactions,
+    read_lines,
     serialize_sequence_db,
 )
 from seqmine.errors import (
@@ -97,13 +101,14 @@ class TestLoadSequenceDb:
         path.write_bytes(text.encode("utf-8"))
         with open(path, encoding="utf-8") as handle:
             assert load_sequence_db(text) == load_sequence_db(handle)
+        assert load_sequence_db(text) == load_sequence_db(read_lines(str(path)))
         assert db_signature(load_sequence_db(text)) == [
             ("s1", [(1, ("a", "b")), (2, ("c", "d"))]),
             ("s2", [(1, ("a", "c"))]),
         ]
         path.write_bytes(f"{text}s2,2\n".encode("utf-8"))
         with open(path, encoding="utf-8") as handle:
-            for source in (f"{text}s2,2\n", handle):
+            for source in (f"{text}s2,2\n", handle, read_lines(str(path))):
                 with pytest.raises(ParseError, match="^line 4: expected"):
                     load_sequence_db(source)
 
@@ -113,6 +118,53 @@ class TestLoadSequenceDb:
         again = load_sequence_db(text)
         assert db_signature(again) == db_signature(db)
         assert serialize_sequence_db(again) == text
+
+
+# lines of a two-field file, one with a character of two bytes, and every
+# line break; a cut between reads can split the character or the \r\n
+LINES = [b"k,v", " k\u00e9 , v ".encode(), "# \u00e9".encode(), b""]
+BREAKS = [b"\n", b"\r", b"\r\n"]
+
+
+@st.composite
+def cut_reads(draw):
+    """Lines of LINES ended by BREAKS, maybe after a BOM, maybe with one byte
+    that is not UTF-8 among them, and the same bytes cut into reads at
+    random points."""
+    data = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    for _ in range(draw(st.integers(0, 12))):
+        data += draw(st.sampled_from(LINES)) + draw(st.sampled_from(BREAKS))
+    data += draw(st.sampled_from(LINES))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(data)))
+        data = data[:i] + draw(st.sampled_from([b"\xff", b"\xc3"])) + data[i:]
+    cuts = sorted(draw(st.sets(st.integers(0, len(data)))))
+    return data, [data[i:j] for i, j in zip([0, *cuts], [*cuts, len(data)]) if i < j]
+
+
+class _Reads:
+    """A binary file whose reads return the given pieces, then nothing."""
+
+    def __init__(self, pieces):
+        self._pieces = iter(pieces)
+
+    def read(self, size):
+        return next(self._pieces, b"")
+
+
+def rows_or_error(source):
+    try:
+        return list(_rows(source, "k,v"))
+    except ParseError as exc:
+        return str(exc)
+
+
+@given(cut_reads())
+def test_where_a_read_stops_does_not_change_the_rows(case):
+    data, reads = case
+    whole = rows_or_error(data.decode("utf-8-sig", "surrogateescape"))
+    assert rows_or_error(_lines(_Reads([data]), None)) == whole
+    assert rows_or_error(_lines(_Reads(reads), None)) == whole
 
 
 class TestIterSequenceDb:
@@ -166,6 +218,10 @@ class TestLoadResults:
             load_results("year,subject_code,pass_pct\n2003,X,101")
         with pytest.raises(OutOfRangeError):
             load_results("year,subject_code,pass_pct\n2003,X,-1")
+
+    def test_negative_zero_reads_as_zero(self):
+        records = load_results("year,subject_code,pass_pct\n2003,X,-0\n2004,X,-0.00")
+        assert [str(r.pass_pct) for r in records] == ["0", "0.00"]
 
     def test_three_fractional_digits_rejected(self):
         with pytest.raises(OutOfRangeError):

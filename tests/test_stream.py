@@ -25,12 +25,8 @@ from seqmine.stream import (
 )
 
 
-def seq_of(seq_id, *txns):
-    return make_sequence(seq_id, *txns)
-
-
 def ab_sequence(seq_id):
-    return seq_of(seq_id, (1, (A,)), (2, (B,)))
+    return make_sequence(seq_id, (1, (A,)), (2, (B,)))
 
 
 def assert_parent_bound(tree):
@@ -58,7 +54,7 @@ def random_stream(rng, n, n_items=4, max_txns=4):
             t += rng.randint(1, 3)
             k = rng.randint(1, 2)
             txns.append((t, {rng.randrange(n_items) for _ in range(k)}))
-        out.append(seq_of(f"r{i}", *txns))
+        out.append(make_sequence(f"r{i}", *txns))
     return out
 
 
@@ -99,20 +95,20 @@ class TestProcessBatch:
         # batch_size 10, epsilon 0.1: after batch 2 the prune bar is
         # floor(0.1 * 20) = 2, so a batch-1-only pattern with count <= 2 goes
         config = StreamConfig(sigma=0.5, epsilon=0.1, batch_size=10)
-        filler = [seq_of(f"f{i}", (1, (C,))) for i in range(10)]
+        filler = [make_sequence(f"f{i}", (1, (C,))) for i in range(10)]
 
         state = StreamState()
         batch1 = [ab_sequence("a0"), ab_sequence("a1")] + [
-            seq_of(f"p{i}", (1, (C,))) for i in range(8)
+            make_sequence(f"p{i}", (1, (C,))) for i in range(8)
         ]
         process_batch(state, batch1, config)
         assert state.tree.lookup(((A,), (B,))).count == 2
-        process_batch(state, [seq_of(f"g{i}", (1, (C,))) for i in range(10)], config)
+        process_batch(state, [make_sequence(f"g{i}", (1, (C,))) for i in range(10)], config)
         assert state.tree.lookup(((A,), (B,))) is None, "count 2 <= bar 2 is pruned"
 
         state = StreamState()
         batch1 = [ab_sequence("a0"), ab_sequence("a1"), ab_sequence("a2")] + [
-            seq_of(f"p{i}", (1, (C,))) for i in range(7)
+            make_sequence(f"p{i}", (1, (C,))) for i in range(7)
         ]
         process_batch(state, batch1, config)
         process_batch(state, filler, config)
@@ -124,7 +120,7 @@ class TestProcessBatch:
         config = StreamConfig(sigma=0.5, epsilon=0.1, batch_size=10)
         state = StreamState()
         loud = [ab_sequence(f"l{i}") for i in range(10)]
-        quiet = [seq_of(f"q{b}_{i}", (1, (C,))) for b in range(99) for i in range(10)]
+        quiet = [make_sequence(f"q{b}_{i}", (1, (C,))) for b in range(99) for i in range(10)]
         process_batch(state, loud, config)
         batches_survived = 0
         for b in range(12):
@@ -140,12 +136,12 @@ class TestProcessBatch:
         config = StreamConfig(sigma=0.5, epsilon=0.2, batch_size=10)
         state = StreamState()
         batch1 = [ab_sequence(f"a{i}") for i in range(5)] + [
-            seq_of(f"p{i}", (1, (C,))) for i in range(5)
+            make_sequence(f"p{i}", (1, (C,))) for i in range(5)
         ]
         process_batch(state, batch1, config)
         node = state.tree.lookup(((A,), (B,)))
         assert (node.count, node.delta) == (5, 0)
-        batch2 = [ab_sequence("solo")] + [seq_of(f"q{i}", (1, (C,))) for i in range(9)]
+        batch2 = [ab_sequence("solo")] + [make_sequence(f"q{i}", (1, (C,))) for i in range(9)]
         process_batch(state, batch2, config)
         node = state.tree.lookup(((A,), (B,)))
         assert node.count == 5, "a below-bar occurrence is not observed"
@@ -180,7 +176,7 @@ class TestQueryOutput:
                 if rng.random() < 0.7:
                     batch.append(ab_sequence(sid))
                 else:
-                    batch.append(seq_of(sid, (1, (C,))))
+                    batch.append(make_sequence(sid, (1, (C,))))
             seqs.extend(batch)
             process_batch(state, batch, config)
             n = state.sequences_seen
@@ -203,7 +199,7 @@ class TestFlush:
 
     def test_five_sequences_guarantees_hold(self):
         config = StreamConfig(sigma=0.5, epsilon=0.1, batch_size=2, max_length=3)
-        stream = [ab_sequence(f"s{i}") for i in range(4)] + [seq_of("odd", (1, (C,)))]
+        stream = [ab_sequence(f"s{i}") for i in range(4)] + [make_sequence("odd", (1, (C,)))]
         state = StreamState()
         process_batch(state, stream[:2], config)
         process_batch(state, stream[2:4], config)
@@ -223,7 +219,7 @@ class TestFlush:
     def test_new_pattern_in_residual_gets_n_before_delta(self):
         config = StreamConfig(sigma=0.5, epsilon=0.3, batch_size=4)
         state = StreamState()
-        filler = [seq_of(f"f{i}", (1, (C,))) for i in range(8)]
+        filler = [make_sequence(f"f{i}", (1, (C,))) for i in range(8)]
         process_batch(state, filler[:4], config)
         process_batch(state, filler[4:], config)
         flush(state, [ab_sequence("new1"), ab_sequence("new2")], config)

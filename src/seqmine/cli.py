@@ -134,6 +134,8 @@ def _build_constraints(args) -> Constraints:
 def _cmd_mine_seq(args) -> int:
     constraints = _build_constraints(args)
     db = dataset.load_sequence_db(dataset.read_lines(args.input))
+    if not len(db):
+        raise InputError(f"{args.input} has no data line")
     if args.max_length is None and len(db.alphabet) > 26:
         raise UsageError(
             f"--max-length is required for alphabets larger than 26 items "

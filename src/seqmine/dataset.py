@@ -14,7 +14,11 @@ take ASCII digits only.
 
 * sequence-CSV: one transaction per line, ``seq_id,time,items`` with
   space-separated item tokens and a base-10 integer time. Lines may arrive
-  unsorted; equal-time transactions of one sequence are merged.
+  unsorted; equal-time transactions of one sequence are merged. One reader,
+  :func:`_runs`, serves both loaders: it holds only the current run of
+  lines with one seq_id. :func:`load_sequence_db` appends each run to the
+  database's columns and :func:`iter_sequence_db` yields it as a
+  :class:`DataSequence`.
 * transactions-CSV: ``txn_id,items``, each txn_id non-empty and unique.
 """
 
@@ -26,7 +30,7 @@ from collections.abc import Iterator
 from time import monotonic, sleep
 
 from seqmine.errors import DuplicateKeyError, NonIntegerTimeError, ParseError
-from seqmine.model import Alphabet, DataSequence, SequenceDatabase
+from seqmine.model import Alphabet, Columns, DataSequence, Run, SequenceDatabase
 
 
 def _not_utf8(char: str) -> str:
@@ -126,22 +130,60 @@ def _items(line_no: int, text: str, alphabet: Alphabet) -> set[int]:
 _SEQUENCE_FIELDS = "seq_id,time,items"
 
 
-def _sequence_row(line_no: int, fields: list[str], alphabet: Alphabet):
-    """(seq_id, time, item ids) of one sequence-CSV row."""
-    seq_id, time_text, items_text = fields
-    if not seq_id:
-        raise ParseError(line_no, "empty seq_id")
-    try:
-        time = _ascii_number(int, time_text)
-    except ValueError:
-        raise NonIntegerTimeError(line_no, f"time must be a base-10 integer, got {time_text!r}")
-    return seq_id, time, _items(line_no, items_text, alphabet)
+def _run(seq_id: str, by_time: dict[int, set[int]]) -> Run:
+    """``(seq_id, times, itemsets)`` of one sequence from its items per
+    time, transactions in time order."""
+    times = sorted(by_time)
+    return seq_id, tuple(times), tuple([tuple(sorted(by_time[time])) for time in times])
 
 
-def _build_sequence(seq_id: str, by_time: dict[int, set[int]]) -> DataSequence:
-    """A data-sequence from its items per time, transactions in time order."""
-    times = tuple(sorted(by_time))
-    return DataSequence(seq_id, times, tuple(tuple(sorted(by_time[time])) for time in times))
+def _runs(source, alphabet: Alphabet, contiguous: bool) -> Iterator[Run]:
+    """The one sequence-CSV reader: yield ``(seq_id, times, itemsets)`` for
+    each run of lines with one seq_id, as soon as the run ends, its
+    equal-time transactions merged. Only the current run is held. With
+    ``contiguous``, a seq_id whose run has ended is a ParseError where it
+    reappears; without, its new run is yielded as a run of its own."""
+    done: set[str] = set()
+    current: str | None = None
+    by_time: dict[int, set[int]] = {}
+    for line_no, (seq_id, time_text, items_text) in _rows(source, _SEQUENCE_FIELDS):
+        if not seq_id:
+            raise ParseError(line_no, "empty seq_id")
+        try:
+            time = _ascii_number(int, time_text)
+        except ValueError:
+            raise NonIntegerTimeError(line_no, f"time must be a base-10 integer, got {time_text!r}")
+        items = _items(line_no, items_text, alphabet)
+        if seq_id != current:
+            if current is not None:
+                yield _run(current, by_time)
+                if contiguous:
+                    done.add(current)
+            if seq_id in done:
+                raise ParseError(line_no, f"seq_id {seq_id!r} reappears after its run ended")
+            current = seq_id
+            by_time = {}
+        known = by_time.get(time)
+        if known is None:
+            by_time[time] = items
+        else:
+            known |= items
+    if current is not None:
+        yield _run(current, by_time)
+
+
+def _merged(columns: Columns) -> Iterator[Run]:
+    """The runs of ``columns`` with the runs of each seq_id merged into one
+    sequence, equal times united, in order of first appearance."""
+    parts: dict[str, list[Run]] = {}
+    for run in columns.runs():
+        parts.setdefault(run[0], []).append(run)
+    for seq_id, runs in parts.items():
+        by_time: dict[int, set[int]] = {}
+        for _, times, itemsets in runs:
+            for time, items in zip(times, itemsets):
+                by_time.setdefault(time, set()).update(items)
+        yield _run(seq_id, by_time)
 
 
 def load_sequence_db(source) -> SequenceDatabase:
@@ -149,14 +191,16 @@ def load_sequence_db(source) -> SequenceDatabase:
 
     ``source`` is the text as a str, or an iterable of its lines such as an
     open file; both give the same database and the same error line numbers.
+    Each run of lines is appended to the database's columns as it ends, so
+    no per-sequence object is built. A seq_id that reappears after its run
+    ended is merged into its earlier transactions and keeps the place of
+    its first appearance.
     """
     alphabet = Alphabet()
-    by_seq: dict[str, dict[int, set[int]]] = {}
-    for line_no, fields in _rows(source, _SEQUENCE_FIELDS):
-        seq_id, time, items = _sequence_row(line_no, fields, alphabet)
-        by_seq.setdefault(seq_id, {}).setdefault(time, set()).update(items)
-    sequences = tuple(_build_sequence(seq_id, by_time) for seq_id, by_time in by_seq.items())
-    return SequenceDatabase(sequences, alphabet)
+    columns = Columns.from_runs(_runs(source, alphabet, contiguous=False))
+    if len(set(columns.seq_ids)) != len(columns.seq_ids):
+        columns = Columns.from_runs(_merged(columns))
+    return SequenceDatabase.from_columns(columns, alphabet)
 
 
 def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[DataSequence]:
@@ -165,25 +209,11 @@ def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[DataSequence]:
     Transactions of one sequence must be contiguous; a sequence is emitted
     when its seq_id run ends. A seq_id reappearing later is an error. To
     detect that, the reader keeps the seq_id of every finished sequence, so
-    its memory grows by one id per sequence read; only the transactions of
-    the current sequence are held.
+    its memory grows by one id per sequence read; of the transactions, only
+    the current sequence's are held, as its items per time.
     """
-    current_id: str | None = None
-    by_time: dict[int, set[int]] = {}
-    done: set[str] = set()
-    for line_no, fields in _rows(source, _SEQUENCE_FIELDS):
-        seq_id, time, items = _sequence_row(line_no, fields, alphabet)
-        if seq_id != current_id:
-            if current_id is not None:
-                yield _build_sequence(current_id, by_time)
-                done.add(current_id)
-            if seq_id in done:
-                raise ParseError(line_no, f"seq_id {seq_id!r} reappears after its run ended")
-            current_id = seq_id
-            by_time = {}
-        by_time.setdefault(time, set()).update(items)
-    if current_id is not None:
-        yield _build_sequence(current_id, by_time)
+    for run in _runs(source, alphabet, contiguous=True):
+        yield DataSequence(*run)
 
 
 def serialize_sequence_db(db: SequenceDatabase) -> str:

@@ -58,10 +58,11 @@ class InsufficientHistoryError(SeqmineError):
 
 
 class ParseError(SeqmineError):
-    """A line of an input file could not be parsed."""
+    """A line of an input file could not be parsed, or, with ``line_no``
+    None, the file as a whole."""
 
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
+    def __init__(self, line_no: int | None, reason: str):
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
 

@@ -15,10 +15,16 @@ Counting works on one bit string for the whole database (SPAM's vertical
 bitmaps, Ayres et al., KDD 2002), held as a Python int so that one C-level
 big-int operation covers every sequence at once. Sequence s takes one bit
 per transaction, followed by one **sentinel** bit that no item ever sets.
-:func:`bit_layout` is the one reader of the gap rules: it builds the
-:class:`BitLayout` of a database, one int per item and the masks the rules
-come down to. A pattern's projection is then one int ``ends``: the
-positions where its last element can end, in every sequence at once.
+A database holds its sequences in that order as :class:`Columns`: flat
+``times`` and ``itemsets`` tuples with one entry per bit, a sentinel's
+entry included, beside each sequence's id and first position. The
+sequence-CSV loader fills the columns in one pass, and ``db.sequences``
+builds :class:`DataSequence` objects from them only when it is read.
+:func:`bit_layout` reads the columns and is the one reader of the gap
+rules: it builds the :class:`BitLayout` of a database, one int per item
+and the masks the rules come down to. A pattern's projection is then one
+int ``ends``: the positions where its last element can end, in every
+sequence at once.
 
 * :func:`count_sequences` counts the sequences with a bit in ``ends``:
   ``((ends | sentinels) - starts) & sentinels`` keeps a sequence's sentinel
@@ -31,19 +37,19 @@ positions where its last element can end, in every sequence at once.
   shift carried past a sentinel.
 
 :func:`contains` and :func:`support`, GSP and PrefixSpan all grow ``ends``
-with it. All types are immutable after construction and every function
-here is pure.
+with it. Every type is immutable after construction, a database's
+``sequences`` being built once, and every function here is pure.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import ge
+from operator import ge, sub
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -55,6 +61,8 @@ from seqmine.errors import (
 
 Itemset = tuple[int, ...]
 Pattern = tuple[Itemset, ...]
+# one data-sequence as (seq_id, times, itemsets)
+Run = tuple[str, tuple[int, ...], tuple[Itemset, ...]]
 
 
 class Alphabet:
@@ -137,20 +145,98 @@ class DataSequence:
                 raise ValueError(f"transaction items not strictly ascending: {items}")
 
 
-@dataclass(frozen=True)
+class Columns(namedtuple("Columns", "seq_ids firsts times itemsets")):
+    """Data-sequences as flat columns, the form the miners read.
+
+    ``seq_ids`` and ``firsts`` hold one entry per sequence: its id and the
+    position of its first transaction. ``times`` and ``itemsets`` hold one
+    entry per position: sequence s takes the positions from ``firsts[s]``
+    on, one per transaction in time order, then one **sentinel** entry
+    with time 0 and itemset ``()``. Position j is bit j of a
+    :class:`BitLayout`. All four are tuples.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[Run]) -> Columns:
+        """The columns of ``(seq_id, times, itemsets)`` runs, in order; the
+        runs are taken as they are, unchecked."""
+        seq_ids: list[str] = []
+        firsts: list[int] = []
+        times: list[int] = []
+        itemsets: list[Itemset] = []
+        for seq_id, run_times, run_itemsets in runs:
+            seq_ids.append(seq_id)
+            firsts.append(len(itemsets))
+            times += run_times
+            times.append(0)
+            itemsets += run_itemsets
+            itemsets.append(())
+        return cls(tuple(seq_ids), tuple(firsts), tuple(times), tuple(itemsets))
+
+    def sentinels(self) -> list[int]:
+        """The position of each sequence's sentinel."""
+        firsts = self.firsts
+        return [f - 1 for f in firsts[1:]] + [len(self.itemsets) - 1] if firsts else []
+
+    def runs(self) -> Iterator[Run]:
+        """``(seq_id, times, itemsets)`` of each sequence, in order."""
+        times, itemsets = self.times, self.itemsets
+        for seq_id, first, last in zip(self.seq_ids, self.firsts, self.sentinels()):
+            yield seq_id, times[first:last], itemsets[first:last]
+
+
+def columns_of(sequences: Iterable[DataSequence]) -> Columns:
+    """The columns of data-sequences, in order."""
+    return Columns.from_runs((seq.seq_id, seq.times, seq.itemsets) for seq in sequences)
+
+
 class SequenceDatabase:
-    """A set of data-sequences plus the symbol table their ids refer to."""
+    """Data-sequences held as :class:`Columns`, plus the symbol table their
+    ids refer to.
 
-    sequences: tuple[DataSequence, ...]
-    alphabet: Alphabet
+    ``SequenceDatabase(sequences, alphabet)`` flattens the data-sequences
+    once, and raises :class:`ValueError` for a repeated seq_id; a loader
+    that builds the columns itself hands them to :meth:`from_columns`.
+    ``sequences`` is the database as a tuple of :class:`DataSequence`,
+    built from the columns on first use; the miners never read it.
+    """
 
-    def __post_init__(self):
-        ids = [s.seq_id for s in self.sequences]
-        if len(set(ids)) != len(ids):
+    __slots__ = ("columns", "alphabet", "_sequences")
+
+    def __init__(self, sequences: Iterable[DataSequence], alphabet: Alphabet):
+        sequences = tuple(sequences)
+        self.columns = columns_of(sequences)
+        if len(set(self.columns.seq_ids)) != len(sequences):
             raise ValueError("duplicate seq_id in database")
+        self.alphabet = alphabet
+        self._sequences: tuple[DataSequence, ...] | None = sequences
+
+    @classmethod
+    def from_columns(cls, columns: Columns, alphabet: Alphabet) -> SequenceDatabase:
+        """A database over ``columns`` as they are: its sequences must be
+        valid data-sequences with distinct seq_ids."""
+        db = cls.__new__(cls)
+        db.columns, db.alphabet, db._sequences = columns, alphabet, None
+        return db
+
+    @property
+    def sequences(self) -> tuple[DataSequence, ...]:
+        if self._sequences is None:
+            self._sequences = tuple(DataSequence(*run) for run in self.columns.runs())
+        return self._sequences
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.columns.seq_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceDatabase):
+            return NotImplemented
+        return self.columns == other.columns and self.alphabet == other.alphabet
+
+    def __repr__(self) -> str:
+        return f"SequenceDatabase({self.sequences!r}, {self.alphabet!r})"
 
 
 def exact_fraction(x) -> Fraction:
@@ -260,7 +346,7 @@ def min_count(min_support, db_size: int) -> int:
 
 
 class BitLayout(namedtuple("BitLayout", "starts sentinels real items bounded steps")):
-    """A list of data-sequences as one bit string, with the gap rules as masks.
+    """A database's columns as one bit string, with the gap rules as masks.
 
     ``starts``, ``sentinels`` and ``real`` are ints used as bit sets,
     ``items`` maps each item id to its int, ``bounded`` is a bool and
@@ -286,12 +372,13 @@ def _int_of(bits: Iterable[int], size: int) -> int:
 
 
 def bit_layout(
-    sequences: Sequence[DataSequence],
+    columns: Columns,
     constraints: Constraints,
     items: Collection[int] | None = None,
 ) -> BitLayout:
-    """Lay ``sequences`` out as one bit string and turn the gap rules into
-    shift masks; ``items`` limits which item ints are built (default: all).
+    """Lay ``columns`` out as one bit string, bit j for position j, and turn
+    the gap rules into shift masks; ``items`` limits which item ints are
+    built (default: all).
 
     With ``max_gap`` or ``max_index_gap`` set, step k is allowed when the
     time from j - k to j lies in (min_gap, max_gap] and at most
@@ -302,13 +389,7 @@ def bit_layout(
     no ``min_gap`` at the very next one.
     """
     c = constraints
-    flat: list[Itemset] = []  # each bit's transaction; a sentinel's is empty
-    firsts, lasts = [], []
-    for seq in sequences:
-        firsts.append(len(flat))
-        flat.extend(seq.itemsets)
-        lasts.append(len(flat))
-        flat.append(())
+    flat = columns.itemsets  # each bit's transaction; a sentinel's is empty
     size = len(flat)
     positions: dict[int, list[int]] = {
         item: [] for item in (set().union(*flat) if items is None else items)
@@ -318,6 +399,7 @@ def bit_layout(
             found = positions.get(item)
             if found is not None:
                 found.append(j)
+    lasts = columns.sentinels()
     sentinels = _int_of(lasts, size)
     real = ((1 << size) - 1) ^ sentinels
 
@@ -333,14 +415,12 @@ def bit_layout(
         else:
             reach = c.min_gap + 1
         # each bit's time and index in its sequence; a sentinel's index is -1
-        times: list[int] = []
+        times = columns.times
         index: list[int] = []
-        for seq in sequences:
-            times.extend(seq.times)
-            times.append(0)
-            index.extend(range(len(seq.times)))
+        for first, last in zip(columns.firsts, lasts):
+            index.extend(range(last - first))
             index.append(-1)
-        longest = max((len(seq.times) for seq in sequences), default=0)
+        longest = max(map(sub, lasts, columns.firsts), default=0)
         steps = []
         for k in range(1, min(reach, longest - 1) + 1):
             marked = [
@@ -355,7 +435,7 @@ def bit_layout(
             if marked:
                 steps.append((k, _int_of(marked, size)))
     return BitLayout(
-        starts=_int_of(firsts, size),
+        starts=_int_of(columns.firsts, size),
         sentinels=sentinels,
         real=real,
         items={item: _int_of(bits, size) for item, bits in positions.items()},
@@ -411,7 +491,7 @@ def _count(pattern: Pattern, sequences: Sequence[DataSequence], constraints: Con
     of those that hold every item of it."""
     wanted = {item for element in pattern for item in element}
     holding = [seq for seq in sequences if wanted.issubset(chain.from_iterable(seq.itemsets))]
-    layout = bit_layout(holding, constraints, wanted)
+    layout = bit_layout(columns_of(holding), constraints, wanted)
     return count_sequences(_pattern_ends(pattern, layout), layout)
 
 
@@ -431,10 +511,10 @@ def support(
     pattern: Pattern, db: SequenceDatabase, constraints: Constraints | None = None
 ) -> SupportedPattern:
     """Count supporting data-sequences; each sequence contributes at most 1."""
-    if not db.sequences:
+    if not len(db):
         raise EmptyDatabaseError("support needs a non-empty database")
     count = _count(pattern, db.sequences, constraints or UNCONSTRAINED)
-    return SupportedPattern(pattern, count, count / len(db.sequences))
+    return SupportedPattern(pattern, count, count / len(db))
 
 
 def itemset_support(itemset: Itemset, transactions: Sequence[Itemset]) -> tuple[int, float]:

@@ -38,7 +38,7 @@ def load_results(source) -> list[ResultRecord]:
     rows = _rows(source, RESULTS_HEADER)
     header = next(rows, None)
     if header is None:
-        raise ParseError(0, "results file is empty")
+        raise ParseError(None, "results file is empty")
     line_no, fields = header
     if fields != RESULTS_HEADER.split(","):
         raise ParseError(line_no, f"expected header {RESULTS_HEADER!r}, got {','.join(fields)!r}")

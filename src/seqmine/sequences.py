@@ -66,8 +66,8 @@ from itertools import chain, combinations
 from seqmine.errors import EmptyDatabaseError
 from seqmine.model import (
     BitLayout,
+    Columns,
     Constraints,
-    DataSequence,
     Pattern,
     SequenceDatabase,
     SupportedPattern,
@@ -108,11 +108,13 @@ def _finalize(pairs: dict[Pattern, int], n: int, stats: MiningStats) -> MiningRe
 
 
 def _frequent_items(
-    sequences: Sequence[DataSequence], minc: int, stats: MiningStats
+    columns: Columns, minc: int, stats: MiningStats
 ) -> tuple[list[int], dict[Pattern, int]]:
     """Level 1: the frequent items (ascending) and each one's singleton
     pattern -> count. Every item seen counts as a candidate."""
-    counts = Counter(item for seq in sequences for item in set().union(*seq.itemsets))
+    flat = columns.itemsets
+    bounds = zip(columns.firsts, columns.sentinels())
+    counts = Counter(chain.from_iterable(set().union(*flat[first:last]) for first, last in bounds))
     stats.candidates_generated += len(counts)
     frequent = sorted(i for i, c in counts.items() if c >= minc)
     return frequent, {((i,),): counts[i] for i in frequent}
@@ -165,19 +167,19 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     item on narrow alphabets, the item's successor lists on wide ones.
     ``stats.database_passes`` counts one counting sweep per level attempted.
     """
-    if not db.sequences:
+    if not len(db):
         raise EmptyDatabaseError("gsp_mine needs a non-empty database")
-    n = len(db.sequences)
+    n = len(db)
     minc = min_count(constraints.min_support, n)
     max_len = constraints.max_length
     stats = MiningStats(database_passes=1)
 
-    frequent_items, frequent = _frequent_items(db.sequences, minc, stats)
+    frequent_items, frequent = _frequent_items(db.columns, minc, stats)
     if not frequent or max_len == 1:
         return _finalize(frequent, n, stats)
-    layout = bit_layout(db.sequences, constraints, frequent_items)
+    layout = bit_layout(db.columns, constraints, frequent_items)
     items = layout.items
-    pairs = _level2_candidates(db.sequences, frequent_items, layout, minc)
+    pairs = _level2_candidates(db.columns, frequent_items, layout, minc)
     # (pattern, its projection, its s- and i-candidates as (item, bits))
     level = [(((i,),), items[i], *pairs[i]) for i in frequent_items]
 
@@ -206,7 +208,7 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
 
 
 def _successors(
-    sequences: Sequence[DataSequence], minc: int, items: dict[int, int]
+    columns: Columns, minc: int, items: dict[int, int]
 ) -> tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]:
     """For each item ``a``, the items ``x`` that follow ``a`` and the items
     ``y > a`` that share a transaction with ``a``, each in at least ``minc``
@@ -214,13 +216,14 @@ def _successors(
     with an infrequent item clears ``minc``."""
     follows: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
     i_pairs: list[tuple[int, int]] = []
-    for seq in sequences:
+    flat = columns.itemsets
+    for start, stop in zip(columns.firsts, columns.sentinels()):
         later: set[int] = set()
         # item -> the items after its first occurrence (the last write wins),
         # kept as tuples: a small frozenset takes several times the memory
         firsts: dict[int, tuple[int, ...]] = {}
         pairs: set[tuple[int, int]] = set()
-        for txn in reversed(seq.itemsets):
+        for txn in reversed(flat[start:stop]):
             firsts.update(dict.fromkeys(txn, tuple(later)))
             later.update(txn)
             if len(txn) > 1:
@@ -250,7 +253,7 @@ _BITS_PER_VISIT = 1 << 14
 
 
 def _level2_candidates(
-    sequences: Sequence[DataSequence], frequent: list[int], layout: BitLayout, minc: int
+    columns: Columns, frequent: list[int], layout: BitLayout, minc: int
 ) -> dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
     """Each frequent item's level-2 candidates, as an (s-list, i-list) of
     ``(item, bits)`` for :func:`_children`.
@@ -271,12 +274,12 @@ def _level2_candidates(
     if len(frequent) ** 2 * layout.sentinels.bit_length() <= _BITS_PER_VISIT * visits:
         every = [(i, items[i]) for i in frequent]
         return {i: (every, every[k + 1:]) for k, i in enumerate(frequent)}
-    s_next, i_next = _successors(sequences, minc, items)
+    s_next, i_next = _successors(columns, minc, items)
     return {a: (s_next.get(a, []), i_next.get(a, [])) for a in frequent}
 
 
 def _prefixspan(
-    sequences: Sequence[DataSequence],
+    columns: Columns,
     minc: int,
     constraints: Constraints,
     stats: MiningStats | None = None,
@@ -299,12 +302,12 @@ def _prefixspan(
     stats = stats if stats is not None else MiningStats()
     max_len = constraints.max_length
 
-    frequent, found = _frequent_items(sequences, minc, stats)
+    frequent, found = _frequent_items(columns, minc, stats)
     if not frequent or max_len == 1:
         return found
-    layout = bit_layout(sequences, constraints, frequent)
+    layout = bit_layout(columns, constraints, frequent)
     items = layout.items
-    pairs = _level2_candidates(sequences, frequent, layout, minc)
+    pairs = _level2_candidates(columns, frequent, layout, minc)
 
     # (pattern, its item count, its projection or None at level 2)
     stack: list[tuple[Pattern, int, int | None]] = []
@@ -335,11 +338,11 @@ def _prefixspan(
 
 def prefixspan_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     """Pattern-growth mining; contract identical to :func:`gsp_mine`."""
-    if not db.sequences:
+    if not len(db):
         raise EmptyDatabaseError("prefixspan_mine needs a non-empty database")
-    n = len(db.sequences)
+    n = len(db)
     stats = MiningStats(database_passes=1)
-    found = _prefixspan(db.sequences, min_count(constraints.min_support, n), constraints, stats)
+    found = _prefixspan(db.columns, min_count(constraints.min_support, n), constraints, stats)
     return _finalize(found, n, stats)
 
 

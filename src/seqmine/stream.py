@@ -44,6 +44,7 @@ from seqmine.model import (
     DataSequence,
     Pattern,
     SupportedPattern,
+    columns_of,
     exact_fraction,
     pattern_sort_key,
 )
@@ -160,7 +161,8 @@ def _local_threshold(epsilon, batch_len: int) -> int:
 def _absorb_batch(state: StreamState, batch: Sequence[DataSequence], config: StreamConfig) -> None:
     eps = exact_fraction(config.epsilon)
     local_t = _local_threshold(eps, len(batch))
-    mined = _prefixspan(batch, local_t, Constraints(min_support=1.0, max_length=config.max_length))
+    constraints = Constraints(min_support=1.0, max_length=config.max_length)
+    mined = _prefixspan(columns_of(batch), local_t, constraints)
     insert_delta = math.floor(eps * state.sequences_seen)
     state.sequences_seen += len(batch)
     state.batches_seen += 1

@@ -162,6 +162,17 @@ class TestMineSeq:
         assert proc.returncode == 3
         assert proc.stderr == "error: --min-gap (3) must be < --max-gap (2)\n"
 
+    @pytest.mark.parametrize("content", ["", "# only a comment\n\n"], ids=["empty", "comment"])
+    @pytest.mark.parametrize("algo", ["gsp", "prefixspan"])
+    def test_no_data_line_exit_2(self, tmp_path, content, algo):
+        # the error names the input, not the miner that needs a sequence
+        path = tmp_path / "none.csv"
+        path.write_text(content)
+        proc = run_cli("mine-seq", str(path), "--min-support", "0.5", "--algo", algo)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path} has no data line\n"
+
     def test_unknown_algo_exit_3(self, db1_file):
         proc = run_cli("mine-seq", db1_file, "--min-support", "0.5", "--algo", "spade")
         assert proc.returncode == 3
@@ -670,6 +681,15 @@ class TestAnalyzeResults:
         proc = run_cli("analyze-results", str(path))
         assert proc.returncode == 2
         assert proc.stderr == "error: subject 'Y' has fewer than 2 years of data\n"
+
+    @pytest.mark.parametrize("content", ["", "# no header\n"], ids=["empty", "comment"])
+    def test_no_header_exit_2(self, tmp_path, content):
+        path = tmp_path / "results.csv"
+        path.write_text(content)
+        proc = run_cli("analyze-results", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: results file is empty\n"
 
     def test_malformed_bands_exit_3(self):
         proc = run_cli("analyze-results", "--bands", "70:C,50:F,85:B,100:A")

@@ -2,13 +2,16 @@
 
 import dataclasses
 import hashlib
+import re
+import tracemalloc
 from decimal import Decimal
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 
-from strategies import sequence_dbs
+from strategies import CONSTRAINT_GRID, sequence_dbs
+from synthetic import generate_db
 
 from seqmine.dataset import (
     _lines,
@@ -26,7 +29,7 @@ from seqmine.errors import (
     OutOfRangeError,
     ParseError,
 )
-from seqmine.model import Alphabet
+from seqmine.model import Alphabet, Columns, Constraints, DataSequence, bit_layout
 from seqmine.results import (
     DEFAULT_BANDS,
     bundled_results,
@@ -36,6 +39,7 @@ from seqmine.results import (
     parse_band_spec,
     trend,
 )
+from seqmine.sequences import gsp_mine, prefixspan_mine
 
 BUNDLED_SHA256 = "acfc1a223a8432f60619ef30f684be014e00abbc9d9486af4b68e5bb39574062"
 
@@ -112,6 +116,26 @@ class TestLoadSequenceDb:
                 with pytest.raises(ParseError, match="^line 4: expected"):
                     load_sequence_db(source)
 
+    def test_miners_read_only_the_columns(self):
+        db = load_sequence_db("s1,1,a\ns1,2,a b\ns2,1,b\ns2,3,a\n")
+        for mine in (gsp_mine, prefixspan_mine):
+            mine(db, Constraints(min_support=0.5))
+        assert db._sequences is None
+        assert [s.seq_id for s in db.sequences] == ["s1", "s2"]
+
+    def test_peak_memory_is_near_what_the_database_keeps(self):
+        # the loader holds one run of lines, not a dict per sequence and
+        # then the sequences and the columns besides
+        lines = serialize_sequence_db(generate_db(4000, seed=3)).splitlines()
+        tracemalloc.start()
+        try:
+            db = load_sequence_db(lines)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(db) == 4000
+        assert peak <= 2.5 * kept
+
     @given(sequence_dbs())
     def test_serialize_load_round_trip(self, db):
         text = serialize_sequence_db(db)
@@ -180,6 +204,166 @@ class TestIterSequenceDb:
             list(iter_sequence_db("s1,1,a\ns2,1,b\ns1,2,c", alphabet))
 
 
+# A sequence-CSV reader written out here, apart from seqmine.dataset, as the
+# loader used to work: every row into a dict of sequences, each a dict of
+# times to item sets.
+
+# one line of each error kind: field count, seq_id, time, items
+BAD_LINES = ["s1,2", " ,2,a", "s1,1.5,a", "s1,2, "]
+
+
+def reference_error(line):
+    """What is wrong with a line that is not blank or a comment, or None."""
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) != 3:
+        return f"expected 'seq_id,time,items', got {line!r}"
+    seq_id, time_text, items_text = fields
+    if not seq_id:
+        return "empty seq_id"
+    if not re.fullmatch(r"[+-]?[0-9]+", time_text):
+        return f"time must be a base-10 integer, got {time_text!r}"
+    if not items_text.split():
+        return "transaction has no items"
+    return None
+
+
+def reference_rows(text):
+    """The rows of ``text`` before its first bad line, each as (line_no,
+    seq_id, time, item ids), the tokens in intern order, and the first bad
+    line's (line_no, message), or None."""
+    tokens: dict[str, int] = {}
+    rows = []
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        error = reference_error(line)
+        if error is not None:
+            return rows, list(tokens), (line_no, error)
+        seq_id, time_text, items_text = [f.strip() for f in line.split(",")]
+        ids = {tokens.setdefault(token, len(tokens)) for token in items_text.split()}
+        rows.append((line_no, seq_id, int(time_text), ids))
+    return rows, list(tokens), None
+
+
+def reference_sequence(seq_id, by_time):
+    times = sorted(by_time)
+    return seq_id, tuple(times), tuple(tuple(sorted(by_time[t])) for t in times)
+
+
+def reference_load(rows):
+    """(seq_id, times, itemsets) per sequence, in order of first appearance."""
+    by_seq: dict[str, dict[int, set[int]]] = {}
+    for _, seq_id, time, ids in rows:
+        by_seq.setdefault(seq_id, {}).setdefault(time, set()).update(ids)
+    return [reference_sequence(seq_id, by_time) for seq_id, by_time in by_seq.items()]
+
+
+def reference_iter(rows, error):
+    """The sequences a contiguous reader yields before it stops, and its
+    error: a reappearing seq_id, or else the first bad line."""
+    out, done, current, by_time = [], set(), None, {}
+    for line_no, seq_id, time, ids in rows:
+        if seq_id != current:
+            if current is not None:
+                out.append(reference_sequence(current, by_time))
+                done.add(current)
+            if seq_id in done:
+                return out, (line_no, f"seq_id {seq_id!r} reappears after its run ended")
+            current, by_time = seq_id, {}
+        by_time.setdefault(time, set()).update(ids)
+    if current is not None and error is None:
+        out.append(reference_sequence(current, by_time))
+    return out, error
+
+
+def reference_columns(sequences):
+    """The columns of data-sequences, flattened here: each sequence's
+    transactions, then a sentinel."""
+    seq_ids, firsts, times, itemsets = [], [], [], []
+    for seq in sequences:
+        seq_ids.append(seq.seq_id)
+        firsts.append(len(itemsets))
+        times.extend(seq.times + (0,))
+        itemsets.extend(seq.itemsets + ((),))
+    return Columns(tuple(seq_ids), tuple(firsts), tuple(times), tuple(itemsets))
+
+
+@st.composite
+def sequence_csv(draw, bad=True):
+    """Sequence-CSV text: runs of rows with repeated and unsorted times, the
+    rows maybe shuffled (so seq_ids reappear), padded fields, comments,
+    blank lines, one line break throughout, and with ``bad`` up to two bad
+    lines."""
+    rows = []
+    for s in range(draw(st.integers(0, 5))):
+        for _ in range(draw(st.integers(1, 4))):
+            time = draw(st.integers(-2, 5))
+            tokens = st.sampled_from(["a", "b", "c", "dd", "e"])
+            items = draw(st.lists(tokens, min_size=1, max_size=3))
+            pad = draw(st.sampled_from(["", " "]))
+            rows.append(f"{pad}s{s}{pad},{time},{pad}{' '.join(items)}")
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["", "# s9,1,z", "  "]))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    if bad:
+        for _ in range(draw(st.integers(0, 2))):
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(BAD_LINES)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(rows)
+
+
+def loaded_or_error(load, text):
+    try:
+        return load(text), None
+    except ParseError as exc:
+        return None, (exc.line_no, exc.reason)
+
+
+class TestLoaderAgainstReference:
+    @settings(max_examples=200)
+    @given(sequence_csv())
+    def test_load_matches_the_reference(self, text):
+        rows, tokens, error = reference_rows(text)
+        db, got_error = loaded_or_error(load_sequence_db, text)
+        assert got_error == error
+        if error is None:
+            assert [(s.seq_id, s.times, s.itemsets) for s in db.sequences] == reference_load(rows)
+            assert list(db.alphabet.tokens()) == tokens
+            assert len(db) == len(db.sequences)
+
+    @settings(max_examples=200)
+    @given(sequence_csv())
+    def test_iter_matches_the_reference(self, text):
+        rows, _, error = reference_rows(text)
+        want, want_error = reference_iter(rows, error)
+        got, got_error = [], None
+        try:
+            for seq in iter_sequence_db(text, Alphabet()):
+                got.append((seq.seq_id, seq.times, seq.itemsets))
+        except ParseError as exc:
+            got_error = (exc.line_no, exc.reason)
+        assert got == want
+        assert got_error == want_error
+
+    @settings(max_examples=30)
+    @given(sequence_csv(bad=False))
+    def test_layout_matches_a_layout_of_the_reference(self, text):
+        rows, _, _ = reference_rows(text)
+        columns = load_sequence_db(text).columns
+        want = reference_columns([DataSequence(*seq) for seq in reference_load(rows)])
+        assert columns == want
+        for constraints in CONSTRAINT_GRID:
+            assert bit_layout(columns, constraints) == bit_layout(want, constraints)
+
+    @given(sequence_csv(bad=False))
+    def test_iter_equals_load_on_contiguous_input(self, text):
+        rows, _, _ = reference_rows(text)
+        assume(reference_iter(rows, None)[1] is None)
+        assert tuple(iter_sequence_db(text, Alphabet())) == load_sequence_db(text).sequences
+
+
 class TestLoadTransactions:
     def test_basic(self):
         transactions, alphabet = load_transactions("t1,a b c\nt2,b a")
@@ -244,8 +428,10 @@ class TestLoadResults:
             load_results("2003,X,50")
 
     def test_empty_file_rejected(self):
-        with pytest.raises(ParseError):
-            load_results("")
+        # no line to name: the file has none that is not blank or a comment
+        for text in ("", "# year,subject_code,pass_pct\n\n"):
+            with pytest.raises(ParseError, match="^results file is empty$"):
+                load_results(text)
 
 
 class TestBands:

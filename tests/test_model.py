@@ -24,6 +24,7 @@ from seqmine.model import (
     SequenceDatabase,
     bit_layout,
     canonicalize,
+    columns_of,
     contains,
     count_sequences,
     extend,
@@ -179,7 +180,7 @@ def one_by_one(db, constraints):
     layout of the whole database."""
     first = 0
     for seq in db.sequences:
-        yield first, bit_layout((seq,), constraints)
+        yield first, bit_layout(columns_of((seq,)), constraints)
         first += len(seq.itemsets) + 1
 
 
@@ -195,7 +196,7 @@ class TestBitLayout:
             ),
             Alphabet(["a", "b", "c"]),
         )
-        layout = bit_layout(db.sequences, Constraints())
+        layout = bit_layout(db.columns, Constraints())
         assert layout.starts == 0b0010001
         assert layout.sentinels == 0b1001000
         assert layout.real == 0b0110111
@@ -207,7 +208,7 @@ class TestBitLayout:
         # may follow it there
         assert extend(layout.items[A], layout) == 0b0000110
         # only the items asked for get an int
-        assert bit_layout(db.sequences, Constraints(), {C}).items == {C: 0b0000100}
+        assert bit_layout(db.columns, Constraints(), {C}).items == {C: 0b0000100}
 
     @pytest.mark.parametrize(
         "constraints, allowed",
@@ -222,13 +223,13 @@ class TestBitLayout:
     )
     def test_extend_applies_each_rule(self, constraints, allowed):
         seq = make_sequence("s0", (1, (A,)), (2, (B,)), (3, (B,)), (4, (B,)), (6, (B,)))
-        layout = bit_layout((seq,), constraints)
+        layout = bit_layout(columns_of((seq,)), constraints)
         assert extend(0b00001, layout) == allowed
 
     @pytest.mark.parametrize("constraints", CONSTRAINT_GRID)
     def test_single_transaction_sequences_extend_to_nothing(self, constraints):
         seqs = tuple(make_sequence(f"s{k}", (k + 1, (A, B))) for k in range(5))
-        layout = bit_layout(seqs, constraints)
+        layout = bit_layout(columns_of(seqs), constraints)
         assert layout.real == 0b0101010101
         assert count_sequences(layout.real, layout) == 5
         assert extend(layout.real, layout) == 0
@@ -237,7 +238,7 @@ class TestBitLayout:
     @given(sequence_dbs(max_seqs=5, max_txns=6), constraint_grid(), st.data())
     def test_sequences_never_reach_each_other(self, db, constraints, data):
         # each sequence's segment of extend() depends on that segment alone
-        whole = bit_layout(db.sequences, constraints)
+        whole = bit_layout(db.columns, constraints)
         ends = data.draw(st.integers(0, whole.real)) & whole.real
         allowed = extend(ends, whole)
         count = 0

@@ -16,6 +16,7 @@ from seqmine.model import (
     Constraints,
     SequenceDatabase,
     bit_layout,
+    columns_of,
     count_sequences,
     extend,
     min_count,
@@ -171,7 +172,7 @@ class TestPrefixspanMine:
 
     @given(sequence_dbs(), constraint_grid())
     def test_result_is_parents_first(self, db, constraints):
-        found = list(_prefixspan(db.sequences, 1, constraints))
+        found = list(_prefixspan(db.columns, 1, constraints))
         seen = set()
         for pattern in found:
             parent = delete_last_item(pattern)
@@ -224,9 +225,9 @@ def level2(db, constraints):
     """How many level-2 candidates the step hands out, and what the
     frequent ones count."""
     minc = min_count(constraints.min_support, len(db.sequences))
-    frequent, _ = _frequent_items(db.sequences, minc, MiningStats())
-    layout = bit_layout(db.sequences, constraints, frequent)
-    candidates = _level2_candidates(db.sequences, frequent, layout, minc)
+    frequent, _ = _frequent_items(db.columns, minc, MiningStats())
+    layout = bit_layout(db.columns, constraints, frequent)
+    candidates = _level2_candidates(db.columns, frequent, layout, minc)
     found = {
         child: count
         for a in frequent
@@ -298,7 +299,7 @@ def agrees_with_brute(db, constraints):
 
 
 def layout_of(*seqs, constraints=Constraints()):
-    return bit_layout(seqs, constraints)
+    return bit_layout(columns_of(seqs), constraints)
 
 
 class TestItemRows:

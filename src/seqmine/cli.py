@@ -110,6 +110,8 @@ def _cmd_mine_itemsets(args) -> int:
     if args.min_confidence is not None:
         _check_fraction(args.min_confidence, "--min-confidence")
     transactions, alphabet = dataset.load_transactions(dataset.read_lines(args.input))
+    if not transactions:
+        raise InputError(f"{args.input} has no data line")
     frequent = _cli.mine_frequent_itemsets(transactions, args.min_support)
     lines = textfmt.frequent_itemset_lines(frequent, alphabet)
     if args.min_confidence is not None:

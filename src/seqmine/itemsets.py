@@ -17,8 +17,8 @@ itemsets; time plays no role.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 
@@ -31,19 +31,8 @@ from seqmine.errors import (
 from seqmine.model import Itemset, exact_fraction, min_count
 
 
-@dataclass(frozen=True)
-class FrequentItemset:
-    itemset: Itemset
-    count: int
-    support: float
-
-
-@dataclass(frozen=True)
-class AssociationRule:
-    antecedent: Itemset
-    consequent: Itemset
-    support: float
-    confidence: float
+FrequentItemset = namedtuple("FrequentItemset", "itemset count support")
+AssociationRule = namedtuple("AssociationRule", "antecedent consequent support confidence")
 
 
 def generate_candidates(frequent_prev: Sequence[Itemset]) -> list[Itemset]:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import ge, sub
@@ -116,22 +115,36 @@ def anonymous_alphabet(size: int) -> Alphabet:
     return Alphabet(f"item{i}" for i in range(size))
 
 
-@dataclass(frozen=True)
-class DataSequence:
-    """The transactions of one entity, as parallel ``times`` and ``itemsets``.
+class _Checked:
+    """Base of a named tuple that checks its fields when it is built: the
+    subclass's ``_check`` raises for an invalid instance. namedtuple's
+    ``_replace`` builds through ``_make``, so it checks too."""
 
-    Construction (and ``dataclasses.replace``) raises
-    :class:`EmptyElementError` for a sequence with no transactions or an
-    empty itemset, and :class:`ValueError` when an itemset is not strictly
-    ascending, the times do not strictly increase, or the two tuples differ
-    in length.
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class DataSequence(_Checked, namedtuple("DataSequence", "seq_id times itemsets")):
+    """The transactions of one entity, as parallel ``times`` and ``itemsets``:
+    a ``(seq_id, times, itemsets)`` :data:`Run`.
+
+    Construction (and ``_replace``) raises :class:`EmptyElementError` for a
+    sequence with no transactions or an empty itemset, and
+    :class:`ValueError` when an itemset is not strictly ascending, the times
+    do not strictly increase, or the two tuples differ in length.
     """
 
-    seq_id: str
-    times: tuple[int, ...]
-    itemsets: tuple[Itemset, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.itemsets:
             raise EmptyElementError(f"data-sequence {self.seq_id!r} has no transactions")
         if len(self.times) != len(self.itemsets):
@@ -187,11 +200,6 @@ class Columns(namedtuple("Columns", "seq_ids firsts times itemsets")):
             yield seq_id, times[first:last], itemsets[first:last]
 
 
-def columns_of(sequences: Iterable[DataSequence]) -> Columns:
-    """The columns of data-sequences, in order."""
-    return Columns.from_runs((seq.seq_id, seq.times, seq.itemsets) for seq in sequences)
-
-
 class SequenceDatabase:
     """Data-sequences held as :class:`Columns`, plus the symbol table their
     ids refer to.
@@ -207,7 +215,7 @@ class SequenceDatabase:
 
     def __init__(self, sequences: Iterable[DataSequence], alphabet: Alphabet):
         sequences = tuple(sequences)
-        self.columns = columns_of(sequences)
+        self.columns = Columns.from_runs(sequences)
         if len(set(self.columns.seq_ids)) != len(sequences):
             raise ValueError("duplicate seq_id in database")
         self.alphabet = alphabet
@@ -260,8 +268,14 @@ def exact_fraction(x) -> Fraction:
     return exact.limit_denominator(10**9) or exact
 
 
-@dataclass(frozen=True)
-class Constraints:
+class Constraints(
+    _Checked,
+    namedtuple(
+        "Constraints",
+        "min_support min_gap max_gap max_index_gap max_length",
+        defaults=(1.0, 0, None, None, None),
+    ),
+):
     """Mining parameters: a support threshold plus containment constraints.
 
     ``min_gap`` is an exclusive lower bound and ``max_gap`` an inclusive upper
@@ -270,19 +284,14 @@ class Constraints:
     them; ``max_length`` caps the number of items in a pattern. ``None``
     means unbounded.
 
-    Construction (and ``dataclasses.replace``) raises
-    :class:`InvalidConstraintsError` for an inconsistent set and
-    :class:`InvalidThresholdError` for a non-finite ``min_support``, so every
-    instance is valid.
+    Construction (and ``_replace``) raises :class:`InvalidConstraintsError`
+    for an inconsistent set and :class:`InvalidThresholdError` for a
+    non-finite ``min_support``, so every instance is valid.
     """
 
-    min_support: float = 1.0
-    min_gap: int = 0
-    max_gap: int | None = None
-    max_index_gap: int | None = None
-    max_length: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         ms = exact_fraction(self.min_support)
         if not 0 < ms <= 1:
             raise InvalidConstraintsError(f"min_support must be in (0, 1], got {self.min_support}")
@@ -306,13 +315,10 @@ class Constraints:
 UNCONSTRAINED = Constraints()
 
 
-@dataclass(frozen=True)
-class SupportedPattern:
+class SupportedPattern(namedtuple("SupportedPattern", "pattern count support")):
     """A pattern together with how many data-sequences contain it."""
 
-    pattern: Pattern
-    count: int
-    support: float
+    __slots__ = ()
 
 
 def canonicalize(raw_pattern: Sequence[Sequence[int]]) -> Pattern:
@@ -491,7 +497,7 @@ def _count(pattern: Pattern, sequences: Sequence[DataSequence], constraints: Con
     of those that hold every item of it."""
     wanted = {item for element in pattern for item in element}
     holding = [seq for seq in sequences if wanted.issubset(chain.from_iterable(seq.itemsets))]
-    layout = bit_layout(columns_of(holding), constraints, wanted)
+    layout = bit_layout(Columns.from_runs(holding), constraints, wanted)
     return count_sequences(_pattern_ends(pattern, layout), layout)
 
 

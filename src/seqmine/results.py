@@ -12,25 +12,18 @@ bundled tables reproduce bit-exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 
 from seqmine.dataset import _ascii_number, _rows
 from seqmine.errors import DuplicateKeyError, InsufficientHistoryError, OutOfRangeError, ParseError
-from seqmine.model import Alphabet, DataSequence, SequenceDatabase
+from seqmine.model import Alphabet, DataSequence, SequenceDatabase, _Checked
 
 BUNDLED_RESULTS = "university_results.csv"
-
-
-@dataclass(frozen=True)
-class ResultRecord:
-    year: int
-    subject_code: str
-    pass_pct: Decimal
-
-
 RESULTS_HEADER = "year,subject_code,pass_pct"
+
+ResultRecord = namedtuple("ResultRecord", "year subject_code pass_pct")
 
 
 def load_results(source) -> list[ResultRecord]:
@@ -81,20 +74,19 @@ def bundled_results() -> list[ResultRecord]:
     return load_results(bundled_results_text())
 
 
-@dataclass(frozen=True)
-class BandScheme:
+class BandScheme(_Checked, namedtuple("BandScheme", "bins")):
     """Half-open bins over [0, 100]; the final bound is inclusive.
 
     ``bins`` is an ascending tuple of (upper_bound, label): a value v maps
     to the first bin with v < upper_bound, except that the last bin also
-    takes v == 100. Construction (and ``dataclasses.replace``) raises
+    takes v == 100. Construction (and ``_replace``) raises
     :class:`ValueError` unless there is at least one bin, no bound is NaN,
     the bounds strictly increase and the final bound is 100.
     """
 
-    bins: tuple[tuple[Decimal, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.bins:
             raise ValueError("band scheme needs at least one bin")
         bounds = [b for b, _ in self.bins]
@@ -150,18 +142,8 @@ def discretize(records: Sequence[ResultRecord], scheme: BandScheme = DEFAULT_BAN
     return SequenceDatabase(tuple(sequences), alphabet)
 
 
-@dataclass(frozen=True)
-class TrendRow:
-    year: int
-    pass_pct: Decimal
-    delta: Decimal | None
-    direction: str | None
-
-
-@dataclass(frozen=True)
-class TrendSummary:
-    per_subject: dict[str, list[TrendRow]]
-    anomalies: list[tuple[str, int, Decimal]]
+TrendRow = namedtuple("TrendRow", "year pass_pct delta direction")
+TrendSummary = namedtuple("TrendSummary", "per_subject anomalies")
 
 
 def trend(records: Sequence[ResultRecord], anomaly_threshold: Decimal = Decimal("20.0")) -> TrendSummary:

@@ -58,9 +58,8 @@ unbounded. Every candidate is verified by counting anyway.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, combinations
 
 from seqmine.errors import EmptyDatabaseError
@@ -80,16 +79,26 @@ from seqmine.model import (
 )
 
 
-@dataclass
 class MiningStats:
-    candidates_generated: int = 0
-    database_passes: int = 0
+    """What a miner did: candidates counted and passes over the database."""
+
+    __slots__ = ("candidates_generated", "database_passes")
+
+    def __init__(self, candidates_generated: int = 0, database_passes: int = 0):
+        self.candidates_generated = candidates_generated
+        self.database_passes = database_passes
+
+    def __repr__(self) -> str:
+        return (
+            f"MiningStats(candidates_generated={self.candidates_generated}, "
+            f"database_passes={self.database_passes})"
+        )
 
 
-@dataclass
-class MiningResult:
-    patterns: list[SupportedPattern]
-    stats: MiningStats
+class MiningResult(namedtuple("MiningResult", "patterns stats")):
+    """A miner's patterns, sorted by length then pattern, and its stats."""
+
+    __slots__ = ()
 
 
 def _delete_first_item(pattern: Pattern) -> Pattern:

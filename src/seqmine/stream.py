@@ -35,16 +35,17 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import ItemsView, Iterable, Iterator, Sequence, ValuesView
-from dataclasses import dataclass, field
 
 from seqmine.errors import BadBatchSizeError, InvalidStreamConfigError
 from seqmine.model import (
+    Columns,
     Constraints,
     DataSequence,
     Pattern,
     SupportedPattern,
-    columns_of,
+    _Checked,
     exact_fraction,
     pattern_sort_key,
 )
@@ -117,22 +118,19 @@ class PatternTree:
         return total
 
 
-@dataclass(frozen=True)
-class StreamConfig:
+class StreamConfig(
+    _Checked, namedtuple("StreamConfig", "sigma epsilon batch_size max_length", defaults=(5,))
+):
     """Stream parameters; epsilon < sigma is what makes the guarantees work.
 
-    Construction (and ``dataclasses.replace``) raises
-    :class:`InvalidStreamConfigError` for out-of-range values and
-    :class:`InvalidThresholdError` for a non-finite sigma or epsilon, so
-    every instance is valid.
+    Construction (and ``_replace``) raises :class:`InvalidStreamConfigError`
+    for out-of-range values and :class:`InvalidThresholdError` for a
+    non-finite sigma or epsilon, so every instance is valid.
     """
 
-    sigma: float
-    epsilon: float
-    batch_size: int
-    max_length: int = 5
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         sigma = exact_fraction(self.sigma)
         epsilon = exact_fraction(self.epsilon)
         if not 0 < sigma <= 1:
@@ -147,11 +145,17 @@ class StreamConfig:
             raise InvalidStreamConfigError(f"max_length must be >= 1, got {self.max_length}")
 
 
-@dataclass
 class StreamState:
-    tree: PatternTree = field(default_factory=PatternTree)
-    sequences_seen: int = 0
-    batches_seen: int = 0
+    """The tracked patterns, and the sequences and batches mined so far."""
+
+    __slots__ = ("tree", "sequences_seen", "batches_seen")
+
+    def __init__(
+        self, tree: PatternTree | None = None, sequences_seen: int = 0, batches_seen: int = 0
+    ):
+        self.tree = tree if tree is not None else PatternTree()
+        self.sequences_seen = sequences_seen
+        self.batches_seen = batches_seen
 
 
 def _local_threshold(epsilon, batch_len: int) -> int:
@@ -162,7 +166,7 @@ def _absorb_batch(state: StreamState, batch: Sequence[DataSequence], config: Str
     eps = exact_fraction(config.epsilon)
     local_t = _local_threshold(eps, len(batch))
     constraints = Constraints(min_support=1.0, max_length=config.max_length)
-    mined = _prefixspan(columns_of(batch), local_t, constraints)
+    mined = _prefixspan(Columns.from_runs(batch), local_t, constraints)
     insert_delta = math.floor(eps * state.sequences_seen)
     state.sequences_seen += len(batch)
     state.batches_seen += 1
@@ -212,13 +216,7 @@ def flush(
     return query_output(state, config)
 
 
-@dataclass
-class StreamReport:
-    final: bool
-    batches: int
-    sequences: int
-    tree_nodes: int
-    patterns: list[SupportedPattern]
+StreamReport = namedtuple("StreamReport", "final batches sequences tree_nodes patterns")
 
 
 def replay(

@@ -78,12 +78,15 @@ class TestMineItemsets:
         assert proc.stderr.startswith("error:")
         assert "--min-support" in proc.stderr
 
-    def test_empty_file_exits_2(self, tmp_path):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        proc = run_cli("mine-itemsets", str(empty), "--min-support", "0.5")
+    @pytest.mark.parametrize("content", ["", "# only a comment\n\n"], ids=["empty", "comment"])
+    def test_no_data_line_exit_2(self, tmp_path, content):
+        # the error names the input, not the miner that needs a transaction
+        path = tmp_path / "none.csv"
+        path.write_text(content)
+        proc = run_cli("mine-itemsets", str(path), "--min-support", "0.5")
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {path} has no data line\n"
 
     def test_missing_file_exits_2(self):
         proc = run_cli("mine-itemsets", "/nonexistent.csv", "--min-support", "0.5")
@@ -612,16 +615,11 @@ def imported_modules(*args, python_flags=()):
 def test_command_loads_only_the_modules_it_runs(tmp_path, command, content, flags, absent):
     path = tmp_path / "input.csv"
     path.write_text(content)
-    loaded = imported_modules(command, str(path), *flags)
+    # -S: no site-packages .pth file imports a standard module before seqmine does
+    loaded = imported_modules(command, str(path), *flags, python_flags=("-S",))
     assert "seqmine.cli" in loaded
     assert not loaded & absent
-
-
-def test_mine_seq_loads_no_typing_pathlib_or_resources(db1_file):
-    # -S: no site-packages .pth file imports any of these before seqmine does
-    loaded = imported_modules("mine-seq", db1_file, "--min-support", "0.5", python_flags=("-S",))
-    assert "seqmine.sequences" in loaded
-    assert not loaded & {"typing", "pathlib", "importlib.resources"}
+    assert not loaded & {"dataclasses", "inspect", "typing", "pathlib", "importlib.resources"}
 
 
 class TestAnalyzeResults:

@@ -1,6 +1,5 @@
 """File formats, the bundled results data, discretization, trends."""
 
-import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -462,11 +461,11 @@ class TestBands:
         with pytest.raises(ValueError, match="^band bounds must be numbers"):
             parse_band_spec(f"{bound}:F,100:A")
         with pytest.raises(ValueError, match="^band bounds must be numbers"):
-            dataclasses.replace(DEFAULT_BANDS, bins=((Decimal(bound), "A"),))
+            DEFAULT_BANDS._replace(bins=((Decimal(bound), "A"),))
 
     def test_replace_checks_like_construction(self):
         with pytest.raises(ValueError, match="^band scheme needs at least one bin$"):
-            dataclasses.replace(DEFAULT_BANDS, bins=())
+            DEFAULT_BANDS._replace(bins=())
 
 
 class TestDiscretize:

@@ -1,6 +1,5 @@
 """Core model: canonicalization, containment, support counting."""
 
-import dataclasses
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -19,12 +18,13 @@ from seqmine.errors import (
 )
 from seqmine.model import (
     Alphabet,
+    Columns,
     Constraints,
     DataSequence,
     SequenceDatabase,
+    SupportedPattern,
     bit_layout,
     canonicalize,
-    columns_of,
     contains,
     count_sequences,
     extend,
@@ -180,7 +180,7 @@ def one_by_one(db, constraints):
     layout of the whole database."""
     first = 0
     for seq in db.sequences:
-        yield first, bit_layout(columns_of((seq,)), constraints)
+        yield first, bit_layout(Columns.from_runs((seq,)), constraints)
         first += len(seq.itemsets) + 1
 
 
@@ -223,13 +223,13 @@ class TestBitLayout:
     )
     def test_extend_applies_each_rule(self, constraints, allowed):
         seq = make_sequence("s0", (1, (A,)), (2, (B,)), (3, (B,)), (4, (B,)), (6, (B,)))
-        layout = bit_layout(columns_of((seq,)), constraints)
+        layout = bit_layout(Columns.from_runs((seq,)), constraints)
         assert extend(0b00001, layout) == allowed
 
     @pytest.mark.parametrize("constraints", CONSTRAINT_GRID)
     def test_single_transaction_sequences_extend_to_nothing(self, constraints):
         seqs = tuple(make_sequence(f"s{k}", (k + 1, (A, B))) for k in range(5))
-        layout = bit_layout(columns_of(seqs), constraints)
+        layout = bit_layout(Columns.from_runs(seqs), constraints)
         assert layout.real == 0b0101010101
         assert count_sequences(layout.real, layout) == 5
         assert extend(layout.real, layout) == 0
@@ -296,9 +296,9 @@ class TestConstraints:
     def test_replace_checks_like_construction(self):
         valid = Constraints(0.5, max_gap=3)
         with pytest.raises(InvalidConstraintsError, match=r"^min_gap \(3\) must be < max_gap \(3\)$"):
-            dataclasses.replace(valid, min_gap=3)
+            valid._replace(min_gap=3)
         with pytest.raises(InvalidThresholdError, match="^threshold must be a finite number, got nan$"):
-            dataclasses.replace(valid, min_support=float("nan"))
+            valid._replace(min_support=float("nan"))
 
     @given(sequence_dbs())
     def test_tightening_never_increases_support(self, db):
@@ -398,10 +398,24 @@ def test_data_sequence_validation(times, itemsets, error):
         DataSequence("s", times, itemsets)
     valid = DataSequence("s", (1, 2, 3), ((A,), (A, B), (C,)))
     with pytest.raises(error):
-        dataclasses.replace(valid, times=times, itemsets=itemsets)
+        valid._replace(times=times, itemsets=itemsets)
 
 
 def test_sequence_database_rejects_duplicate_seq_id():
     twins = (make_sequence("s1", (1, (A,))), make_sequence("s1", (2, (B,))))
     with pytest.raises(ValueError, match="duplicate seq_id"):
         SequenceDatabase(twins, Alphabet(["a", "b"]))
+
+
+def test_records_are_named_tuples():
+    sp = SupportedPattern(((A,),), 2, 0.5)
+    assert repr(sp) == "SupportedPattern(pattern=((0,),), count=2, support=0.5)"
+    # a record is a tuple of its fields, and ``count`` is the field, not tuple.count
+    assert sp == (((A,),), 2, 0.5)
+    pattern, count, fraction = sp
+    assert (pattern, count, fraction) == (sp.pattern, sp.count, sp.support)
+    assert sp._replace(count=3) == (((A,),), 3, 0.5)
+    with pytest.raises(ValueError, match=r"unexpected field names: \['size'\]"):
+        sp._replace(size=3)
+    with pytest.raises(ValueError, match="unexpected field names"):
+        Constraints(0.5)._replace(max_gaps=3)

@@ -1,7 +1,5 @@
 """GSP-style and pattern-growth miners, plus the closed-pattern filter."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 
@@ -13,10 +11,10 @@ from seqmine import sequences
 from seqmine.errors import EmptyDatabaseError, InvalidConstraintsError
 from seqmine.model import (
     Alphabet,
+    Columns,
     Constraints,
     SequenceDatabase,
     bit_layout,
-    columns_of,
     count_sequences,
     extend,
     min_count,
@@ -299,7 +297,7 @@ def agrees_with_brute(db, constraints):
 
 
 def layout_of(*seqs, constraints=Constraints()):
-    return bit_layout(columns_of(seqs), constraints)
+    return bit_layout(Columns.from_runs(seqs), constraints)
 
 
 class TestItemRows:
@@ -390,7 +388,7 @@ class TestItemRows:
         db = SequenceDatabase(seqs, Alphabet(["a", "b", "c"]))
         assert support(((A,), (B,)), db, constraints).count == 0
         assert support(((A,), (B, C)), db, constraints).count == 0
-        everything = dataclasses.replace(constraints, min_support=1 / len(seqs))
+        everything = constraints._replace(min_support=1 / len(seqs))
         for mine in (gsp_mine, prefixspan_mine):
             got = dict(pairs(mine(db, everything)))
             assert not any(p[0] == (A,) and len(p) > 1 for p in got)

@@ -1,6 +1,5 @@
 """Batched one-pass stream mining: bounds, guarantees, bookkeeping."""
 
-import dataclasses
 import math
 import random
 
@@ -74,7 +73,7 @@ class TestConfig:
             InvalidStreamConfigError,
             match=r"^epsilon must be in \(0, sigma\), got epsilon=0.6 sigma=0.5$",
         ):
-            dataclasses.replace(StreamConfig(0.5, 0.1, 2), epsilon=0.6)
+            StreamConfig(0.5, 0.1, 2)._replace(epsilon=0.6)
 
 
 class TestProcessBatch:

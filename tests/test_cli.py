@@ -622,6 +622,13 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, command, content, flag
     assert not loaded & {"dataclasses", "inspect", "typing", "pathlib", "importlib.resources"}
 
 
+def test_mine_seq_loads_no_typing_pathlib_or_resources(db1_file):
+    # -S: no site-packages .pth file imports any of these before seqmine does
+    loaded = imported_modules("mine-seq", db1_file, "--min-support", "0.5", python_flags=("-S",))
+    assert "seqmine.sequences" in loaded
+    assert not loaded & {"typing", "pathlib", "importlib.resources"}
+
+
 class TestAnalyzeResults:
     def test_bundled_five_svgs(self, tmp_path):
         plot_dir = tmp_path / "plots"

@@ -15,10 +15,11 @@ take ASCII digits only.
 * sequence-CSV: one transaction per line, ``seq_id,time,items`` with
   space-separated item tokens and a base-10 integer time. Lines may arrive
   unsorted; equal-time transactions of one sequence are merged. One reader,
-  :func:`_runs`, serves both loaders: it holds only the current run of
-  lines with one seq_id. :func:`load_sequence_db` appends each run to the
-  database's columns and :func:`iter_sequence_db` yields it as a
-  :class:`DataSequence`.
+  :func:`_runs`, serves both loaders: of the lines it holds only the
+  current run with one seq_id, and it parses each distinct items and time
+  field once while that stays in a table of at most ``_TABLE_SIZE``
+  entries. :func:`load_sequence_db` appends each run to the database's
+  columns and :func:`iter_sequence_db` yields it as a :class:`DataSequence`.
 * transactions-CSV: ``txn_id,items``, each txn_id non-empty and unique.
 """
 
@@ -114,7 +115,7 @@ def _rows(source, fields: str) -> Iterator[tuple[int, list[str]]]:
         yield line_no, [*map(str.strip, parts)]
 
 
-def _items(line_no: int, text: str, alphabet: Alphabet) -> set[int]:
+def _items(line_no: int, text: str, alphabet: Alphabet) -> frozenset[int]:
     """The ids of a space-separated item field, interned in token order."""
     tokens = text.split()
     if not tokens:
@@ -122,41 +123,68 @@ def _items(line_no: int, text: str, alphabet: Alphabet) -> set[int]:
     # Nearly every line holds only known tokens, and these are looked up in
     # C; a line with a new token interns all its tokens in order instead.
     try:
-        return set(map(alphabet._id_by_token.__getitem__, tokens))
+        return frozenset(map(alphabet._id_by_token.__getitem__, tokens))
     except KeyError:
-        return {alphabet.intern(t) for t in tokens}
+        return frozenset([alphabet.intern(t) for t in tokens])
 
 
 _SEQUENCE_FIELDS = "seq_id,time,items"
 
 
-def _run(seq_id: str, by_time: dict[int, set[int]]) -> Run:
+# Each table a call of _runs keeps is emptied when it holds this many
+# entries, so the reader's memory stays bounded when every field differs.
+_TABLE_SIZE = 1 << 12
+
+
+def _kept(table: dict, key, value):
+    """Store ``value`` under ``key``, emptying a full ``table`` first."""
+    if len(table) >= _TABLE_SIZE:
+        table.clear()
+    table[key] = value
+    return value
+
+
+def _run(seq_id: str, by_time: dict[int, frozenset[int]], tuples: dict) -> Run:
     """``(seq_id, times, itemsets)`` of one sequence from its items per
-    time, transactions in time order."""
+    time, transactions in time order. ``tuples`` maps each itemset met to
+    its sorted tuple, so equal transactions share one."""
     times = sorted(by_time)
-    return seq_id, tuple(times), tuple([tuple(sorted(by_time[time])) for time in times])
+    itemsets = [
+        tuples.get(s) or _kept(tuples, s, tuple(sorted(s))) for s in map(by_time.get, times)
+    ]
+    return seq_id, tuple(times), tuple(itemsets)
 
 
 def _runs(source, alphabet: Alphabet, contiguous: bool) -> Iterator[Run]:
     """The one sequence-CSV reader: yield ``(seq_id, times, itemsets)`` for
     each run of lines with one seq_id, as soon as the run ends, its
-    equal-time transactions merged. Only the current run is held. With
-    ``contiguous``, a seq_id whose run has ended is a ParseError where it
-    reappears; without, its new run is yielded as a run of its own."""
+    equal-time transactions merged. Of the lines, only the current run is
+    held. Each call also keeps three tables, each of at most
+    ``_TABLE_SIZE`` entries: items field -> its ids, time field -> its int,
+    and merged itemset -> its tuple. With ``contiguous``, a seq_id whose
+    run has ended is a ParseError where it reappears; without, its new run
+    is yielded as a run of its own."""
     done: set[str] = set()
     current: str | None = None
-    by_time: dict[int, set[int]] = {}
+    by_time: dict[int, frozenset[int]] = {}
+    ids: dict[str, frozenset[int]] = {}
+    ints: dict[str, int] = {}
+    tuples: dict[frozenset[int], tuple[int, ...]] = {}
     for line_no, (seq_id, time_text, items_text) in _rows(source, _SEQUENCE_FIELDS):
         if not seq_id:
             raise ParseError(line_no, "empty seq_id")
-        try:
-            time = _ascii_number(int, time_text)
-        except ValueError:
-            raise NonIntegerTimeError(line_no, f"time must be a base-10 integer, got {time_text!r}")
-        items = _items(line_no, items_text, alphabet)
+        time = ints.get(time_text)
+        if time is None:
+            try:
+                time = _kept(ints, time_text, _ascii_number(int, time_text))
+            except ValueError:
+                raise NonIntegerTimeError(
+                    line_no, f"time must be a base-10 integer, got {time_text!r}"
+                )
+        items = ids.get(items_text) or _kept(ids, items_text, _items(line_no, items_text, alphabet))
         if seq_id != current:
             if current is not None:
-                yield _run(current, by_time)
+                yield _run(current, by_time, tuples)
                 if contiguous:
                     done.add(current)
             if seq_id in done:
@@ -164,12 +192,9 @@ def _runs(source, alphabet: Alphabet, contiguous: bool) -> Iterator[Run]:
             current = seq_id
             by_time = {}
         known = by_time.get(time)
-        if known is None:
-            by_time[time] = items
-        else:
-            known |= items
+        by_time[time] = items if known is None else known | items
     if current is not None:
-        yield _run(current, by_time)
+        yield _run(current, by_time, tuples)
 
 
 def _merged(columns: Columns) -> Iterator[Run]:
@@ -178,12 +203,13 @@ def _merged(columns: Columns) -> Iterator[Run]:
     parts: dict[str, list[Run]] = {}
     for run in columns.runs():
         parts.setdefault(run[0], []).append(run)
+    tuples: dict[frozenset[int], tuple[int, ...]] = {}
     for seq_id, runs in parts.items():
-        by_time: dict[int, set[int]] = {}
+        by_time: dict[int, frozenset[int]] = {}
         for _, times, itemsets in runs:
             for time, items in zip(times, itemsets):
-                by_time.setdefault(time, set()).update(items)
-        yield _run(seq_id, by_time)
+                by_time[time] = by_time.get(time, frozenset()).union(items)
+        yield _run(seq_id, by_time, tuples)
 
 
 def load_sequence_db(source) -> SequenceDatabase:
@@ -210,7 +236,8 @@ def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[DataSequence]:
     when its seq_id run ends. A seq_id reappearing later is an error. To
     detect that, the reader keeps the seq_id of every finished sequence, so
     its memory grows by one id per sequence read; of the transactions, only
-    the current sequence's are held, as its items per time.
+    the current sequence's are held, as its items per time, besides the
+    reader's three tables of at most ``_TABLE_SIZE`` entries each.
     """
     for run in _runs(source, alphabet, contiguous=True):
         yield DataSequence(*run)

@@ -8,7 +8,8 @@ candidates from:
   pattern's candidates are the frequent children of its first-item
   deletion (GSP's join).
 * :func:`prefixspan_mine` grows patterns depth-first; a pattern's
-  candidates are the frequent level-2 children of its last item.
+  candidates are the frequent level-2 children of its last item that its
+  parent's frequent children allow.
 
 Everything else is shared: :func:`_frequent_items` counts level 1,
 :func:`_level2_candidates` gives each frequent item its level-2
@@ -53,13 +54,23 @@ PrefixSpan counts level 2 for every item before it grows any deeper
 pattern, then tests only the ``x`` and ``y`` whose 2-pattern was frequent.
 Those lists are counted under the gap rules, so they are never looser than
 the successor lists (which ignore gaps), and equal them when gaps are
-unbounded. Every candidate is verified by counting anyway.
+unbounded. PrefixSpan then intersects them with what the parent P (the
+pattern minus its last item y) allows, as in SPAM's S-step and I-step
+pruning (Ayres et al., KDD 2002). Counting P gives S(P) and I(P), the items
+that extended P frequently as a new element and into its last element.
+Deleting y from an element that keeps other items changes no gap, so a
+child made by joining y to P's last element takes new elements from S(P)
+and items into its last element from I(P); a child made by adding ``(y)``
+takes items into ``(y)`` from S(P). Deleting ``(y)`` from that child's
+s-extension, though, removes a middle element and fuses two gaps, so S(P)
+bounds its new elements only when neither max_gap nor max_index_gap is set.
+Every candidate is verified by counting anyway.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from itertools import chain, combinations
 
 from seqmine.errors import EmptyDatabaseError
@@ -137,14 +148,15 @@ def _children(
     layout: BitLayout,
     minc: int,
     stats: MiningStats,
-) -> Iterator[tuple[Pattern, int, int]]:
+) -> list[tuple[Pattern, int, int]]:
     """Count ``pattern`` grown by each ``(item, bits)`` candidate, as a new
     trailing element (``s_items``) or into its last element (``i_items``,
-    items above the last one); yield each frequent child as
+    items above the last one); return the frequent children as
     ``(child, count, child_ends)``, s-extensions first, each list in order.
     ``ends`` is the pattern's projection."""
     stats.candidates_generated += len(s_items) + len(i_items)
     allowed = extend(ends, layout) if s_items else 0
+    grown = []
     for new_element, base, candidates in ((True, allowed, s_items), (False, ends, i_items)):
         for item, bits in candidates:
             child_ends = base & bits
@@ -156,7 +168,8 @@ def _children(
                         child = pattern + ((item,),)
                     else:
                         child = pattern[:-1] + (pattern[-1] + (item,),)
-                    yield child, count, child_ends
+                    grown.append((child, count, child_ends))
+    return grown
 
 
 def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
@@ -287,6 +300,38 @@ def _level2_candidates(
     return {a: (s_next.get(a, []), i_next.get(a, [])) for a in frequent}
 
 
+class _Listed(dict):
+    """Item mask -> the ``(item, bits)`` of each item in it, ascending: the
+    candidate list :func:`_children` takes, built on first use."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items: dict[int, int]):
+        self.items = items
+
+    def __missing__(self, mask: int) -> list[tuple[int, int]]:
+        got = self[mask] = []
+        while mask:
+            item = (mask & -mask).bit_length() - 1
+            got.append((item, self.items[item]))
+            mask ^= 1 << item
+        return got
+
+
+def _added(children: list[tuple[Pattern, int, int]], found: dict[Pattern, int]) -> tuple[int, int]:
+    """Store each child's count in ``found``; return the items the children
+    add, as masks: S as new elements and I into the last element."""
+    s_found = i_found = 0
+    for child, count, _ in children:
+        found[child] = count
+        last = child[-1]
+        if len(last) > 1:
+            i_found |= 1 << last[-1]
+        else:
+            s_found |= 1 << last[0]
+    return s_found, i_found
+
+
 def _prefixspan(
     columns: Columns,
     minc: int,
@@ -296,13 +341,16 @@ def _prefixspan(
     """Pattern-growth over bit-string projections; returns pattern -> count.
 
     Level 2 is counted first, for every frequent item, from
-    :func:`_level2_candidates`. A deeper pattern whose last item is ``a``
-    then hands only ``a``'s frequent level-2 children to :func:`_children`,
-    the counting step GSP uses too; that bound is sound under every gap
-    rule (see the module docstring). A stack entry is a pattern, its item
-    count and its projection ``ends``. A level-2 entry holds ``None``, and
-    its projection is rebuilt from item bits when it is popped, so the
-    level-2 projections are never all held at once. Every pattern is added
+    :func:`_level2_candidates`; item y's frequent level-2 children are kept
+    as two item masks, ``bs[y]`` as new elements and ``bi[y]`` into y's
+    element. A stack entry is a pattern, its item count, its projection
+    ``ends``, and S and I of its parent (see :func:`_added`). A level-2
+    entry holds ``None`` as its projection, which is rebuilt from item bits
+    when it is popped, so the level-2 projections are never all held at
+    once. A popped pattern with last item y ANDs its parent's masks with
+    ``bs[y]`` and ``bi[y]`` as the module docstring says, and hands the
+    items left to :func:`_children`, the counting step GSP uses too; each
+    mask's candidate list is built once per call. Every pattern is added
     after its parent (the pattern minus its last item), so the result is
     parents-first. No caller reads that order: the stream's table stays
     prefix-closed because a mined pattern's parent is mined too, with at
@@ -317,30 +365,28 @@ def _prefixspan(
     layout = bit_layout(columns, constraints, frequent)
     items = layout.items
     pairs = _level2_candidates(columns, frequent, layout, minc)
-
-    # (pattern, its item count, its projection or None at level 2)
-    stack: list[tuple[Pattern, int, int | None]] = []
-    # item -> its frequent level-2 children's (s-list, i-list) of (item, bits)
-    bounds: dict[int, tuple[list, list]] = {}
+    bs, bi, listed = {}, {}, _Listed(items)
+    # (pattern, its item count, its projection or None at level 2, its parent's S, I)
+    stack: list[tuple[Pattern, int, int | None, int, int]] = []
     for a in frequent:
-        bounds[a] = grown = ([], [])
-        for child, count, _ in _children(((a,),), items[a], *pairs[a], layout, minc, stats):
-            found[child] = count
-            last = child[-1]
-            grown[len(last) > 1].append((last[-1], items[last[-1]]))
-            if max_len is None or max_len > 2:
-                stack.append((child, 2, None))
+        children = _children(((a,),), items[a], *pairs[a], layout, minc, stats)
+        bs[a], bi[a] = _added(children, found)
+        if max_len is None or max_len > 2:
+            stack += [(child, 2, None, bs[a], bi[a]) for child, _, _ in children]
     while stack:
-        pattern, plen, ends = stack.pop()
+        pattern, plen, ends, s_found, i_found = stack.pop()
+        y = pattern[-1][-1]
         if ends is None:
             first = items[pattern[0][0]]
-            ends = (extend(first, layout) if len(pattern) == 2 else first) & items[pattern[-1][-1]]
-        for child, count, child_ends in _children(
-            pattern, ends, *bounds[pattern[-1][-1]], layout, minc, stats
-        ):
-            found[child] = count
-            if max_len is None or plen + 1 < max_len:
-                stack.append((child, plen + 1, child_ends))
+            ends = (extend(first, layout) if len(pattern) == 2 else first) & items[y]
+        if len(pattern[-1]) > 1:  # an i-step child
+            s_mask, i_mask = s_found & bs[y], i_found & bi[y]
+        else:  # an s-step child: S(P) bounds its s-steps only on unbounded gaps
+            s_mask, i_mask = (bs[y] if layout.bounded else s_found & bs[y]), s_found & bi[y]
+        children = _children(pattern, ends, listed[s_mask], listed[i_mask], layout, minc, stats)
+        s_found, i_found = _added(children, found)
+        if max_len is None or plen + 1 < max_len:
+            stack += [(c, plen + 1, c_ends, s_found, i_found) for c, _, c_ends in children]
 
     return found
 

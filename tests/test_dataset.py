@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from strategies import CONSTRAINT_GRID, sequence_dbs
 from synthetic import generate_db
 
+from seqmine import dataset
 from seqmine.dataset import (
     _lines,
     _rows,
@@ -361,6 +362,73 @@ class TestLoaderAgainstReference:
         rows, _, _ = reference_rows(text)
         assume(reference_iter(rows, None)[1] is None)
         assert tuple(iter_sequence_db(text, Alphabet())) == load_sequence_db(text).sequences
+
+
+class TestParseTables:
+    """The reader parses each distinct items field and time field once per
+    call, and shares one tuple among equal itemsets; each table is emptied
+    at ``dataset._TABLE_SIZE`` entries."""
+
+    def test_equal_itemsets_are_one_object(self):
+        # {a b} is written twice and merged once from two lines
+        text = "s1,1,a b\ns1,2,b a\ns2,1,b\ns2,5,a\ns2,5,b\ns3,4,b\n"
+        loaded = [itemset for itemset in load_sequence_db(text).columns.itemsets if itemset]
+        streamed = [i for seq in iter_sequence_db(text, Alphabet()) for i in seq.itemsets]
+        for itemsets in (loaded, streamed):
+            assert (itemsets.count((0, 1)), itemsets.count((1,))) == (3, 2)
+            first: dict[tuple[int, ...], tuple[int, ...]] = {}
+            assert all(first.setdefault(itemset, itemset) is itemset for itemset in itemsets)
+
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            ("s1,1,a b\ns1,x,a b", NonIntegerTimeError, "line 2: time must be a base-10"),
+            ("s1,1,a\ns2,1, ", ParseError, "line 2: transaction has no items"),
+            ("s1,1,a\n,1,a", ParseError, "line 2: empty seq_id"),
+        ],
+        ids=["known-items-bad-time", "known-time-no-items", "known-fields-no-seq-id"],
+    )
+    def test_bad_line_beside_known_fields_names_its_line(self, text, kind, message):
+        for read in (load_sequence_db, lambda t: list(iter_sequence_db(t, Alphabet()))):
+            with pytest.raises(kind, match=f"^{message}"):
+                read(text)
+
+    def test_more_distinct_fields_than_a_table_holds(self):
+        # every time and items text recurs only after the tables were
+        # emptied, so each is parsed again and must give the same ids
+        period = dataset._TABLE_SIZE + 5
+        lines = [
+            f"s{i // 4},{i % (period + 2)},t{i % period} u{i % period % 5}"
+            for i in range(3 * period)
+        ]
+        text = "\n".join(lines)
+        rows, tokens, error = reference_rows(text)
+        assert error is None
+        db = load_sequence_db(text)
+        want = reference_load(rows)
+        assert db.columns == reference_columns([DataSequence(*seq) for seq in want])
+        assert list(db.alphabet.tokens()) == tokens
+        assert [tuple(seq) for seq in iter_sequence_db(text, Alphabet())] == want
+
+    def test_iter_peak_memory_does_not_grow_with_distinct_times(self):
+        # against the same seq_ids with two repeated times, what distinct
+        # times add is one full time table, whatever the input's length
+        def extra(n):
+            distinct = [f"s{i // 2},{i},a b" for i in range(n)]
+            repeated = [f"s{i // 2},{i % 2},a b" for i in range(n)]
+            peaks = []
+            for lines in (distinct, repeated):
+                tracemalloc.start()
+                try:
+                    for _ in iter_sequence_db(lines, Alphabet()):
+                        pass
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return peaks[0] - peaks[1]
+
+        size = dataset._TABLE_SIZE
+        assert extra(6 * size) - extra(2 * size) < 16 * size
 
 
 class TestLoadTransactions:

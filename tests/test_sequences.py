@@ -1,5 +1,6 @@
 """GSP-style and pattern-growth miners, plus the closed-pattern filter."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -188,16 +189,16 @@ class TestPrefixspanMine:
         [
             (HALF, 17),
             (Constraints(min_support=0.5, max_gap=1, max_length=3), 16),
-            (Constraints(min_support=0.25, max_length=4), 51),
+            (Constraints(min_support=0.25, max_length=4), 38),
         ],
         ids=["unbounded", "max-gap-1", "quarter-len-4"],
     )
     def test_candidates_generated_pinned(self, db1, constraints, candidates):
         # the three items, then every pair of frequent items (three items
         # are a narrow alphabet), then for each deeper pattern the frequent
-        # level-2 children of its last item: s-candidates count even when
-        # the pattern ends at the last transaction of every sequence it
-        # occurs in
+        # level-2 children of its last item that its parent's frequent
+        # children allow: s-candidates count even when the pattern ends at
+        # the last transaction of every sequence it occurs in
         assert prefixspan_mine(db1, constraints).stats.candidates_generated == candidates
 
 
@@ -252,12 +253,32 @@ class TestLevel2Candidates:
         assert found == {p: c for p, c in expected if pattern_length(p) == 2}
 
     @pytest.mark.parametrize(
-        "db, constraints, candidates",
+        "db, constraints, gsp, prefixspan",
         [
-            (FOUR_ITEMS, CONSTRAINT_GRID[0], {"pairs": 64, "successors": 53}),
-            (FOUR_ITEMS, CONSTRAINT_GRID[1], {"pairs": 26, "successors": 15}),
-            (SIX_ITEMS, CONSTRAINT_GRID[0], {"pairs": 108, "successors": 90}),
-            (SIX_ITEMS, CONSTRAINT_GRID[1], {"pairs": 41, "successors": 23}),
+            (
+                FOUR_ITEMS,
+                CONSTRAINT_GRID[0],
+                {"pairs": 64, "successors": 53},
+                {"pairs": 57, "successors": 46},
+            ),
+            (
+                FOUR_ITEMS,
+                CONSTRAINT_GRID[1],
+                {"pairs": 26, "successors": 15},
+                {"pairs": 26, "successors": 15},
+            ),
+            (
+                SIX_ITEMS,
+                CONSTRAINT_GRID[0],
+                {"pairs": 108, "successors": 90},
+                {"pairs": 94, "successors": 76},
+            ),
+            (
+                SIX_ITEMS,
+                CONSTRAINT_GRID[1],
+                {"pairs": 41, "successors": 23},
+                {"pairs": 41, "successors": 23},
+            ),
         ],
         ids=[
             "four-items-unbounded",
@@ -266,28 +287,66 @@ class TestLevel2Candidates:
             "six-items-max-gap-1",
         ],
     )
-    def test_candidates_generated_pinned(self, db, constraints, candidates, side):
-        # both miners count the same level 2; from level 3 on GSP's join and
-        # PrefixSpan's level-2 bound happen to test the same candidates here
-        assert gsp_mine(db, constraints).stats.candidates_generated == candidates[side]
-        assert prefixspan_mine(db, constraints).stats.candidates_generated == candidates[side]
+    def test_candidates_generated_pinned(self, db, constraints, gsp, prefixspan, side):
+        # both miners count the same level 2. From level 3 on GSP tests its
+        # join and PrefixSpan the level-2 children of the last item that the
+        # parent's frequent children allow; under max_gap an s-step child's
+        # s-steps keep the whole level-2 bound, and the two test the same
+        # candidates here
+        assert gsp_mine(db, constraints).stats.candidates_generated == gsp[side]
+        assert prefixspan_mine(db, constraints).stats.candidates_generated == prefixspan[side]
 
     @pytest.mark.parametrize(
-        "min_support, every_pair, candidates",
-        [(0.005, False, 5976), (0.0075, True, 20835)],
+        "min_support, every_pair, gsp_candidates, prefixspan_candidates",
+        [(0.005, False, 5976, 1703), (0.0075, True, 20835, 19737)],
         ids=["wide", "narrow"],
     )
-    def test_side_follows_the_alphabet_width(self, min_support, every_pair, candidates):
+    def test_side_follows_the_alphabet_width(
+        self, min_support, every_pair, gsp_candidates, prefixspan_candidates
+    ):
         constraints = Constraints(min_support=min_support, max_length=3)
         gsp = gsp_mine(WIDE_ALPHABET, constraints)
         prefixspan = prefixspan_mine(WIDE_ALPHABET, constraints)
         assert pairs(gsp) == pairs(prefixspan)
-        assert gsp.stats.candidates_generated == candidates
-        assert prefixspan.stats.candidates_generated == candidates
+        assert gsp.stats.candidates_generated == gsp_candidates
+        assert prefixspan.stats.candidates_generated == prefixspan_candidates
         got, found = level2(WIDE_ALPHABET, constraints)
         assert got == every_pair
         mined = {sp.pattern: sp.count for sp in gsp.patterns if pattern_length(sp.pattern) == 2}
         assert found == mined
+
+
+class TestParentBound:
+    """From level 3 on, PrefixSpan tests only the candidates its parent's
+    frequent children allow. A pattern whose parent was itself bounded that
+    way first appears at four items, the oracle's cap."""
+
+    @settings(max_examples=300)
+    @given(sequence_dbs(), constraint_grid(), st.sampled_from([0.25, 0.5]), st.booleans())
+    def test_depth_four_agrees_with_brute(self, db, constraints, min_support, successors):
+        constraints = constraints._replace(min_support=min_support, max_length=4)
+        expected = [(sp.pattern, sp.count) for sp in brute_sequences(db, constraints)]
+        with pytest.MonkeyPatch.context() as patch:
+            if successors:
+                patch.setattr(sequences, "_BITS_PER_VISIT", 0)
+            assert pairs(gsp_mine(db, constraints)) == expected
+            assert pairs(prefixspan_mine(db, constraints)) == expected
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [Constraints(min_support=1.0, max_gap=1), Constraints(min_support=1.0, max_index_gap=0)],
+        ids=["max-gap-1", "max-index-gap-0"],
+    )
+    def test_s_step_child_keeps_its_level2_s_bound_under_bounded_gaps(self, constraints):
+        # <(a)(b)(c)> is frequent but <(a)(c)> is not: deleting the middle
+        # element fuses two gaps of 1 into one of 2. So <(a)(b)>'s s-steps
+        # are not bounded by <(a)>'s frequent s-children, which hold only b
+        seq = make_sequence("s0", (1, (A,)), (2, (B,)), (3, (C,)))
+        db = SequenceDatabase((seq,), Alphabet(["a", "b", "c"]))
+        got = agrees_with_brute(db, constraints._replace(max_length=3))
+        assert got[((A,), (B,), (C,))] == 1
+        assert ((A,), (C,)) not in got
+        assert pairs(gsp_mine(db, constraints)) == pairs(prefixspan_mine(db, constraints))
 
 
 def agrees_with_brute(db, constraints):

@@ -19,7 +19,8 @@ take ASCII digits only.
   current run with one seq_id, and it parses each distinct items and time
   field once while that stays in a table of at most ``_TABLE_SIZE``
   entries. :func:`load_sequence_db` appends each run to the database's
-  columns and :func:`iter_sequence_db` yields it as a :class:`DataSequence`.
+  columns and :func:`iter_sequence_db` yields it as it is: a valid run,
+  not checked again.
 * transactions-CSV: ``txn_id,items``, each txn_id non-empty and unique.
 """
 
@@ -31,7 +32,7 @@ from collections.abc import Iterator
 from time import monotonic, sleep
 
 from seqmine.errors import DuplicateKeyError, NonIntegerTimeError, ParseError
-from seqmine.model import Alphabet, Columns, DataSequence, Run, SequenceDatabase
+from seqmine.model import Alphabet, Columns, Run, SequenceDatabase
 
 
 def _not_utf8(char: str) -> str:
@@ -229,8 +230,9 @@ def load_sequence_db(source) -> SequenceDatabase:
     return SequenceDatabase.from_columns(columns, alphabet)
 
 
-def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[DataSequence]:
-    """Incremental sequence-CSV reader for stream replay.
+def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[Run]:
+    """Incremental sequence-CSV reader for stream replay: yields the
+    reader's ``(seq_id, times, itemsets)`` runs as they come.
 
     Transactions of one sequence must be contiguous; a sequence is emitted
     when its seq_id run ends. A seq_id reappearing later is an error. To
@@ -239,8 +241,7 @@ def iter_sequence_db(source, alphabet: Alphabet) -> Iterator[DataSequence]:
     the current sequence's are held, as its items per time, besides the
     reader's three tables of at most ``_TABLE_SIZE`` entries each.
     """
-    for run in _runs(source, alphabet, contiguous=True):
-        yield DataSequence(*run)
+    return _runs(source, alphabet, contiguous=True)
 
 
 def serialize_sequence_db(db: SequenceDatabase) -> str:

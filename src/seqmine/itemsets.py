@@ -28,7 +28,7 @@ from seqmine.errors import (
     MissingSubsetSupportError,
     MixedSizesError,
 )
-from seqmine.model import Itemset, exact_fraction, min_count
+from seqmine.model import Itemset, exact_fraction, item_ints, min_count
 
 
 FrequentItemset = namedtuple("FrequentItemset", "itemset count support")
@@ -78,8 +78,9 @@ def mine_frequent_itemsets(
 ) -> list[FrequentItemset]:
     """All itemsets whose count meets ceil(min_support * |transactions|).
 
-    Level 1 gives each item the bitmask of the transactions whose item set
-    holds it, so unsorted or repeated items in a transaction count once.
+    Level 1 gives each item the bitmask of the transactions that hold it,
+    from :func:`seqmine.model.item_ints`, so unsorted or repeated items in
+    a transaction count once.
     Level m takes its candidates from :func:`generate_candidates` (so every
     (m-1)-subset of a counted candidate is frequent; the subset without the
     first item is checked first, the middle ones only from m = 4 up) and
@@ -95,18 +96,7 @@ def mine_frequent_itemsets(
     n = len(transactions)
     minc = min_count(min_support, n)
 
-    # one byte row per item, set in place: OR-ing bits into a growing int
-    # would copy the int once per transaction, quadratic in len(transactions)
-    rows: dict[int, bytearray] = {}
-    for j, t in enumerate(transactions):
-        byte, bit = j >> 3, 1 << (j & 7)
-        for item in set(t):
-            row = rows.get(item)
-            if row is None:
-                row = rows[item] = bytearray((n + 7) // 8)
-            row[byte] |= bit
-    masks = {(item,): int.from_bytes(row, "little") for item, row in rows.items()}
-    masks = {i: mask for i, mask in masks.items() if mask.bit_count() >= minc}
+    masks = {(i,): mask for i, mask in item_ints(transactions).items() if mask.bit_count() >= minc}
     frequent = {i: mask.bit_count() for i, mask in masks.items()}
 
     while masks:

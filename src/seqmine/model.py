@@ -20,11 +20,14 @@ A database holds its sequences in that order as :class:`Columns`: flat
 entry included, beside each sequence's id and first position. The
 sequence-CSV loader fills the columns in one pass, and ``db.sequences``
 builds :class:`DataSequence` objects from them only when it is read.
-:func:`bit_layout` reads the columns and is the one reader of the gap
-rules: it builds the :class:`BitLayout` of a database, one int per item
-and the masks the rules come down to. A pattern's projection is then one
-int ``ends``: the positions where its last element can end, in every
-sequence at once.
+:func:`item_ints` is the one builder of per-item bitmaps: in one scan of
+a sequence of rows it gives each item met the int of the rows that hold
+it. :func:`bit_layout` reads the columns and is the one reader of the gap
+rules: it builds the :class:`BitLayout` of a database, an int for every
+item from :func:`item_ints` and the masks the rules come down to, so the
+sequence miners read each item's support off its int. A pattern's
+projection is then one int ``ends``: the positions where its last
+element can end, in every sequence at once.
 
 * :func:`count_sequences` counts the sequences with a bit in ``ends``:
   ``((ends | sentinels) - starts) & sentinels`` keeps a sequence's sentinel
@@ -37,15 +40,16 @@ sequence at once.
   shift carried past a sentinel.
 
 :func:`contains` and :func:`support`, GSP and PrefixSpan all grow ``ends``
-with it. Every type is immutable after construction, a database's
-``sequences`` being built once, and every function here is pure.
+with it; the itemset miner takes its level-1 masks from :func:`item_ints`.
+Every type is immutable after construction, a database's ``sequences``
+being built once, and every function here is pure.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain
 from operator import ge, sub
@@ -377,14 +381,30 @@ def _int_of(bits: Iterable[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def bit_layout(
-    columns: Columns,
-    constraints: Constraints,
-    items: Collection[int] | None = None,
-) -> BitLayout:
-    """Lay ``columns`` out as one bit string, bit j for position j, and turn
-    the gap rules into shift masks; ``items`` limits which item ints are
-    built (default: all).
+def item_ints(rows: Sequence[Iterable[int]]) -> dict[int, int]:
+    """Each item met in ``rows`` -> its int, with bit j set where ``rows[j]``
+    holds the item; an item repeated in a row sets its bit once.
+
+    The bits go into one byte row per item, set in place during the one
+    scan: OR-ing them into a growing int would copy the int once per row,
+    quadratic in ``len(rows)``.
+    """
+    width = (len(rows) + 7) >> 3
+    found: dict[int, bytearray] = {}
+    for j, row in enumerate(rows):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for item in row:
+            got = found.get(item)
+            if got is None:
+                got = found[item] = bytearray(width)
+            got[byte] |= bit
+    return {item: int.from_bytes(got, "little") for item, got in found.items()}
+
+
+def bit_layout(columns: Columns, constraints: Constraints) -> BitLayout:
+    """Lay ``columns`` out as one bit string, bit j for position j, with an
+    int for every item (:func:`item_ints`), and turn the gap rules into
+    shift masks.
 
     With ``max_gap`` or ``max_index_gap`` set, step k is allowed when the
     time from j - k to j lies in (min_gap, max_gap] and at most
@@ -395,16 +415,7 @@ def bit_layout(
     no ``min_gap`` at the very next one.
     """
     c = constraints
-    flat = columns.itemsets  # each bit's transaction; a sentinel's is empty
-    size = len(flat)
-    positions: dict[int, list[int]] = {
-        item: [] for item in (set().union(*flat) if items is None else items)
-    }
-    for j, txn in enumerate(flat):
-        for item in txn:
-            found = positions.get(item)
-            if found is not None:
-                found.append(j)
+    size = len(columns.itemsets)
     lasts = columns.sentinels()
     sentinels = _int_of(lasts, size)
     real = ((1 << size) - 1) ^ sentinels
@@ -444,7 +455,7 @@ def bit_layout(
         starts=_int_of(columns.firsts, size),
         sentinels=sentinels,
         real=real,
-        items={item: _int_of(bits, size) for item, bits in positions.items()},
+        items=item_ints(columns.itemsets),
         bounded=bounded,
         steps=tuple(steps),
     )
@@ -492,12 +503,12 @@ def _pattern_ends(pattern: Pattern, layout: BitLayout) -> int:
     return ends
 
 
-def _count(pattern: Pattern, sequences: Sequence[DataSequence], constraints: Constraints) -> int:
-    """How many of ``sequences`` contain ``pattern``, counted on the layout
-    of those that hold every item of it."""
+def _count(pattern: Pattern, runs: Iterable[Run], constraints: Constraints) -> int:
+    """How many of ``runs`` contain ``pattern``, counted on the layout of
+    those that hold every item of it."""
     wanted = {item for element in pattern for item in element}
-    holding = [seq for seq in sequences if wanted.issubset(chain.from_iterable(seq.itemsets))]
-    layout = bit_layout(Columns.from_runs(holding), constraints, wanted)
+    holding = [run for run in runs if wanted.issubset(chain.from_iterable(run[2]))]
+    layout = bit_layout(Columns.from_runs(holding), constraints)
     return count_sequences(_pattern_ends(pattern, layout), layout)
 
 
@@ -519,7 +530,7 @@ def support(
     """Count supporting data-sequences; each sequence contributes at most 1."""
     if not len(db):
         raise EmptyDatabaseError("support needs a non-empty database")
-    count = _count(pattern, db.sequences, constraints or UNCONSTRAINED)
+    count = _count(pattern, db.columns.runs(), constraints or UNCONSTRAINED)
     return SupportedPattern(pattern, count, count / len(db))
 
 

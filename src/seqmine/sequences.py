@@ -11,12 +11,13 @@ candidates from:
   candidates are the frequent level-2 children of its last item that its
   parent's frequent children allow.
 
-Everything else is shared: :func:`_frequent_items` counts level 1,
-:func:`_level2_candidates` gives each frequent item its level-2
-candidates, and :func:`_children` is the one step that counts a pattern's
-extensions. It works on the database laid out as one bit string
-(:func:`seqmine.model.bit_layout`): sequence s takes one bit per
-transaction, then an always-zero sentinel bit. A pattern's projection is one
+Everything else is shared. Both build the database's layout as one bit
+string first (:func:`seqmine.model.bit_layout`): sequence s takes one bit
+per transaction, then an always-zero sentinel bit, and each item has the
+int of the transactions that hold it. :func:`_frequent_items` reads level
+1 off those ints, :func:`_level2_candidates` gives each frequent item its
+level-2 candidates, and :func:`_children` is the one step that counts a
+pattern's extensions on the same layout. A pattern's projection is one
 int, the positions in every sequence where its last element can end; that
 frontier is exact even with gap constraints. An s-extension by x is
 ``extend(ends, layout) & items[x]`` and an i-extension by y is
@@ -128,14 +129,12 @@ def _finalize(pairs: dict[Pattern, int], n: int, stats: MiningStats) -> MiningRe
 
 
 def _frequent_items(
-    columns: Columns, minc: int, stats: MiningStats
+    layout: BitLayout, minc: int, stats: MiningStats
 ) -> tuple[list[int], dict[Pattern, int]]:
-    """Level 1: the frequent items (ascending) and each one's singleton
-    pattern -> count. Every item seen counts as a candidate."""
-    flat = columns.itemsets
-    bounds = zip(columns.firsts, columns.sentinels())
-    counts = Counter(chain.from_iterable(set().union(*flat[first:last]) for first, last in bounds))
-    stats.candidates_generated += len(counts)
+    """Level 1, read off the layout: the frequent items (ascending) and each
+    one's singleton pattern -> count. Every item seen counts as a candidate."""
+    stats.candidates_generated += len(layout.items)
+    counts = {i: count_sequences(bits, layout) for i, bits in layout.items.items()}
     frequent = sorted(i for i, c in counts.items() if c >= minc)
     return frequent, {((i,),): counts[i] for i in frequent}
 
@@ -196,10 +195,10 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     max_len = constraints.max_length
     stats = MiningStats(database_passes=1)
 
-    frequent_items, frequent = _frequent_items(db.columns, minc, stats)
+    layout = bit_layout(db.columns, constraints)
+    frequent_items, frequent = _frequent_items(layout, minc, stats)
     if not frequent or max_len == 1:
         return _finalize(frequent, n, stats)
-    layout = bit_layout(db.columns, constraints, frequent_items)
     items = layout.items
     pairs = _level2_candidates(db.columns, frequent_items, layout, minc)
     # (pattern, its projection, its s- and i-candidates as (item, bits))
@@ -359,10 +358,10 @@ def _prefixspan(
     stats = stats if stats is not None else MiningStats()
     max_len = constraints.max_length
 
-    frequent, found = _frequent_items(columns, minc, stats)
+    layout = bit_layout(columns, constraints)
+    frequent, found = _frequent_items(layout, minc, stats)
     if not frequent or max_len == 1:
         return found
-    layout = bit_layout(columns, constraints, frequent)
     items = layout.items
     pairs = _level2_candidates(columns, frequent, layout, minc)
     bs, bi, listed = {}, {}, _Listed(items)

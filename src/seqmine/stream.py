@@ -42,8 +42,8 @@ from seqmine.errors import BadBatchSizeError, InvalidStreamConfigError
 from seqmine.model import (
     Columns,
     Constraints,
-    DataSequence,
     Pattern,
+    Run,
     SupportedPattern,
     _Checked,
     exact_fraction,
@@ -162,7 +162,7 @@ def _local_threshold(epsilon, batch_len: int) -> int:
     return max(1, math.floor(exact_fraction(epsilon) * batch_len))
 
 
-def _absorb_batch(state: StreamState, batch: Sequence[DataSequence], config: StreamConfig) -> None:
+def _absorb_batch(state: StreamState, batch: Sequence[Run], config: StreamConfig) -> None:
     eps = exact_fraction(config.epsilon)
     local_t = _local_threshold(eps, len(batch))
     constraints = Constraints(min_support=1.0, max_length=config.max_length)
@@ -175,7 +175,7 @@ def _absorb_batch(state: StreamState, batch: Sequence[DataSequence], config: Str
 
 
 def process_batch(
-    state: StreamState, batch: Sequence[DataSequence], config: StreamConfig
+    state: StreamState, batch: Sequence[Run], config: StreamConfig
 ) -> StreamState:
     """Mine one full batch into the tree; the batch itself is never retained."""
     if len(batch) != config.batch_size:
@@ -203,7 +203,7 @@ def query_output(state: StreamState, config: StreamConfig) -> list[SupportedPatt
 
 
 def flush(
-    state: StreamState, residual_batch: Sequence[DataSequence], config: StreamConfig
+    state: StreamState, residual_batch: Sequence[Run], config: StreamConfig
 ) -> list[SupportedPattern]:
     """Process an end-of-stream partial batch, then answer the final query."""
     if len(residual_batch) >= config.batch_size:
@@ -220,19 +220,22 @@ StreamReport = namedtuple("StreamReport", "final batches sequences tree_nodes pa
 
 
 def replay(
-    sequences: Iterable[DataSequence],
+    sequences: Iterable[Run],
     config: StreamConfig,
     report_every: int = 1,
     state: StreamState | None = None,
 ) -> Iterator[StreamReport]:
     """Drive a stream through the miner, consuming the iterable exactly once.
 
-    Yields a report after every ``report_every`` batches and one final report
-    after the residual flush. A periodic report that would coincide with the
-    final boundary is folded into the final one.
+    ``sequences`` are ``(seq_id, times, itemsets)`` runs, such as
+    :func:`seqmine.dataset.iter_sequence_db` yields; a
+    :class:`seqmine.model.DataSequence` is one too. Yields a report after
+    every ``report_every`` batches and one final report after the residual
+    flush. A periodic report that would coincide with the final boundary is
+    folded into the final one.
     """
     state = state if state is not None else StreamState()
-    batch: list[DataSequence] = []
+    batch: list[Run] = []
     for sequence in sequences:
         # a full batch is mined once the next sequence shows it is not the last
         if len(batch) == config.batch_size:

@@ -195,8 +195,8 @@ class TestIterSequenceDb:
     def test_streaming_groups_runs(self):
         alphabet = Alphabet()
         seqs = list(iter_sequence_db("s1,1,a\ns1,2,b\ns2,1,c", alphabet))
-        assert [s.seq_id for s in seqs] == ["s1", "s2"]
-        assert seqs[0].times == (1, 2)
+        assert [seq_id for seq_id, _, _ in seqs] == ["s1", "s2"]
+        assert seqs[0][1] == (1, 2)
 
     def test_reappearing_seq_id_rejected(self):
         alphabet = Alphabet()
@@ -340,8 +340,8 @@ class TestLoaderAgainstReference:
         want, want_error = reference_iter(rows, error)
         got, got_error = [], None
         try:
-            for seq in iter_sequence_db(text, Alphabet()):
-                got.append((seq.seq_id, seq.times, seq.itemsets))
+            for seq_id, times, itemsets in iter_sequence_db(text, Alphabet()):
+                got.append((seq_id, times, itemsets))
         except ParseError as exc:
             got_error = (exc.line_no, exc.reason)
         assert got == want
@@ -373,7 +373,7 @@ class TestParseTables:
         # {a b} is written twice and merged once from two lines
         text = "s1,1,a b\ns1,2,b a\ns2,1,b\ns2,5,a\ns2,5,b\ns3,4,b\n"
         loaded = [itemset for itemset in load_sequence_db(text).columns.itemsets if itemset]
-        streamed = [i for seq in iter_sequence_db(text, Alphabet()) for i in seq.itemsets]
+        streamed = [i for _, _, itemsets in iter_sequence_db(text, Alphabet()) for i in itemsets]
         for itemsets in (loaded, streamed):
             assert (itemsets.count((0, 1)), itemsets.count((1,))) == (3, 2)
             first: dict[tuple[int, ...], tuple[int, ...]] = {}

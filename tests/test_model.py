@@ -207,8 +207,6 @@ class TestBitLayout:
         # a's lowest end in s0 is its first bit; in s1 its last, so nothing
         # may follow it there
         assert extend(layout.items[A], layout) == 0b0000110
-        # only the items asked for get an int
-        assert bit_layout(db.columns, Constraints(), {C}).items == {C: 0b0000100}
 
     @pytest.mark.parametrize(
         "constraints, allowed",
@@ -248,6 +246,11 @@ class TestBitLayout:
             count += segment != 0
         assert count_sequences(ends, whole) == count
         assert allowed & ~whole.real == 0
+        # every item met has bit j exactly where position j holds it
+        flat = db.columns.itemsets
+        assert set(whole.items) == set().union(*flat)
+        for item, bits in whole.items.items():
+            assert [bits >> j & 1 for j in range(len(flat))] == [item in txn for txn in flat]
 
 
 class TestItemsetSupport:

@@ -150,7 +150,9 @@ class TestBruteClosed:
 
 
 MINER_MODULES = {"seqmine.sequences", "seqmine.stream"}
-MINER_KERNEL_NAMES = {"bit_layout", "BitLayout", "count_sequences", "extend", "contains", "support"}
+MINER_KERNEL_NAMES = {
+    "bit_layout", "BitLayout", "item_ints", "count_sequences", "extend", "contains", "support"
+}
 
 
 def test_oracle_shares_no_code_with_the_miners():

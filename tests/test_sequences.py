@@ -224,8 +224,8 @@ def level2(db, constraints):
     """How many level-2 candidates the step hands out, and what the
     frequent ones count."""
     minc = min_count(constraints.min_support, len(db.sequences))
-    frequent, _ = _frequent_items(db.columns, minc, MiningStats())
-    layout = bit_layout(db.columns, constraints, frequent)
+    layout = bit_layout(db.columns, constraints)
+    frequent, _ = _frequent_items(layout, minc, MiningStats())
     candidates = _level2_candidates(db.columns, frequent, layout, minc)
     found = {
         child: count

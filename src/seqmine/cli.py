@@ -105,14 +105,20 @@ def _build_config(config_class, **fields):
         raise type(exc)(names.sub(lambda m: "--" + m[1].replace("_", "-"), str(exc))) from None
 
 
+def _mine_itemsets(args):
+    """The frequent itemsets of ``args.input`` and its alphabet; the
+    transactions are freed on return, before anything is formatted."""
+    transactions, alphabet = dataset.load_transactions(dataset.read_lines(args.input))
+    if not transactions:
+        raise InputError(f"{args.input} has no data line")
+    return _cli.mine_frequent_itemsets(transactions, args.min_support), alphabet
+
+
 def _cmd_mine_itemsets(args) -> int:
     _check_fraction(args.min_support, "--min-support")
     if args.min_confidence is not None:
         _check_fraction(args.min_confidence, "--min-confidence")
-    transactions, alphabet = dataset.load_transactions(dataset.read_lines(args.input))
-    if not transactions:
-        raise InputError(f"{args.input} has no data line")
-    frequent = _cli.mine_frequent_itemsets(transactions, args.min_support)
+    frequent, alphabet = _mine_itemsets(args)
     lines = textfmt.frequent_itemset_lines(frequent, alphabet)
     if args.min_confidence is not None:
         rules = _cli.generate_rules(frequent, args.min_confidence)

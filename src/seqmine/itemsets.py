@@ -10,6 +10,20 @@ Counting is by tidset intersection in bitmap form (Zaki, IEEE TKDE 2000):
 every frequent itemset carries a Python-int bitmask of the transactions
 that contain it, and a candidate's mask is the AND of the masks of the two
 (m-1)-itemsets it was joined from, so no pass rescans the transactions.
+Level 2 takes every pair of frequent items from one join; from there the
+itemsets are mined one prefix class at a time (Zaki's equivalence classes,
+same paper). The class of item a is every itemset whose smallest item is
+a; itemsets of two or more items join only when they share all but their
+last item, so a class's joins never leave it. Classes run in descending
+a, each level by level until it yields nothing, so the masks held at once
+are those of two adjacent levels of one class, never a whole level's. The
+subset tests read every itemset found so far: the subset without the first
+item starts with a larger item, whose class is finished, and the middle
+ones lie in the class's previous level. So the per-class joins together
+are exactly the level-wise join, candidate for candidate. "Smallest" is
+by ascending count: the items are mined under their ranks in that order
+and named by their ids again in the output, so the most frequent items,
+which would head the widest classes, head the smallest.
 Rules keep X -> Z \\ X when count(X) is at most one integer bound computed
 per Z from the exact confidence threshold. Transactions here are plain
 itemsets; time plays no role.
@@ -18,9 +32,10 @@ itemsets; time plays no role.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from fractions import Fraction
 from itertools import combinations, groupby
+from operator import itemgetter
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -35,16 +50,23 @@ FrequentItemset = namedtuple("FrequentItemset", "itemset count support")
 AssociationRule = namedtuple("AssociationRule", "antecedent consequent support confidence")
 
 
-def generate_candidates(frequent_prev: Sequence[Itemset]) -> list[Itemset]:
+def generate_candidates(
+    frequent_prev: Sequence[Itemset], known: Container[Itemset] | None = None
+) -> list[Itemset]:
     """Join frequent (m-1)-itemsets into m-candidates and prune by subsets.
 
     Two itemsets a < b sharing their first m-2 items join into the
     candidate ``a + b[-1:]``; it is kept only if every (m-1)-subset is
-    itself in the input. Dropping its last item gives a, and the item
-    before it b, so those two hold by construction. The subset without the
-    first item is tested inline next; at m = 3 it is the whole test, and
-    on larger inputs it rejects most joins before any of the m - 3 middle
-    subsets (m >= 4 only) is built. Output is sorted and duplicate-free.
+    frequent: in ``known`` when it is given, else in the input itself.
+    Dropping its last item gives a, and the item before it b, so those two
+    hold by construction. The subset without the first item is tested
+    inline next; at m = 3 it is the whole test, and on larger inputs it
+    rejects most joins before any of the m - 3 middle subsets (m >= 4
+    only) is built. Output is sorted and duplicate-free.
+
+    :func:`mine_frequent_itemsets` joins one prefix class at a time and
+    passes every itemset found so far as ``known``, because the subset
+    without the first item lies in another class.
     """
     if not frequent_prev:
         return []
@@ -52,15 +74,17 @@ def generate_candidates(frequent_prev: Sequence[Itemset]) -> list[Itemset]:
     if len(sizes) != 1:
         raise MixedSizesError(f"input itemsets have mixed sizes: {sorted(sizes)}")
     prev_set = set(frequent_prev)
+    if known is None:
+        known = prev_set
     prev = sorted(prev_set)
     m = len(prev[0]) + 1
     candidates = []
     for _, group in groupby(prev, key=lambda i: i[:-1]):
         for a, b in combinations(group, 2):
             candidate = a + b[-1:]
-            if candidate[1:] in prev_set and (
+            if candidate[1:] in known and (
                 m < 4
-                or all(candidate[:i] + candidate[i + 1 :] in prev_set for i in range(1, m - 2))
+                or all(candidate[:i] + candidate[i + 1 :] in known for i in range(1, m - 2))
             ):
                 candidates.append(candidate)
     return candidates  # already sorted: prev is, and so is each group's pair order
@@ -80,15 +104,21 @@ def mine_frequent_itemsets(
 
     Level 1 gives each item the bitmask of the transactions that hold it,
     from :func:`seqmine.model.item_ints`, so unsorted or repeated items in
-    a transaction count once.
-    Level m takes its candidates from :func:`generate_candidates` (so every
-    (m-1)-subset of a counted candidate is frequent; the subset without the
-    first item is checked first, the middle ones only from m = 4 up) and
-    counts candidate ``c`` as the popcount of
-    ``mask[c[:-1]] & mask[c[:-2] + c[-1:]]``;
-    only the previous level's masks are kept, each dropped after its last
-    use. Mining stops at the first level that yields nothing frequent.
-    Output is sorted by (size, lexicographic).
+    a transaction count once; the frequent items are then renamed by their
+    rank in ascending count (ties by id) until the output. Level 2's
+    candidates are one :func:`generate_candidates` call on the frequent
+    items. Then each prefix class (the itemsets whose smallest item is a),
+    in descending a, is mined level by level until it yields nothing: its
+    level m takes its candidates from :func:`generate_candidates` on the
+    class's level m-1, with every itemset found so far as ``known`` (so
+    every (m-1)-subset of a counted candidate is frequent), and counts
+    candidate ``c`` as the popcount of
+    ``mask[c[:-1]] & mask[c[:-2] + c[-1:]]``. Only the class's previous
+    level's masks are kept, each dropped once the candidates have moved
+    past it, so the masks held at once are two adjacent levels of one
+    class; ranked by count, the most frequent items head the smallest
+    classes. The candidates are exactly those of a global level-by-level
+    join. Output is sorted by (size, lexicographic).
     """
     _validate_threshold(min_support, "min_support")
     if not transactions:
@@ -96,29 +126,42 @@ def mine_frequent_itemsets(
     n = len(transactions)
     minc = min_count(min_support, n)
 
-    masks = {(i,): mask for i, mask in item_ints(transactions).items() if mask.bit_count() >= minc}
-    frequent = {i: mask.bit_count() for i, mask in masks.items()}
+    # ranks by ascending count: the most frequent items head the smallest classes
+    ranked = sorted((mask.bit_count(), i, mask) for i, mask in item_ints(transactions).items())
+    ranked = [entry for entry in ranked if entry[0] >= minc]
+    frequent = {(rank,): count for rank, (count, _, _) in enumerate(ranked)}
+    pairs = generate_candidates(list(frequent))
+    classes = [list(group) for _, group in groupby(pairs, key=itemgetter(0))]
 
-    while masks:
-        level_masks = {}
-        a = None
-        for c in generate_candidates(list(masks)):
-            if c[:-1] != a:
-                # candidates arrive sorted, and each reads only masks at or
-                # above its own c[:-1], so a's mask is dead once c moves on
-                masks.pop(a, None)
-                a = c[:-1]
-            mask = masks[a] & masks[c[:-2] + c[-1:]]
+    for class_pairs in reversed(classes):
+        masks = {}
+        for c in class_pairs:
+            mask = ranked[c[0]][2] & ranked[c[1]][2]
             count = mask.bit_count()
             if count >= minc:
-                level_masks[c] = mask
+                masks[c] = mask
                 frequent[c] = count
-        masks = level_masks
+        while masks:
+            level_masks = {}
+            prev = list(masks)  # sorted: candidates arrive sorted
+            dead = 0
+            for c in generate_candidates(prev, frequent):
+                a = c[:-1]
+                # c reads only masks at or above a, so every mask below it is dead
+                while prev[dead] < a:
+                    del masks[prev[dead]]
+                    dead += 1
+                mask = masks[a] & masks[c[:-2] + c[-1:]]
+                count = mask.bit_count()
+                if count >= minc:
+                    level_masks[c] = mask
+                    frequent[c] = count
+            masks = level_masks
 
-    return [
-        FrequentItemset(itemset, count, count / n)
-        for itemset, count in sorted(frequent.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    items = [i for _, i, _ in ranked]
+    found = [(tuple(sorted(items[r] for r in ranks)), count) for ranks, count in frequent.items()]
+    found.sort(key=lambda kv: (len(kv[0]), kv[0]))
+    return [FrequentItemset(itemset, count, count / n) for itemset, count in found]
 
 
 def generate_rules(

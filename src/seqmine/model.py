@@ -504,11 +504,8 @@ def _pattern_ends(pattern: Pattern, layout: BitLayout) -> int:
 
 
 def _count(pattern: Pattern, runs: Iterable[Run], constraints: Constraints) -> int:
-    """How many of ``runs`` contain ``pattern``, counted on the layout of
-    those that hold every item of it."""
-    wanted = {item for element in pattern for item in element}
-    holding = [run for run in runs if wanted.issubset(chain.from_iterable(run[2]))]
-    layout = bit_layout(Columns.from_runs(holding), constraints)
+    """How many of ``runs`` contain ``pattern``, counted on their layout."""
+    layout = bit_layout(Columns.from_runs(runs), constraints)
     return count_sequences(_pattern_ends(pattern, layout), layout)
 
 
@@ -527,10 +524,23 @@ def contains(pattern: Pattern, seq: DataSequence, constraints: Constraints | Non
 def support(
     pattern: Pattern, db: SequenceDatabase, constraints: Constraints | None = None
 ) -> SupportedPattern:
-    """Count supporting data-sequences; each sequence contributes at most 1."""
+    """Count supporting data-sequences; each sequence contributes at most 1.
+
+    Only the sequences whose itemsets hold every item of ``pattern`` are
+    sliced into runs and laid out; each is tested on its one slice of
+    ``columns.itemsets``.
+    """
     if not len(db):
         raise EmptyDatabaseError("support needs a non-empty database")
-    count = _count(pattern, db.columns.runs(), constraints or UNCONSTRAINED)
+    columns = db.columns
+    times, itemsets = columns.times, columns.itemsets
+    wanted = {item for element in pattern for item in element}
+    holding = []
+    for seq_id, first, last in zip(columns.seq_ids, columns.firsts, columns.sentinels()):
+        run_itemsets = itemsets[first:last]
+        if wanted.issubset(chain.from_iterable(run_itemsets)):
+            holding.append((seq_id, times[first:last], run_itemsets))
+    count = _count(pattern, holding, constraints or UNCONSTRAINED)
     return SupportedPattern(pattern, count, count / len(db))
 
 

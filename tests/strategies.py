@@ -12,10 +12,14 @@ def itemsets(draw, n_items=5, max_size=3):
 
 
 @st.composite
-def transaction_dbs(draw, max_items=6, max_txns=10):
-    n_items = draw(st.integers(1, max_items))
+def transaction_dbs(draw, max_items=6, max_txns=10, min_items=1, max_size=4):
+    n_items = draw(st.integers(min_items, max_items))
     return draw(
-        st.lists(itemsets(n_items=n_items, max_size=min(4, n_items)), min_size=1, max_size=max_txns)
+        st.lists(
+            itemsets(n_items=n_items, max_size=min(max_size, n_items)),
+            min_size=1,
+            max_size=max_txns,
+        )
     )
 
 

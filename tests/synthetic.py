@@ -1,10 +1,11 @@
 """Synthetic databases and a least-squares fit for the test suites.
 
-The generator is seeded and documented so runs are reproducible: items are
-drawn Zipf-ish (weight 1/rank), sequence lengths are geometric, timestamps
-advance by small random steps. The benchmark is ``perfbench/`` (run
-``python3 perfbench/run.py``), which builds its own inputs.
-"""
+The generators are seeded and documented so runs are reproducible. In a
+sequence database items are drawn Zipf-ish (weight 1/rank), sequence
+lengths are geometric and timestamps advance by small random steps;
+baskets are drawn like the benchmark's itemset input. The benchmark is
+``perfbench/`` (run ``python3 perfbench/run.py``), which builds its own
+inputs."""
 
 from __future__ import annotations
 
@@ -41,6 +42,26 @@ def generate_db(
             itemsets.append(tuple(sorted(set(rng.choices(population, weights=weights, k=k)))))
         sequences.append(DataSequence(f"s{s}", tuple(times), tuple(itemsets)))
     return SequenceDatabase(tuple(sequences), alphabet)
+
+
+def generate_baskets(
+    n_baskets: int, seed: int, items: int = 60, geometric_p: float = 0.88, max_draws: int = 16
+) -> list[tuple[int, ...]]:
+    """Reproducible baskets drawn like ``perfbench/inputs.baskets``: ``items``
+    Zipf-ish products (weight 1/rank**0.8), each basket ``k`` draws with
+    ``k`` geometric (``geometric_p``) and capped at ``max_draws``. Items are
+    the products' ranks, so a basket is its distinct draws in ascending
+    order."""
+    rng = random.Random(seed)
+    weights = [1.0 / (rank + 1) ** 0.8 for rank in range(items)]
+    population = range(items)
+    baskets = []
+    for _ in range(n_baskets):
+        k = 1
+        while k < max_draws and rng.random() < geometric_p:
+            k += 1
+        baskets.append(tuple(sorted(set(rng.choices(population, weights=weights, k=k)))))
+    return baskets
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:

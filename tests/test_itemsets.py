@@ -1,8 +1,11 @@
 """Level-wise itemset mining and rule generation."""
 
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -10,7 +13,9 @@ from hypothesis import given, settings
 
 from conftest import A, B, C
 from strategies import messy_transaction_dbs, transaction_dbs
+from synthetic import generate_baskets
 
+from seqmine import itemsets
 from seqmine.errors import (
     EmptyDatabaseError,
     InvalidThresholdError,
@@ -144,13 +149,11 @@ def planted_baskets(seed, n=400, items=40):
     return baskets
 
 
-@pytest.mark.parametrize("seed", [3, 17])
-def test_levels_past_the_oracle_cap(seed):
-    # brute_itemsets stops at 6 items; here levels 6-8 are checked by recounting
-    transactions = planted_baskets(seed)
-    minc = min_count(0.05, len(transactions))
-    mined = {f.itemset: f.count for f in mine_frequent_itemsets(transactions, 0.05)}
-    assert max(map(len, mined)) >= 7
+def assert_recounted_and_complete(transactions, min_support):
+    """Recount every mined itemset and check the negative border: every
+    level-wise candidate left out of the output counts below minc."""
+    minc = min_count(min_support, len(transactions))
+    mined = {f.itemset: f.count for f in mine_frequent_itemsets(transactions, min_support)}
     for itemset, count in mined.items():
         assert count == itemset_support(itemset, transactions)[0] >= minc
         assert all(sub in mined for sub in combinations(itemset, len(itemset) - 1) if sub)
@@ -160,6 +163,78 @@ def test_levels_past_the_oracle_cap(seed):
             if c not in mined:
                 assert itemset_support(c, transactions)[0] < minc, c
         level = generate_candidates(sorted(i for i in mined if len(i) == len(level[0])))
+    return mined
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_levels_past_the_oracle_cap(seed):
+    # brute_itemsets stops at 6 items; here levels 6-8 are checked by recounting
+    mined = assert_recounted_and_complete(planted_baskets(seed), 0.05)
+    assert max(map(len, mined)) >= 7
+
+
+@settings(max_examples=100)
+@given(
+    transaction_dbs(min_items=10, max_items=30, max_txns=40, max_size=10),
+    st.sampled_from([0.05, 0.1, 0.2]),
+)
+def test_levels_past_the_oracle_cap_drawn(transactions, min_support):
+    # 10-30 items: past brute force, where the prefix classes' subset tests
+    # read itemsets of classes mined before them
+    assert_recounted_and_complete(transactions, min_support)
+
+
+def candidates_generated(transactions, min_support):
+    """The mined itemsets, and the summed sizes of the results of every
+    :func:`generate_candidates` call the mining made."""
+    sizes = []
+
+    def counted(*args, **kwargs):
+        result = generate_candidates(*args, **kwargs)
+        sizes.append(len(result))
+        return result
+
+    with mock.patch.object(itemsets, "generate_candidates", counted):
+        mined = mine_frequent_itemsets(transactions, min_support)
+    return mined, sum(sizes)
+
+
+def levelwise_candidates(mined):
+    """The candidates a global level-by-level join of ``mined`` generates."""
+    levels = {}
+    for f in mined:
+        levels.setdefault(len(f.itemset), []).append(f.itemset)
+    return sum(len(generate_candidates(level)) for level in levels.values())
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_prefix_classes_generate_the_levelwise_candidates(seed):
+    mined, generated = candidates_generated(planted_baskets(seed), 0.05)
+    assert generated == levelwise_candidates(mined) > 0
+
+
+@settings(max_examples=100)
+@given(
+    transaction_dbs(max_items=12, max_txns=20, max_size=6), st.sampled_from([0.1, 0.25, 0.5])
+)
+def test_prefix_classes_generate_the_levelwise_candidates_drawn(transactions, min_support):
+    mined, generated = candidates_generated(transactions, min_support)
+    assert generated == levelwise_candidates(mined)
+
+
+def test_masks_held_stay_below_one_level():
+    # Mined a level at a time, the widest level's masks are all held at once;
+    # mined a prefix class at a time, at most two levels of one class are.
+    # The input is the itemsets-rules benchmark's at seed 41, items by rank.
+    transactions = generate_baskets(15_000, 41)
+    tracemalloc.start()
+    try:
+        mined = mine_frequent_itemsets(transactions, 0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    widest = max(Counter(len(f.itemset) for f in mined).values())
+    assert peak < widest * ((len(transactions) + 7) // 8)
 
 
 class TestGenerateRules:

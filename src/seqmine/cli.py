@@ -56,14 +56,10 @@ class UsageError(Exception):
     """A flag combination the parser cannot catch; maps to exit 3."""
 
 
-class InputError(Exception):
-    """Input that parses but that the command cannot act on; maps to exit 2."""
-
-
 # An error exits with the code of the most specific of its classes listed here.
 _EXIT_CODES: dict[type[Exception], int] = {
     OSError: 2, ParseError: 2, EmptyDatabaseError: 2,
-    InsufficientHistoryError: 2, InputError: 2,
+    InsufficientHistoryError: 2,
     UsageError: 3, ValueError: 3, InvalidThresholdError: 3,
     InvalidConstraintsError: 3, InvalidStreamConfigError: 3,
     SeqmineError: 4,
@@ -110,7 +106,7 @@ def _mine_itemsets(args):
     transactions are freed on return, before anything is formatted."""
     transactions, alphabet = dataset.load_transactions(dataset.read_lines(args.input))
     if not transactions:
-        raise InputError(f"{args.input} has no data line")
+        raise ParseError(None, f"{args.input} has no data line")
     return _cli.mine_frequent_itemsets(transactions, args.min_support), alphabet
 
 
@@ -143,7 +139,7 @@ def _cmd_mine_seq(args) -> int:
     constraints = _build_constraints(args)
     db = dataset.load_sequence_db(dataset.read_lines(args.input))
     if not len(db):
-        raise InputError(f"{args.input} has no data line")
+        raise ParseError(None, f"{args.input} has no data line")
     if args.max_length is None and len(db.alphabet) > 26:
         raise UsageError(
             f"--max-length is required for alphabets larger than 26 items "
@@ -218,8 +214,9 @@ def _cmd_analyze_results(args) -> int:
     if args.plot_dir is not None:
         for record in records:
             if Path(record.subject_code).name != record.subject_code:
-                raise InputError(
-                    f"subject code {record.subject_code!r} is not a plain file name for --plot-dir"
+                raise ParseError(
+                    None,
+                    f"subject code {record.subject_code!r} is not a plain file name for --plot-dir",
                 )
     summary = results.trend(records, anomaly_threshold=threshold)
 

@@ -17,10 +17,12 @@ per transaction, then an always-zero sentinel bit, and each item has the
 int of the transactions that hold it. :func:`_frequent_items` reads level
 1 off those ints, :func:`_level2_candidates` gives each frequent item its
 level-2 candidates, and :func:`_children` is the one step that counts a
-pattern's extensions on the same layout. A pattern's projection is one
-int, the positions in every sequence where its last element can end; that
-frontier is exact even with gap constraints. An s-extension by x is
-``extend(ends, layout) & items[x]`` and an i-extension by y is
+pattern's extensions on the same layout: it stores each frequent child's
+count and returns the children with S and I, the items they add as new
+elements and into the last element, as two masks. A pattern's projection
+is one int, the positions in every sequence where its last element can
+end; that frontier is exact even with gap constraints. An s-extension by
+x is ``extend(ends, layout) & items[x]`` and an i-extension by y is
 ``ends & items[y]``, so a candidate costs a few C-level big-int operations
 over the whole database, and :func:`seqmine.model.count_sequences` reads
 its support off the sentinels. Each candidate handed to that step counts
@@ -147,28 +149,36 @@ def _children(
     layout: BitLayout,
     minc: int,
     stats: MiningStats,
-) -> list[tuple[Pattern, int, int]]:
+    found: dict[Pattern, int],
+) -> tuple[list[tuple[Pattern, int]], int, int]:
     """Count ``pattern`` grown by each ``(item, bits)`` candidate, as a new
     trailing element (``s_items``) or into its last element (``i_items``,
-    items above the last one); return the frequent children as
-    ``(child, count, child_ends)``, s-extensions first, each list in order.
-    ``ends`` is the pattern's projection."""
+    items above the last one), and store each frequent child's count in
+    ``found``. Return the frequent children as ``(child, its projection)``,
+    s-extensions first, each list in order, and the items they add as two
+    masks: S as new elements and I into the last element. ``ends`` is the
+    pattern's projection."""
     stats.candidates_generated += len(s_items) + len(i_items)
+    grown, s_found, i_found = [], 0, 0
     allowed = extend(ends, layout) if s_items else 0
-    grown = []
-    for new_element, base, candidates in ((True, allowed, s_items), (False, ends, i_items)):
-        for item, bits in candidates:
-            child_ends = base & bits
-            # a cheap bound first: each sequence counted holds a bit
-            if child_ends.bit_count() >= minc:
-                count = count_sequences(child_ends, layout)
-                if count >= minc:
-                    if new_element:
-                        child = pattern + ((item,),)
-                    else:
-                        child = pattern[:-1] + (pattern[-1] + (item,),)
-                    grown.append((child, count, child_ends))
-    return grown
+    # two loops, not one over both lists: most calls test a handful of
+    # candidates, so the per-call setup of a shared loop shows
+    for item, bits in s_items:
+        c_ends = allowed & bits
+        # a cheap bound first: each sequence counted holds a bit
+        if c_ends.bit_count() >= minc and (count := count_sequences(c_ends, layout)) >= minc:
+            child = pattern + ((item,),)
+            found[child] = count
+            grown.append((child, c_ends))
+            s_found |= 1 << item
+    for item, bits in i_items:
+        c_ends = ends & bits
+        if c_ends.bit_count() >= minc and (count := count_sequences(c_ends, layout)) >= minc:
+            child = pattern[:-1] + (pattern[-1] + (item,),)
+            found[child] = count
+            grown.append((child, c_ends))
+            i_found |= 1 << item
+    return grown, s_found, i_found
 
 
 def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
@@ -213,12 +223,10 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
         # pop each projection once used: at most two levels are held
         while level:
             pattern, ends, s_items, i_items = level.pop()
-            for child, count, child_ends in _children(
-                pattern, ends, s_items, i_items, layout, minc, stats
-            ):
-                frequent[child] = count
-                if max_len is None or m < max_len:
-                    grown.append((child, child_ends))
+            got, _, _ = _children(pattern, ends, s_items, i_items, layout, minc, stats, frequent)
+            if max_len is None or m < max_len:
+                grown += got
+                for child, _ in got:
                     # a one-item last element is a new element: an s-extension
                     last = child[-1]
                     children[pattern][len(last) > 1].append((last[-1], items[last[-1]]))
@@ -317,20 +325,6 @@ class _Listed(dict):
         return got
 
 
-def _added(children: list[tuple[Pattern, int, int]], found: dict[Pattern, int]) -> tuple[int, int]:
-    """Store each child's count in ``found``; return the items the children
-    add, as masks: S as new elements and I into the last element."""
-    s_found = i_found = 0
-    for child, count, _ in children:
-        found[child] = count
-        last = child[-1]
-        if len(last) > 1:
-            i_found |= 1 << last[-1]
-        else:
-            s_found |= 1 << last[0]
-    return s_found, i_found
-
-
 def _prefixspan(
     columns: Columns,
     minc: int,
@@ -343,17 +337,18 @@ def _prefixspan(
     :func:`_level2_candidates`; item y's frequent level-2 children are kept
     as two item masks, ``bs[y]`` as new elements and ``bi[y]`` into y's
     element. A stack entry is a pattern, its item count, its projection
-    ``ends``, and S and I of its parent (see :func:`_added`). A level-2
-    entry holds ``None`` as its projection, which is rebuilt from item bits
-    when it is popped, so the level-2 projections are never all held at
-    once. A popped pattern with last item y ANDs its parent's masks with
-    ``bs[y]`` and ``bi[y]`` as the module docstring says, and hands the
-    items left to :func:`_children`, the counting step GSP uses too; each
-    mask's candidate list is built once per call. Every pattern is added
-    after its parent (the pattern minus its last item), so the result is
-    parents-first. No caller reads that order: the stream's table stays
-    prefix-closed because a mined pattern's parent is mined too, with at
-    least its count.
+    ``ends``, and S and I of its parent. A level-2 entry holds ``None`` as
+    its projection, which is rebuilt from item bits when it is popped, so
+    the level-2 projections are never all held at once. A popped pattern
+    with last item y ANDs its parent's masks with ``bs[y]`` and ``bi[y]``
+    as the module docstring says, and hands the items left to
+    :func:`_children`, the counting step GSP uses too; each mask's
+    candidate list is built once per call. That call also stores the
+    frequent children's counts and returns their S and I. Every pattern is
+    added after its parent (the pattern minus its last item), so the
+    result is parents-first. No caller reads that order: the stream's
+    table stays prefix-closed because a mined pattern's parent is mined
+    too, with at least its count.
     """
     stats = stats if stats is not None else MiningStats()
     max_len = constraints.max_length
@@ -368,10 +363,9 @@ def _prefixspan(
     # (pattern, its item count, its projection or None at level 2, its parent's S, I)
     stack: list[tuple[Pattern, int, int | None, int, int]] = []
     for a in frequent:
-        children = _children(((a,),), items[a], *pairs[a], layout, minc, stats)
-        bs[a], bi[a] = _added(children, found)
+        children, bs[a], bi[a] = _children(((a,),), items[a], *pairs[a], layout, minc, stats, found)
         if max_len is None or max_len > 2:
-            stack += [(child, 2, None, bs[a], bi[a]) for child, _, _ in children]
+            stack += [(child, 2, None, bs[a], bi[a]) for child, _ in children]
     while stack:
         pattern, plen, ends, s_found, i_found = stack.pop()
         y = pattern[-1][-1]
@@ -382,10 +376,11 @@ def _prefixspan(
             s_mask, i_mask = s_found & bs[y], i_found & bi[y]
         else:  # an s-step child: S(P) bounds its s-steps only on unbounded gaps
             s_mask, i_mask = (bs[y] if layout.bounded else s_found & bs[y]), s_found & bi[y]
-        children = _children(pattern, ends, listed[s_mask], listed[i_mask], layout, minc, stats)
-        s_found, i_found = _added(children, found)
+        children, s_found, i_found = _children(
+            pattern, ends, listed[s_mask], listed[i_mask], layout, minc, stats, found
+        )
         if max_len is None or plen + 1 < max_len:
-            stack += [(c, plen + 1, c_ends, s_found, i_found) for c, _, c_ends in children]
+            stack += [(c, plen + 1, c_ends, s_found, i_found) for c, c_ends in children]
 
     return found
 

@@ -72,9 +72,6 @@ class PatternTree:
     def __init__(self):
         self._nodes: dict[Pattern, _Node] = {}
 
-    def lookup(self, pattern: Pattern) -> _Node | None:
-        return self._nodes.get(pattern)
-
     def absorb(
         self, mined: dict[Pattern, int], bump: int, delta: int, bar: int, batch: int
     ) -> None:

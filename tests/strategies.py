@@ -34,8 +34,8 @@ def messy_transaction_dbs(draw, max_items=6, max_txns=10):
 
 
 @st.composite
-def sequence_dbs(draw, max_items=5, max_seqs=6, max_txns=4, max_items_per_txn=3):
-    n_items = draw(st.integers(1, max_items))
+def sequence_dbs(draw, max_items=5, max_seqs=6, max_txns=4, max_items_per_txn=3, min_items=1):
+    n_items = draw(st.integers(min_items, max_items))
     n_seqs = draw(st.integers(1, max_seqs))
     sequences = []
     for s in range(n_seqs):

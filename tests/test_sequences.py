@@ -227,13 +227,9 @@ def level2(db, constraints):
     layout = bit_layout(db.columns, constraints)
     frequent, _ = _frequent_items(layout, minc, MiningStats())
     candidates = _level2_candidates(db.columns, frequent, layout, minc)
-    found = {
-        child: count
-        for a in frequent
-        for child, count, _ in _children(
-            ((a,),), layout.items[a], *candidates[a], layout, minc, MiningStats()
-        )
-    }
+    found = {}
+    for a in frequent:
+        _children(((a,),), layout.items[a], *candidates[a], layout, minc, MiningStats(), found)
     f = len(frequent)
     tested = sum(len(s_items) + len(i_items) for s_items, i_items in candidates.values())
     # every pair: each item as a new element, and each one above it in its element
@@ -347,6 +343,53 @@ class TestParentBound:
         assert got[((A,), (B,), (C,))] == 1
         assert ((A,), (C,)) not in got
         assert pairs(gsp_mine(db, constraints)) == pairs(prefixspan_mine(db, constraints))
+
+
+class TestPastTheBruteCaps:
+    """Brute force stops at six items; on 10 to 30 items the miners are held
+    to each other, to a recount, and to what each counting step says."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sequence_dbs(min_items=10, max_items=30, max_seqs=12, max_txns=6, max_items_per_txn=4),
+        constraint_grid(),
+        st.sampled_from([0.25, 0.5]),
+        st.booleans(),
+    )
+    def test_miners_recount_and_step_masks_agree(self, db, constraints, min_support, successors):
+        constraints = constraints._replace(min_support=min_support, max_length=4)
+        calls = 0
+
+        def checked(pattern, ends, s_items, i_items, layout, minc, stats, found):
+            nonlocal calls
+            calls += 1
+            before = set(found)
+            grown, s_found, i_found = children(
+                pattern, ends, s_items, i_items, layout, minc, stats, found
+            )
+            s_added = [c[-1][0] for c, _ in grown if len(c) > len(pattern)]
+            i_added = [c[-1][-1] for c, _ in grown if len(c) == len(pattern)]
+            assert [c for c, _ in grown] == [pattern + ((x,),) for x in s_added] + [
+                pattern[:-1] + (pattern[-1] + (y,),) for y in i_added
+            ]
+            assert s_found == sum(1 << x for x in s_added)
+            assert i_found == sum(1 << y for y in i_added)
+            assert set(found) - before == {c for c, _ in grown}
+            return grown, s_found, i_found
+
+        children = sequences._children
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sequences, "_children", checked)
+            if successors:
+                patch.setattr(sequences, "_BITS_PER_VISIT", 0)
+            gsp = gsp_mine(db, constraints)
+            gsp_calls = calls
+            prefixspan = prefixspan_mine(db, constraints)
+        assert pairs(gsp) == pairs(prefixspan)
+        # both miners counted through the wrapper
+        assert calls > gsp_calls > 0 or not gsp.patterns
+        for sp in gsp.patterns:
+            assert support(sp.pattern, db, constraints).count == sp.count
 
 
 def agrees_with_brute(db, constraints):

@@ -28,14 +28,20 @@ def ab_sequence(seq_id):
     return make_sequence(seq_id, (1, (A,)), (2, (B,)))
 
 
+def node_of(tree, pattern):
+    """The tracked node of ``pattern``, or None."""
+    return dict(tree.items()).get(pattern)
+
+
 def assert_parent_bound(tree):
     """Prefix closure, and the bound that lets prune test each node alone:
     no node's count + delta exceeds its parent's (the pattern minus its
     last item)."""
-    for pattern, node in tree.items():
+    table = dict(tree.items())
+    for pattern, node in table.items():
         parent = delete_last_item(pattern)
         if parent:
-            parent_node = tree.lookup(parent)
+            parent_node = table.get(parent)
             assert parent_node is not None, f"{pattern} tracked without its parent"
             assert node.count + node.delta <= parent_node.count + parent_node.delta
 
@@ -81,7 +87,7 @@ class TestProcessBatch:
         config = StreamConfig(sigma=0.5, epsilon=0.1, batch_size=2)
         state = StreamState()
         process_batch(state, [ab_sequence("s0"), ab_sequence("s1")], config)
-        node = state.tree.lookup(((A,),))
+        node = node_of(state.tree, ((A,),))
         assert node is not None
         assert (node.count, node.delta, node.inserted_at_batch) == (2, 0, 1)
 
@@ -101,9 +107,9 @@ class TestProcessBatch:
             make_sequence(f"p{i}", (1, (C,))) for i in range(8)
         ]
         process_batch(state, batch1, config)
-        assert state.tree.lookup(((A,), (B,))).count == 2
+        assert node_of(state.tree, ((A,), (B,))).count == 2
         process_batch(state, [make_sequence(f"g{i}", (1, (C,))) for i in range(10)], config)
-        assert state.tree.lookup(((A,), (B,))) is None, "count 2 <= bar 2 is pruned"
+        assert node_of(state.tree, ((A,), (B,))) is None, "count 2 <= bar 2 is pruned"
 
         state = StreamState()
         batch1 = [ab_sequence("a0"), ab_sequence("a1"), ab_sequence("a2")] + [
@@ -111,7 +117,7 @@ class TestProcessBatch:
         ]
         process_batch(state, batch1, config)
         process_batch(state, filler, config)
-        assert state.tree.lookup(((A,), (B,))).count == 3, "count 3 > bar 2 survives"
+        assert node_of(state.tree, ((A,), (B,))).count == 3, "count 3 > bar 2 survives"
 
     def test_memory_bound_after_disappearance(self):
         # with epsilon 0.1 a vanished pattern outlives its last batch by at
@@ -124,7 +130,7 @@ class TestProcessBatch:
         batches_survived = 0
         for b in range(12):
             process_batch(state, quiet[b * 10 : (b + 1) * 10], config)
-            if state.tree.lookup(((A,), (B,))) is None:
+            if node_of(state.tree, ((A,), (B,))) is None:
                 break
             batches_survived += 1
         assert batches_survived <= 10
@@ -138,11 +144,11 @@ class TestProcessBatch:
             make_sequence(f"p{i}", (1, (C,))) for i in range(5)
         ]
         process_batch(state, batch1, config)
-        node = state.tree.lookup(((A,), (B,)))
+        node = node_of(state.tree, ((A,), (B,)))
         assert (node.count, node.delta) == (5, 0)
         batch2 = [ab_sequence("solo")] + [make_sequence(f"q{i}", (1, (C,))) for i in range(9)]
         process_batch(state, batch2, config)
-        node = state.tree.lookup(((A,), (B,)))
+        node = node_of(state.tree, ((A,), (B,)))
         assert node.count == 5, "a below-bar occurrence is not observed"
         assert node.delta == 1, "but the miss allowance grows"
 
@@ -222,7 +228,7 @@ class TestFlush:
         process_batch(state, filler[:4], config)
         process_batch(state, filler[4:], config)
         flush(state, [ab_sequence("new1"), ab_sequence("new2")], config)
-        node = state.tree.lookup(((A,), (B,)))
+        node = node_of(state.tree, ((A,), (B,)))
         assert node is not None
         assert node.delta == math.floor(0.3 * 8)
 

@@ -6,11 +6,12 @@ results file without two years for every subject, or with a subject code
 that cannot name a file under ``--plot-dir``), 3 usage/flag error, 4
 internal invariant failure (see ``_EXIT_CODES``). Every failure prints one
 line starting with ``error:`` to stderr. Outputs are byte-deterministic for
-fixed inputs and flags. Every command reads its input file line by line
-through :func:`seqmine.dataset.read_lines`, as UTF-8 with a leading
-byte-order mark skipped; a line ends at ``\n``, ``\r\n`` or ``\r`` and
-nowhere else, and error line numbers count those breaks. A command imports
-only the modules it runs.
+fixed inputs and flags: stdout, like ``--out``, is written as UTF-8 whatever
+the locale or ``PYTHONIOENCODING`` says. Every command reads its input file
+line by line through :func:`seqmine.dataset.read_lines`, as UTF-8 with a
+leading byte-order mark skipped; a line ends at ``\n``, ``\r\n`` or ``\r``
+and nowhere else, and error line numbers count those breaks. A command
+imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -77,7 +78,11 @@ def _err(message: str) -> None:
 
 def _write_out(path: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
-    if path is None:
+    # stdout takes UTF-8 bytes, as --out does, whatever the locale; a stream
+    # with no byte layer (io.StringIO) takes the text
+    if path is None and hasattr(sys.stdout, "buffer"):
+        sys.stdout.buffer.write(text.encode())
+    elif path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:

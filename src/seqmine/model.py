@@ -41,8 +41,11 @@ element can end, in every sequence at once.
 
 :func:`contains` and :func:`support`, GSP and PrefixSpan all grow ``ends``
 with it; the itemset miner takes its level-1 masks from :func:`item_ints`.
-Every type is immutable after construction, a database's ``sequences``
-being built once, and every function here is pure.
+:func:`support` counts on the layout of the database's own columns, which
+the database keeps for the gap rules of the last call.
+Every type is immutable after construction, except that a database builds
+its ``sequences`` once and keeps that layout, and every function here is
+pure except :func:`support`, which fills the database's layout slot.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from itertools import chain
 from operator import ge, sub
 
 from seqmine.errors import (
@@ -215,7 +217,7 @@ class SequenceDatabase:
     built from the columns on first use; the miners never read it.
     """
 
-    __slots__ = ("columns", "alphabet", "_sequences")
+    __slots__ = ("columns", "alphabet", "_sequences", "_layout")
 
     def __init__(self, sequences: Iterable[DataSequence], alphabet: Alphabet):
         sequences = tuple(sequences)
@@ -224,13 +226,15 @@ class SequenceDatabase:
             raise ValueError("duplicate seq_id in database")
         self.alphabet = alphabet
         self._sequences: tuple[DataSequence, ...] | None = sequences
+        # (gap rules, their BitLayout of the columns), kept by support()
+        self._layout: tuple[tuple, BitLayout] | None = None
 
     @classmethod
     def from_columns(cls, columns: Columns, alphabet: Alphabet) -> SequenceDatabase:
         """A database over ``columns`` as they are: its sequences must be
         valid data-sequences with distinct seq_ids."""
         db = cls.__new__(cls)
-        db.columns, db.alphabet, db._sequences = columns, alphabet, None
+        db.columns, db.alphabet, db._sequences, db._layout = columns, alphabet, None, None
         return db
 
     @property
@@ -503,12 +507,6 @@ def _pattern_ends(pattern: Pattern, layout: BitLayout) -> int:
     return ends
 
 
-def _count(pattern: Pattern, runs: Iterable[Run], constraints: Constraints) -> int:
-    """How many of ``runs`` contain ``pattern``, counted on their layout."""
-    layout = bit_layout(Columns.from_runs(runs), constraints)
-    return count_sequences(_pattern_ends(pattern, layout), layout)
-
-
 def contains(pattern: Pattern, seq: DataSequence, constraints: Constraints | None = None) -> bool:
     """True iff ``pattern`` embeds into ``seq`` under the gap constraints.
 
@@ -516,9 +514,11 @@ def contains(pattern: Pattern, seq: DataSequence, constraints: Constraints | Non
     indices, each element a subset of its transaction, with every
     consecutive pair satisfying the gap constraints. The search keeps the
     full frontier of feasible end positions per element, because with an
-    active ``max_gap`` a greedy earliest match is not sound.
+    active ``max_gap`` a greedy earliest match is not sound: it grows the
+    pattern's projection on the layout of ``seq`` alone.
     """
-    return _count(pattern, (seq,), constraints or UNCONSTRAINED) == 1
+    layout = bit_layout(Columns.from_runs((seq,)), constraints or UNCONSTRAINED)
+    return _pattern_ends(pattern, layout) != 0
 
 
 def support(
@@ -526,21 +526,20 @@ def support(
 ) -> SupportedPattern:
     """Count supporting data-sequences; each sequence contributes at most 1.
 
-    Only the sequences whose itemsets hold every item of ``pattern`` are
-    sliced into runs and laid out; each is tested on its one slice of
-    ``columns.itemsets``.
+    The count is read off the layout of ``db.columns``. The database keeps
+    the layout of its last call, keyed on the gap rules (``min_gap``,
+    ``max_gap``, ``max_index_gap``), the only fields :func:`bit_layout`
+    reads, so a run of calls under one set of gap rules builds it once.
     """
     if not len(db):
         raise EmptyDatabaseError("support needs a non-empty database")
-    columns = db.columns
-    times, itemsets = columns.times, columns.itemsets
-    wanted = {item for element in pattern for item in element}
-    holding = []
-    for seq_id, first, last in zip(columns.seq_ids, columns.firsts, columns.sentinels()):
-        run_itemsets = itemsets[first:last]
-        if wanted.issubset(chain.from_iterable(run_itemsets)):
-            holding.append((seq_id, times[first:last], run_itemsets))
-    count = _count(pattern, holding, constraints or UNCONSTRAINED)
+    c = constraints or UNCONSTRAINED
+    # read the slot once: a concurrent call may replace it
+    kept = db._layout
+    if kept is None or kept[0] != c[1:4]:
+        kept = db._layout = (c[1:4], bit_layout(db.columns, c))
+    layout = kept[1]
+    count = count_sequences(_pattern_ends(pattern, layout), layout)
     return SupportedPattern(pattern, count, count / len(db))
 
 

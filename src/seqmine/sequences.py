@@ -84,6 +84,7 @@ from seqmine.model import (
     Pattern,
     SequenceDatabase,
     SupportedPattern,
+    _pattern_ends,
     bit_layout,
     count_sequences,
     extend,
@@ -245,14 +246,13 @@ def _successors(
     with an infrequent item clears ``minc``."""
     follows: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
     i_pairs: list[tuple[int, int]] = []
-    flat = columns.itemsets
-    for start, stop in zip(columns.firsts, columns.sentinels()):
+    for _, _, itemsets in columns.runs():
         later: set[int] = set()
         # item -> the items after its first occurrence (the last write wins),
         # kept as tuples: a small frozenset takes several times the memory
         firsts: dict[int, tuple[int, ...]] = {}
         pairs: set[tuple[int, int]] = set()
-        for txn in reversed(flat[start:stop]):
+        for txn in reversed(itemsets):
             firsts.update(dict.fromkeys(txn, tuple(later)))
             later.update(txn)
             if len(txn) > 1:
@@ -338,12 +338,12 @@ def _prefixspan(
     as two item masks, ``bs[y]`` as new elements and ``bi[y]`` into y's
     element. A stack entry is a pattern, its item count, its projection
     ``ends``, and S and I of its parent. A level-2 entry holds ``None`` as
-    its projection, which is rebuilt from item bits when it is popped, so
-    the level-2 projections are never all held at once. A popped pattern
-    with last item y ANDs its parent's masks with ``bs[y]`` and ``bi[y]``
-    as the module docstring says, and hands the items left to
-    :func:`_children`, the counting step GSP uses too; each mask's
-    candidate list is built once per call. That call also stores the
+    its projection, which :func:`seqmine.model._pattern_ends` grows from
+    nothing when it is popped, so the level-2 projections are never all
+    held at once. A popped pattern with last item y ANDs its parent's
+    masks with ``bs[y]`` and ``bi[y]`` as the module docstring says, and
+    hands the items left to :func:`_children`, the counting step GSP uses
+    too; each mask's candidate list is built once per call. That call also stores the
     frequent children's counts and returns their S and I. Every pattern is
     added after its parent (the pattern minus its last item), so the
     result is parents-first. No caller reads that order: the stream's
@@ -370,8 +370,7 @@ def _prefixspan(
         pattern, plen, ends, s_found, i_found = stack.pop()
         y = pattern[-1][-1]
         if ends is None:
-            first = items[pattern[0][0]]
-            ends = (extend(first, layout) if len(pattern) == 2 else first) & items[y]
+            ends = _pattern_ends(pattern, layout)
         if len(pattern[-1]) > 1:  # an i-step child
             s_mask, i_mask = s_found & bs[y], i_found & bi[y]
         else:  # an s-step child: S(P) bounds its s-steps only on unbounded gaps

@@ -3,7 +3,10 @@
 import contextlib
 import hashlib
 import io
+import os
 import re
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -512,6 +515,49 @@ def test_leading_bom_is_skipped(tmp_path, command, content, flags):
         assert proc.returncode == 0, proc.stderr
         stdouts.append(proc.stdout)
     assert stdouts[0] == stdouts[1]
+
+
+CAFE_SEQ_CSV = "s1,1,café\ns2,1,café thé\n"
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize(
+    "command, content, flags, has_out",
+    [
+        ("mine-seq", CAFE_SEQ_CSV, ("--min-support", "0.5"), True),
+        ("mine-stream", CAFE_SEQ_CSV,
+         ("--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "1"), False),
+        ("mine-itemsets", "t1,café thé\nt2,café\n",
+         ("--min-support", "0.5", "--min-confidence", "0.5"), True),
+        ("analyze-results", "year,subject_code,pass_pct\n2003,CAFÉ,50\n2004,CAFÉ,60\n", (),
+         False),
+    ],
+    ids=["mine-seq", "mine-stream", "mine-itemsets", "analyze-results"],
+)
+def test_stdout_is_utf8_whatever_the_io_encoding(
+    tmp_path, encoding, command, content, flags, has_out
+):
+    path = tmp_path / "input.csv"
+    path.write_text(content, encoding="utf-8")
+
+    def stdout(io_encoding, *more_flags):
+        env = dict(os.environ, PYTHONIOENCODING=io_encoding)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqmine", command, str(path), *flags, *more_flags],
+            capture_output=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    if has_out:
+        out = tmp_path / "out.txt"
+        assert stdout("utf-8", "--out", str(out)) == b""
+        expected = out.read_bytes()
+    else:
+        expected = stdout("utf-8")
+    assert not expected.isascii()
+    assert stdout(encoding) == expected
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,10 @@ from hypothesis import given, settings
 
 from conftest import A, B, C, make_sequence
 from strategies import CONSTRAINT_GRID, constraint_grid, sequence_dbs, transaction_dbs
+from synthetic import generate_db
+
+from seqmine import model
+from seqmine.dataset import load_sequence_db, serialize_sequence_db
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -165,6 +169,34 @@ class TestSupport:
         assert count == sum(
             contains_by_enumeration(pattern, seq, constraints) for seq in db.sequences
         )
+
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_never_counts_on_a_stale_layout(self, loaded):
+        # a database keeps the layout of its last support() call; each gap
+        # rule set in turn, then back, must count on its own layout
+        db = generate_db(60, alphabet_size=5, seed=1)
+        if loaded:
+            db = load_sequence_db(serialize_sequence_db(db))
+        checked = [((0,), (1,)), ((1,), (0,)), ((0, 1),), ((0,), (1,), (2,))]
+        for constraints in CONSTRAINT_GRID + CONSTRAINT_GRID[::-1]:
+            for pattern in checked:
+                assert support(pattern, db, constraints).count == sum(
+                    contains_by_enumeration(pattern, seq, constraints) for seq in db.sequences
+                ), (pattern, constraints)
+
+    def test_builds_one_layout_per_gap_rule_set(self, db1, monkeypatch):
+        built = []
+
+        def counted(columns, constraints):
+            built.append(constraints)
+            return bit_layout(columns, constraints)
+
+        monkeypatch.setattr(model, "bit_layout", counted)
+        unbounded, gapped = Constraints(), Constraints(max_gap=2)
+        for constraints in (unbounded, unbounded._replace(min_support=0.5, max_length=2),
+                            gapped, gapped, unbounded):
+            support(((A,), (B,)), db1, constraints)
+        assert built == [unbounded, gapped, unbounded]
 
 
 def patterns(n_items, max_elements=3):

@@ -1,0 +1,24 @@
+"""scripts/mutants.py: the mutation catalogue stays in step with the source.
+
+The whole catalogue takes minutes (``python scripts/mutants.py``); here only
+its texts are checked and one cheap mutant is run."""
+
+import runpy
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CATALOGUE = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
+
+
+def test_every_old_text_occurs_once_in_its_module():
+    mutants = CATALOGUE["MUTANTS"]
+    assert len({m.name for m in mutants}) == len(mutants)
+    for mutant in mutants:
+        assert (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old) == 1, mutant.name
+        assert mutant.old != mutant.new
+
+
+def test_a_cheap_mutant_is_killed():
+    mutant = next(m for m in CATALOGUE["MUTANTS"] if m.name == "pattern-ends-no-extend")
+    killed, _ = CATALOGUE["run"](mutant, ("tests/test_model.py::TestSupport",))
+    assert killed

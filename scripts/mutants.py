@@ -141,9 +141,18 @@ MUTANTS = (
     ),
     Mutant(
         "stream-eviction-bar", STREAM,
-        "if node.count + node.delta > bar:",
-        "if node.count + node.delta >= bar:",
+        "if node.count + node.delta <= bar:",
+        "if node.count + node.delta < bar:",
         "a node at the bar is kept",
+    ),
+    Mutant(
+        "stream-reinsert-evicted", STREAM,
+        "evicted.append(pattern)\n",
+        "evicted.append(pattern)\n"
+        "                if count is not None:\n"
+        "                    mined[pattern] = count\n",
+        "a tracked pattern the batch evicts goes back to the insert step, and is"
+        " inserted again when its mined count clears the bar as a new pattern's",
     ),
 )
 

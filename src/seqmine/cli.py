@@ -179,15 +179,20 @@ def _cmd_mine_stream(args) -> int:
     alphabet = Alphabet()
     lines = dataset.read_lines(args.input, args.idle_timeout if args.watch else None)
     sequences = dataset.iter_sequence_db(lines, alphabet)
+    # each output pattern's sort key and text, rendered once while it stays
+    # in consecutive reports and dropped when it leaves the output
+    rendered: dict = {}
     for report in replay(sequences, config, report_every=args.report_every):
         tag = "final" if report.final else "report"
         header = (
             f"# {tag} batches={report.batches} sequences={report.sequences} "
             f"tree_nodes={report.tree_nodes}"
         )
+        shown = textfmt.supported_pattern_lines(report.patterns, alphabet, rendered)
         # one write per report: under unbuffered output each print is a syscall
-        _write_out(None, [header, *textfmt.supported_pattern_lines(report.patterns, alphabet)])
+        _write_out(None, [header, *shown])
         sys.stdout.flush()
+        rendered = {sp.pattern: rendered[sp.pattern] for sp in report.patterns}
     return 0
 
 

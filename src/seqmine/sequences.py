@@ -15,9 +15,11 @@ Everything else is shared. Both build the database's layout as one bit
 string first (:func:`seqmine.model.bit_layout`): sequence s takes one bit
 per transaction, then an always-zero sentinel bit, and each item has the
 int of the transactions that hold it. :func:`_frequent_items` reads level
-1 off those ints, :func:`_level2_candidates` gives each frequent item its
-level-2 candidates, and :func:`_children` is the one step that counts a
-pattern's extensions on the same layout: it stores each frequent child's
+1 off those ints; past level 1 nothing reads an infrequent item's int, so
+each miner goes on with a layout that holds the frequent items' ints only.
+:func:`_level2_candidates` gives each frequent item its level-2
+candidates, and :func:`_children` is the one step that counts a
+pattern's extensions on that layout: it stores each frequent child's
 count and returns the children with S and I, the items they add as new
 elements and into the last element, as two masks. A pattern's projection
 is one int, the positions in every sequence where its last element can
@@ -210,7 +212,8 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     frequent_items, frequent = _frequent_items(layout, minc, stats)
     if not frequent or max_len == 1:
         return _finalize(frequent, n, stats)
-    items = layout.items
+    items = {i: layout.items[i] for i in frequent_items}
+    layout = layout._replace(items=items)
     pairs = _level2_candidates(db.columns, frequent_items, layout, minc)
     # (pattern, its projection, its s- and i-candidates as (item, bits))
     level = [(((i,),), items[i], *pairs[i]) for i in frequent_items]
@@ -357,7 +360,8 @@ def _prefixspan(
     frequent, found = _frequent_items(layout, minc, stats)
     if not frequent or max_len == 1:
         return found
-    items = layout.items
+    items = {i: layout.items[i] for i in frequent}
+    layout = layout._replace(items=items)
     pairs = _level2_candidates(columns, frequent, layout, minc)
     bs, bi, listed = {}, {}, _Listed(items)
     # (pattern, its item count, its projection or None at level 2, its parent's S, I)

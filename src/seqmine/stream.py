@@ -75,25 +75,34 @@ class PatternTree:
     def absorb(
         self, mined: dict[Pattern, int], bump: int, delta: int, bar: int, batch: int
     ) -> None:
-        """Merge one batch's mined counts in one pass over the table.
+        """Merge one batch's mined counts into the table in place, then
+        copy the table into a dict sized to it.
 
         A tracked pattern adds its mined count, or, if the batch did not
         mine it, ``bump`` to its delta; a new pattern is inserted with
-        ``delta``. Only nodes with ``count + delta > bar`` are kept.
+        ``delta``. Only nodes with ``count + delta > bar`` are kept: kept
+        nodes stay the same objects in the same order, and new ones follow
+        in ``mined`` order. ``mined`` is consumed: each tracked pattern is
+        taken out of it, so a pattern evicted here is not inserted again.
         """
-        kept: dict[Pattern, _Node] = {}
-        for pattern, node in self._nodes.items():
-            count = mined.get(pattern)
+        nodes = self._nodes
+        evicted = []
+        for pattern, node in nodes.items():
+            count = mined.pop(pattern, None)
             if count is None:
                 node.delta += bump
             else:
                 node.count += count
-            if node.count + node.delta > bar:
-                kept[pattern] = node
+            if node.count + node.delta <= bar:
+                evicted.append(pattern)
+        for pattern in evicted:
+            del nodes[pattern]
         for pattern, count in mined.items():
-            if count + delta > bar and pattern not in self._nodes:
-                kept[pattern] = _Node(count, delta, batch)
-        self._nodes = kept
+            if count + delta > bar:
+                nodes[pattern] = _Node(count, delta, batch)
+        # a dict keeps its slots after deletes, so a table left to grow in
+        # place holds up to twice a fresh one's; the copy, made in C, is not
+        self._nodes = dict(nodes)
 
     def items(self) -> ItemsView[Pattern, _Node]:
         return self._nodes.items()

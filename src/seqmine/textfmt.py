@@ -48,13 +48,24 @@ def _sorted_lines(rows: list[tuple]) -> list[str]:
 
 
 def supported_pattern_lines(
-    patterns: Sequence[SupportedPattern], alphabet: Alphabet
+    patterns: Sequence[SupportedPattern], alphabet: Alphabet, rendered: dict | None = None
 ) -> list[str]:
+    """The lines of ``patterns``, in sort-key order.
+
+    ``rendered``, if given, maps a pattern to its (sort key, ``<...>``
+    text), and each pattern not yet in it is added. A caller that keeps it
+    across calls renders a pattern once; it holds nothing of a count or a
+    support, and an alphabet never changes an id's token, so an entry
+    never goes stale.
+    """
+    rendered = {} if rendered is None else rendered
     rows = []
     for sp in patterns:
-        elements = _token_elements(sp.pattern, alphabet)
-        key = (pattern_length(sp.pattern), elements)
-        rows.append((key, _elements_text(elements), sp.count, sp.support))
+        if (found := rendered.get(sp.pattern)) is None:
+            elements = _token_elements(sp.pattern, alphabet)
+            key = (pattern_length(sp.pattern), elements)
+            found = rendered[sp.pattern] = (key, _elements_text(elements))
+        rows.append((*found, sp.count, sp.support))
     return _sorted_lines(rows)
 
 

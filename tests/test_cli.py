@@ -17,7 +17,7 @@ from hypothesis import given, settings
 
 from conftest import SRC, run_cli, start_cli
 
-from seqmine import cli
+from seqmine import cli, textfmt
 
 TDB1_CSV = "t1,a b c\nt2,a b\nt3,a c\nt4,b c\n"
 DB1_CSV = (
@@ -422,6 +422,46 @@ class TestMineStream:
         assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
             "9558e563e388403a8cf5d2b6bb990ed1d07d59fbe572e1b71d7d5e59cdbec5a4"
         )
+        # every third report: the text kept for a report's patterns skips two
+        proc = run_cli(
+            "mine-stream", str(path),
+            "--sigma", "0.2", "--epsilon", "0.1", "--batch-size", "40", "--max-length", "4",
+            "--report-every", "3",
+        )
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == 90
+        assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
+            "b2f9c10865b4b581279ec8e8a274900f478ee27b258617066bc5fdaa2c7034a1"
+        )
+
+    def test_reused_pattern_text_never_goes_stale(self, tmp_path, monkeypatch, capsys):
+        # batches of 2 at sigma 0.5, epsilon 0.1: <{a}> is output at count 2,
+        # drops out once the b batches raise the threshold to 3, and is
+        # output again at count 4
+        path = tmp_path / "returns.csv"
+        path.write_text("".join(f"s{i},1,{x}\n" for i, x in enumerate("aabbbbaa")))
+        original = textfmt.supported_pattern_lines
+        calls = []
+
+        def recording(patterns, alphabet, rendered=None):
+            held = set(rendered)
+            lines = original(patterns, alphabet, rendered)
+            assert lines == original(patterns, alphabet)
+            calls.append((held, {sp.pattern for sp in patterns}, lines))
+            return lines
+
+        monkeypatch.setattr(textfmt, "supported_pattern_lines", recording)
+        argv = ["mine-stream", str(path), "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "2"]
+        assert cli.main(argv) == 0
+        assert [[l for l in lines if l.startswith("<{a}>")] for *_, lines in calls] == [
+            ["<{a}> count=2 support=1.0000"],
+            ["<{a}> count=2 support=0.5000"],
+            [],
+            ["<{a}> count=4 support=0.5000"],
+        ]
+        # each report finds the text of the one before's patterns, and no more
+        assert [held for held, _, _ in calls] == [set()] + [shown for _, shown, _ in calls[:-1]]
+        assert capsys.readouterr().out.count("# ") == 4
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,23 @@ def level2(db, constraints):
     return tested == f * f + f * (f - 1) // 2, found
 
 
+@pytest.mark.parametrize("miner", [gsp_mine, prefixspan_mine], ids=["gsp", "prefixspan"])
+def test_past_level_1_the_layout_holds_only_frequent_items(miner, side, monkeypatch):
+    seen = []
+    children = sequences._children
+
+    def recording(pattern, ends, s_items, i_items, layout, *rest):
+        seen.append(set(layout.items))
+        return children(pattern, ends, s_items, i_items, layout, *rest)
+
+    monkeypatch.setattr(sequences, "_children", recording)
+    constraints = Constraints(min_support=0.005, max_length=3)
+    result = miner(WIDE_ALPHABET, constraints)
+    frequent = {sp.pattern[0][0] for sp in result.patterns if pattern_length(sp.pattern) == 1}
+    assert len(frequent) < len(bit_layout(WIDE_ALPHABET.columns, constraints).items)
+    assert seen and all(items == frequent for items in seen)
+
+
 class TestLevel2Candidates:
     @pytest.mark.parametrize("db", [FOUR_ITEMS, SIX_ITEMS], ids=["four-items", "six-items"])
     @pytest.mark.parametrize("constraints", CONSTRAINT_GRID)

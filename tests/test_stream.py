@@ -5,7 +5,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import A, B, C, delete_last_item, make_sequence
 from synthetic import generate_db
@@ -15,6 +15,7 @@ from seqmine.errors import BadBatchSizeError, InvalidStreamConfigError
 from seqmine.model import contains, exact_fraction
 from seqmine.oracle import brute_stream, iter_canonical_patterns
 from seqmine.stream import (
+    PatternTree,
     StreamConfig,
     StreamState,
     flush,
@@ -151,6 +152,64 @@ class TestProcessBatch:
         node = node_of(state.tree, ((A,), (B,)))
         assert node.count == 5, "a below-bar occurrence is not observed"
         assert node.delta == 1, "but the miss allowance grows"
+
+
+def rebuilt_table(table, mined, bump, delta, bar, batch):
+    """The batch merge built as a new table: the reference for
+    :meth:`PatternTree.absorb`. ``table`` maps a pattern to (count, delta,
+    inserted_at_batch); returns the merged table's (pattern, count, delta,
+    inserted_at_batch) in order."""
+    kept = {}
+    for pattern, (count, d, at) in table.items():
+        got = mined.get(pattern)
+        if got is None:
+            d += bump
+        else:
+            count += got
+        if count + d > bar:
+            kept[pattern] = (count, d, at)
+    for pattern, count in mined.items():
+        if count + delta > bar and pattern not in table:
+            kept[pattern] = (count, delta, batch)
+    return [(pattern, *node) for pattern, node in kept.items()]
+
+
+PATTERNS = st.sampled_from(
+    [((x,),) for x in range(4)] + [((x,), (y,)) for x in range(3) for y in range(3)]
+)
+
+
+@st.composite
+def merges(draw):
+    """A table, a batch's mined counts, bump, insert delta and bar. Small
+    values make tracked patterns that the batch evicts although their mined
+    count would clear the insert test."""
+    tracked = draw(st.lists(PATTERNS, unique=True, max_size=10))
+    table = {
+        p: (draw(st.integers(1, 8)), draw(st.integers(0, 6)), draw(st.integers(1, 3)))
+        for p in tracked
+    }
+    mined = draw(st.dictionaries(PATTERNS, st.integers(1, 6), max_size=10))
+    return table, mined, draw(st.integers(0, 3)), draw(st.integers(0, 6)), draw(st.integers(0, 12))
+
+
+class TestAbsorb:
+    # item 0 is tracked at count 1, delta 0; mined twice it is evicted at
+    # 3 <= 4, though as a new pattern it would clear the bar, 2 + 3 > 4
+    @example(merge=({((0,),): (1, 0, 1)}, {((0,),): 2}, 0, 3, 4))
+    @given(merge=merges())
+    def test_in_place_merge_equals_the_rebuild(self, merge):
+        table, mined, bump, delta, bar = merge
+        tree = PatternTree()
+        # bar -1 evicts nothing, and bump 0 leaves the nodes already in place
+        for pattern, (count, d, at) in table.items():
+            tree.absorb({pattern: count}, 0, d, -1, at)
+        before = dict(tree.items())
+        tree.absorb(dict(mined), bump, delta, bar, 4)
+        got = [(p, node.count, node.delta, node.inserted_at_batch) for p, node in tree.items()]
+        assert got == rebuilt_table(table, mined, bump, delta, bar, 4)
+        # a kept node is the same object
+        assert all(node is before[p] for p, node in tree.items() if p in before)
 
 
 class TestQueryOutput:

@@ -64,11 +64,19 @@ MUTANTS = (
     ),
     Mutant(
         "extend-drop-starts", MODEL,
-        "return (layout.sentinels - out) & layout.real",
-        "return (layout.sentinels - out) & layout.real & ~layout.starts",
-        "the unbounded result loses each sequence's first position",
-        "a sequence's first position never follows an element, so the result"
-        " never holds it",
+        "return (layout.sentinels - first) & layout.real",
+        "return (layout.sentinels - first) & layout.real & ~layout.starts",
+        "the unbounded fill loses each sequence's first position",
+        "first_allowed steps at least one position on from an end in the same"
+        " sequence, so it never gives a sequence's first position, and the fill"
+        " from it never holds one; the s-counts read first, not the fill",
+    ),
+    Mutant(
+        "upto-smear-short", MODEL,
+        "    while span:\n",
+        "    while span & (span >> k):\n",
+        "the doubling smear of upto stops one step early, so an item's last"
+        " position no longer reaches the start of a long sequence",
     ),
     Mutant(
         "pattern-ends-no-extend", MODEL,
@@ -90,6 +98,19 @@ MUTANTS = (
         "c_ends = ends & bits\n"
         "        if c_ends.bit_count() >= minc and (count := count_sequences(c_ends, layout)) > minc",
         "an i-extension counted exactly minc is dropped",
+    ),
+    Mutant(
+        "room-bound-strict", SEQUENCES,
+        "(first := first_allowed(ends, layout)).bit_count() >= minc",
+        "(first := first_allowed(ends, layout)).bit_count() > minc",
+        "the s-loop is skipped when exactly minc sequences leave room for a new element",
+    ),
+    Mutant(
+        "upto-as-items", SEQUENCES,
+        "(count := (first & last).bit_count()) >= minc",
+        "(count := (first & items[item]).bit_count()) >= minc",
+        "an s-extension counts only the sequences where its item sits exactly at"
+        " the first allowed position",
     ),
     Mutant(
         "bounded-gap-s-rule", SEQUENCES,

@@ -38,11 +38,22 @@ element can end, in every sequence at once.
   the positions the next element may take. Its shifts are bounded by a
   constraint, never by a sequence's length, and a mask drops every bit a
   shift carried past a sentinel.
+* Without ``max_gap`` and ``max_index_gap``, :func:`extend` is two steps:
+  :func:`first_allowed` gives each sequence at most one bit, the first
+  position the next element may take, and :func:`fill` sets every position
+  from there to the sentinel. The allowed positions are then a suffix, so
+  item x extends the pattern in a sequence exactly when x occurs at or
+  after that bit (LAPIN's last-position test, Yang, Wang & Kitsuregawa,
+  DASFAA 2007). :func:`frequent_layout` gives each frequent item an
+  ``upto`` int, every position of each sequence up to the item's last
+  occurrence in it, so an s-extension's count is
+  ``(first & upto[x]).bit_count()``: one AND and one popcount.
 
 :func:`contains` and :func:`support`, GSP and PrefixSpan all grow ``ends``
 with it; the itemset miner takes its level-1 masks from :func:`item_ints`.
 :func:`support` counts on the layout of the database's own columns, which
-the database keeps for the gap rules of the last call.
+the database keeps for the gap rules of the last call; neither builds
+``upto``, which only the miners read past level 1.
 Every type is immutable after construction, except that a database builds
 its ``sequences`` once and keeps that layout, and every function here is
 pure except :func:`support`, which fills the database's layout slot.
@@ -359,7 +370,7 @@ def min_count(min_support, db_size: int) -> int:
     return math.ceil(exact_fraction(min_support) * db_size)
 
 
-class BitLayout(namedtuple("BitLayout", "starts sentinels real items bounded steps")):
+class BitLayout(namedtuple("BitLayout", "starts sentinels real items bounded steps upto")):
     """A database's columns as one bit string, with the gap rules as masks.
 
     ``starts``, ``sentinels`` and ``real`` are ints used as bit sets,
@@ -373,6 +384,9 @@ class BitLayout(namedtuple("BitLayout", "starts sentinels real items bounded ste
     says that an element matched at transaction j - k may be followed by
     one at j; otherwise it says that j is the first transaction allowed
     after one matched at j - k, and every later one is allowed too.
+    ``upto`` is None, except on a layout :func:`frequent_layout` built
+    without ``max_gap`` or ``max_index_gap``: there it maps each item id
+    to its last-position int.
     """
 
     __slots__ = ()
@@ -462,6 +476,7 @@ def bit_layout(columns: Columns, constraints: Constraints) -> BitLayout:
         items=item_ints(columns.itemsets),
         bounded=bounded,
         steps=tuple(steps),
+        upto=None,
     )
 
 
@@ -477,21 +492,57 @@ def extend(ends: int, layout: BitLayout) -> int:
 
     Under ``max_gap`` or ``max_index_gap`` every end counts, through the
     allowed steps. Otherwise only the lowest end of each sequence does, and
-    every position from the first one allowed after it is allowed.
+    every position from the first one allowed after it is allowed: the
+    :func:`fill` of :func:`first_allowed`.
     """
+    if not layout.bounded:
+        return fill(first_allowed(ends, layout), layout)
     out = 0
-    if layout.bounded:
-        for k, mask in layout.steps:
-            out |= (ends << k) & mask
-        return out
+    for k, mask in layout.steps:
+        out |= (ends << k) & mask
+    return out
+
+
+def first_allowed(ends: int, layout: BitLayout) -> int:
+    """On a layout without ``max_gap`` or ``max_index_gap``, the first
+    position the next element may take after an element ending at
+    ``ends``: at most one bit per sequence, none where nothing may follow."""
     # the lowest end of each sequence: its borrow stops there
     h = ends | layout.sentinels
     lows = (h ^ (h - layout.starts)) & ends
+    out = 0
     for k, mask in layout.steps:
         out |= (lows << k) & mask
-    # every bit from the first allowed one up to the sentinel, which the
-    # mask drops; a sequence with no allowed bit keeps only its sentinel
-    return (layout.sentinels - out) & layout.real
+    return out
+
+
+def fill(first: int, layout: BitLayout) -> int:
+    """Every position from each bit of ``first`` (at most one per sequence)
+    up to its sequence's sentinel, which the mask drops; a sequence with no
+    bit keeps only its sentinel, so it gets none."""
+    return (layout.sentinels - first) & layout.real
+
+
+def frequent_layout(layout: BitLayout, frequent: Iterable[int]) -> BitLayout:
+    """``layout`` holding the ints of the ``frequent`` items only, and on a
+    layout without ``max_gap`` or ``max_index_gap`` each one's ``upto``
+    int: every position of each sequence up to the item's last occurrence
+    in it. The next element may take a suffix of each sequence, from the
+    one bit :func:`first_allowed` gives, so item x extends a pattern in a
+    sequence exactly where that bit lies in ``upto[x]``.
+
+    The ints are smeared down within each sequence by doubling steps: at
+    step k, ``span`` marks the j whose positions j to j + k all lie in one
+    sequence, and the steps go on while some sequence is longer than k.
+    """
+    items = {i: layout.items[i] for i in frequent}
+    if layout.bounded:
+        return layout._replace(items=items)
+    upto, k, span = items, 1, layout.real & (layout.real >> 1)
+    while span:
+        upto = {i: bits | ((bits >> k) & span) for i, bits in upto.items()}
+        span, k = span & (span >> k), 2 * k
+    return layout._replace(items=items, upto=upto)
 
 
 def _pattern_ends(pattern: Pattern, layout: BitLayout) -> int:

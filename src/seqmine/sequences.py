@@ -16,7 +16,9 @@ string first (:func:`seqmine.model.bit_layout`): sequence s takes one bit
 per transaction, then an always-zero sentinel bit, and each item has the
 int of the transactions that hold it. :func:`_frequent_items` reads level
 1 off those ints; past level 1 nothing reads an infrequent item's int, so
-each miner goes on with a layout that holds the frequent items' ints only.
+each miner goes on with the layout :func:`seqmine.model.frequent_layout`
+gives, which holds the frequent items' ints only, and on unbounded gaps
+(no ``max_gap`` or ``max_index_gap``) each one's ``upto`` int too.
 :func:`_level2_candidates` gives each frequent item its level-2
 candidates, and :func:`_children` is the one step that counts a
 pattern's extensions on that layout: it stores each frequent child's
@@ -26,9 +28,16 @@ is one int, the positions in every sequence where its last element can
 end; that frontier is exact even with gap constraints. An s-extension by
 x is ``extend(ends, layout) & items[x]`` and an i-extension by y is
 ``ends & items[y]``, so a candidate costs a few C-level big-int operations
-over the whole database, and :func:`seqmine.model.count_sequences` reads
-its support off the sentinels. Each candidate handed to that step counts
-once in ``MiningStats.candidates_generated``.
+over the whole database. Under bounded gaps, and for every i-extension, a
+popcount of the child's projection is a cheap bound first, and
+:func:`seqmine.model.count_sequences` reads the support of the ones that
+pass it off the sentinels. On unbounded gaps an s-candidate costs one AND
+and one popcount: ``first_allowed(ends)`` has at most one bit per
+sequence, and its AND with ``upto[x]`` has one exactly where x extends the
+pattern. Only a frequent s-child gets its projection built, and when fewer
+than ``minc`` sequences have a ``first`` bit no s-candidate is tested.
+Each candidate handed to that step counts once in
+``MiningStats.candidates_generated``, whether it is tested or not.
 
 Level 2 is where the alphabet's width tells. With F frequent items,
 testing every pair on the bit layout ANDs about 1.5 F² ints, each as wide
@@ -90,6 +99,9 @@ from seqmine.model import (
     bit_layout,
     count_sequences,
     extend,
+    fill,
+    first_allowed,
+    frequent_layout,
     min_count,
     pattern_length,
     pattern_sort_key,
@@ -160,20 +172,33 @@ def _children(
     ``found``. Return the frequent children as ``(child, its projection)``,
     s-extensions first, each list in order, and the items they add as two
     masks: S as new elements and I into the last element. ``ends`` is the
-    pattern's projection."""
+    pattern's projection. An i-candidate's int is the item's int; an
+    s-candidate's is its ``upto`` int where the layout has them."""
     stats.candidates_generated += len(s_items) + len(i_items)
     grown, s_found, i_found = [], 0, 0
-    allowed = extend(ends, layout) if s_items else 0
-    # two loops, not one over both lists: most calls test a handful of
+    # separate loops, not one over both lists: most calls test a handful of
     # candidates, so the per-call setup of a shared loop shows
-    for item, bits in s_items:
-        c_ends = allowed & bits
-        # a cheap bound first: each sequence counted holds a bit
-        if c_ends.bit_count() >= minc and (count := count_sequences(c_ends, layout)) >= minc:
-            child = pattern + ((item,),)
-            found[child] = count
-            grown.append((child, c_ends))
-            s_found |= 1 << item
+    if layout.upto is None:  # bounded gaps: each child's projection is counted
+        allowed = extend(ends, layout) if s_items else 0
+        for item, bits in s_items:
+            c_ends = allowed & bits
+            # a cheap bound first: each sequence counted holds a bit
+            if c_ends.bit_count() >= minc and (count := count_sequences(c_ends, layout)) >= minc:
+                child = pattern + ((item,),)
+                found[child] = count
+                grown.append((child, c_ends))
+                s_found |= 1 << item
+    # each sequence counted holds a bit of ``first``, so with fewer no child is frequent
+    elif s_items and (first := first_allowed(ends, layout)).bit_count() >= minc:
+        allowed, items = fill(first, layout), layout.items
+        # ``last`` is the item's ``upto`` int: it holds a sequence's bit of
+        # ``first`` exactly when the item occurs there at or after it
+        for item, last in s_items:
+            if (count := (first & last).bit_count()) >= minc:
+                child = pattern + ((item,),)
+                found[child] = count
+                grown.append((child, allowed & items[item]))
+                s_found |= 1 << item
     for item, bits in i_items:
         c_ends = ends & bits
         if c_ends.bit_count() >= minc and (count := count_sequences(c_ends, layout)) >= minc:
@@ -212,10 +237,12 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     frequent_items, frequent = _frequent_items(layout, minc, stats)
     if not frequent or max_len == 1:
         return _finalize(frequent, n, stats)
-    items = {i: layout.items[i] for i in frequent_items}
-    layout = layout._replace(items=items)
+    layout = frequent_layout(layout, frequent_items)
+    items = layout.items
+    # an s-list carries each item's ``upto`` int where the layout has them
+    ints = (layout.upto or items, items)
     pairs = _level2_candidates(db.columns, frequent_items, layout, minc)
-    # (pattern, its projection, its s- and i-candidates as (item, bits))
+    # (pattern, its projection, its s- and i-candidates as (item, int))
     level = [(((i,),), items[i], *pairs[i]) for i in frequent_items]
 
     m = 2
@@ -233,7 +260,8 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
                 for child, _ in got:
                     # a one-item last element is a new element: an s-extension
                     last = child[-1]
-                    children[pattern][len(last) > 1].append((last[-1], items[last[-1]]))
+                    in_last = len(last) > 1
+                    children[pattern][in_last].append((last[-1], ints[in_last][last[-1]]))
         level = [(p, ends, *children.get(_delete_first_item(p), ((), ()))) for p, ends in grown]
         m += 1
 
@@ -241,12 +269,12 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
 
 
 def _successors(
-    columns: Columns, minc: int, items: dict[int, int]
+    columns: Columns, minc: int, s_ints: dict[int, int], items: dict[int, int]
 ) -> tuple[dict[int, list[tuple[int, int]]], dict[int, list[tuple[int, int]]]]:
     """For each item ``a``, the items ``x`` that follow ``a`` and the items
     ``y > a`` that share a transaction with ``a``, each in at least ``minc``
-    sequences, gaps ignored (ascending), as ``(item, items[item])``. No pair
-    with an infrequent item clears ``minc``."""
+    sequences, gaps ignored (ascending), as ``(x, s_ints[x])`` and
+    ``(y, items[y])``. No pair with an infrequent item clears ``minc``."""
     follows: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
     i_pairs: list[tuple[int, int]] = []
     for _, _, itemsets in columns.runs():
@@ -268,7 +296,7 @@ def _successors(
     for a, afters in follows.items():
         if len(afters) >= minc:
             counts = Counter(chain.from_iterable(afters))
-            s_next[a] = [(x, items[x]) for x in sorted(x for x, c in counts.items() if c >= minc)]
+            s_next[a] = [(x, s_ints[x]) for x in sorted(x for x, c in counts.items() if c >= minc)]
     i_next: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
     for a, y in sorted(pair for pair, count in Counter(i_pairs).items() if count >= minc):
         i_next[a].append((y, items[y]))
@@ -288,7 +316,8 @@ def _level2_candidates(
     columns: Columns, frequent: list[int], layout: BitLayout, minc: int
 ) -> dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
     """Each frequent item's level-2 candidates, as an (s-list, i-list) of
-    ``(item, bits)`` for :func:`_children`.
+    ``(item, int)`` for :func:`_children`: an i-list carries each item's
+    int, an s-list its ``upto`` int where the layout has them.
 
     Testing every pair of the F frequent items ANDs and popcounts an int of
     the layout's width W for each of about 1.5 F² pairs; :func:`_successors`
@@ -302,11 +331,12 @@ def _level2_candidates(
     are its successor lists.
     """
     items = layout.items
+    s_ints = layout.upto or items
     visits = sum(items[i].bit_count() for i in frequent)
     if len(frequent) ** 2 * layout.sentinels.bit_length() <= _BITS_PER_VISIT * visits:
-        every = [(i, items[i]) for i in frequent]
-        return {i: (every, every[k + 1:]) for k, i in enumerate(frequent)}
-    s_next, i_next = _successors(columns, minc, items)
+        s_every, every = [(i, s_ints[i]) for i in frequent], [(i, items[i]) for i in frequent]
+        return {i: (s_every, every[k + 1:]) for k, i in enumerate(frequent)}
+    s_next, i_next = _successors(columns, minc, s_ints, items)
     return {a: (s_next.get(a, []), i_next.get(a, [])) for a in frequent}
 
 
@@ -346,7 +376,8 @@ def _prefixspan(
     held at once. A popped pattern with last item y ANDs its parent's
     masks with ``bs[y]`` and ``bi[y]`` as the module docstring says, and
     hands the items left to :func:`_children`, the counting step GSP uses
-    too; each mask's candidate list is built once per call. That call also stores the
+    too; each mask's candidate list is built once per call, an s-list
+    of ``upto`` ints where the layout has them. That call also stores the
     frequent children's counts and returns their S and I. Every pattern is
     added after its parent (the pattern minus its last item), so the
     result is parents-first. No caller reads that order: the stream's
@@ -360,10 +391,11 @@ def _prefixspan(
     frequent, found = _frequent_items(layout, minc, stats)
     if not frequent or max_len == 1:
         return found
-    items = {i: layout.items[i] for i in frequent}
-    layout = layout._replace(items=items)
+    layout = frequent_layout(layout, frequent)
+    items = layout.items
     pairs = _level2_candidates(columns, frequent, layout, minc)
-    bs, bi, listed = {}, {}, _Listed(items)
+    # an s-list carries each item's ``upto`` int where the layout has them
+    bs, bi, s_listed, i_listed = {}, {}, _Listed(layout.upto or items), _Listed(items)
     # (pattern, its item count, its projection or None at level 2, its parent's S, I)
     stack: list[tuple[Pattern, int, int | None, int, int]] = []
     for a in frequent:
@@ -380,7 +412,7 @@ def _prefixspan(
         else:  # an s-step child: S(P) bounds its s-steps only on unbounded gaps
             s_mask, i_mask = (bs[y] if layout.bounded else s_found & bs[y]), s_found & bi[y]
         children, s_found, i_found = _children(
-            pattern, ends, listed[s_mask], listed[i_mask], layout, minc, stats, found
+            pattern, ends, s_listed[s_mask], i_listed[i_mask], layout, minc, stats, found
         )
         if max_len is None or plen + 1 < max_len:
             stack += [(c, plen + 1, c_ends, s_found, i_found) for c, c_ends in children]

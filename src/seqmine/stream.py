@@ -47,7 +47,6 @@ from seqmine.model import (
     SupportedPattern,
     _Checked,
     exact_fraction,
-    pattern_sort_key,
 )
 from seqmine.sequences import _prefixspan
 
@@ -193,19 +192,19 @@ def process_batch(
 
 
 def query_output(state: StreamState, config: StreamConfig) -> list[SupportedPattern]:
-    """Patterns whose tracked count clears (sigma - epsilon) * N."""
+    """Patterns whose tracked count clears (sigma - epsilon) * N, in the
+    table's order: a caller that shows them sorts them its own way, as
+    ``mine-stream`` does by tokens (:mod:`seqmine.textfmt`)."""
     n = state.sequences_seen
     if n == 0:
         return []
     # counts are ints, so clearing the exact threshold is clearing its ceiling
     threshold = math.ceil((exact_fraction(config.sigma) - exact_fraction(config.epsilon)) * n)
-    out = [
+    return [
         SupportedPattern(pattern, node.count, node.count / n)
         for pattern, node in state.tree.items()
         if node.count >= threshold
     ]
-    out.sort(key=lambda sp: pattern_sort_key(sp.pattern))
-    return out
 
 
 def flush(

@@ -32,6 +32,9 @@ from seqmine.model import (
     contains,
     count_sequences,
     extend,
+    fill,
+    first_allowed,
+    frequent_layout,
     itemset_support,
     min_count,
     pattern_length,
@@ -283,6 +286,51 @@ class TestBitLayout:
         assert set(whole.items) == set().union(*flat)
         for item, bits in whole.items.items():
             assert [bits >> j & 1 for j in range(len(flat))] == [item in txn for txn in flat]
+
+
+class TestFirstAllowedAndUpto:
+    """Without max_gap and max_index_gap the next element may take a suffix
+    of each sequence, from the one position :func:`first_allowed` gives; an
+    item extends a pattern there exactly when its last occurrence lies at or
+    after that position, which is one AND with its ``upto`` int."""
+
+    @settings(max_examples=100)
+    @given(
+        sequence_dbs(max_seqs=5, max_txns=20),
+        st.sampled_from(
+            [c for c in CONSTRAINT_GRID if c.max_gap is None and c.max_index_gap is None]
+        ),
+        st.data(),
+    )
+    def test_one_and_counts_each_s_extension(self, db, constraints, data):
+        whole = bit_layout(db.columns, constraints)
+        assert whole.upto is None
+        layout = frequent_layout(whole, whole.items)
+        assert layout.items == whole.items
+        ends = data.draw(st.integers(0, layout.real)) & layout.real
+        first = first_allowed(ends, layout)
+        assert count_sequences(first, layout) == first.bit_count()
+        allowed = extend(ends, layout)
+        assert fill(first, layout) == allowed
+        for item, bits in layout.items.items():
+            count = count_sequences(allowed & bits, layout)
+            assert (first & layout.upto[item]).bit_count() == count
+        # each sequence's positions up to the item's last occurrence in it
+        columns = db.columns
+        for item, upto in layout.upto.items():
+            want = 0
+            for start, sentinel in zip(columns.firsts, columns.sentinels()):
+                held = [j for j in range(start, sentinel) if item in columns.itemsets[j]]
+                if held:
+                    want |= (1 << (held[-1] + 1)) - (1 << start)
+            assert upto == want
+
+    @pytest.mark.parametrize("constraints", CONSTRAINT_GRID)
+    def test_only_unbounded_layouts_get_upto(self, db1, constraints):
+        layout = frequent_layout(bit_layout(db1.columns, constraints), [A, B])
+        assert set(layout.items) == {A, B}
+        bounded = constraints.max_gap is not None or constraints.max_index_gap is not None
+        assert (layout.upto is None) == bounded
 
 
 class TestItemsetSupport:

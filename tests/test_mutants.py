@@ -22,3 +22,10 @@ def test_a_cheap_mutant_is_killed():
     mutant = next(m for m in CATALOGUE["MUTANTS"] if m.name == "pattern-ends-no-extend")
     killed, _ = CATALOGUE["run"](mutant, ("tests/test_model.py::TestSupport",))
     assert killed
+
+
+def test_a_short_smear_is_killed_by_the_kernel_identity():
+    mutant = next(m for m in CATALOGUE["MUTANTS"] if m.name == "upto-smear-short")
+    test = "tests/test_model.py::TestFirstAllowedAndUpto::test_one_and_counts_each_s_extension"
+    killed, _ = CATALOGUE["run"](mutant, (test,))
+    assert killed

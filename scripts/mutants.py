@@ -44,8 +44,8 @@ MODEL, SEQUENCES, STREAM = (f"src/seqmine/{m}.py" for m in ("model", "sequences"
 MUTANTS = (
     Mutant(
         "extend-lowest-end", MODEL,
-        "lows = (h ^ (h - layout.starts)) & ends",
-        "lows = h ^ (h - layout.starts)",
+        "ends = (h ^ (h - layout.starts)) & ends",
+        "ends = h ^ (h - layout.starts)",
         "unbounded gaps step from every bit below a sequence's lowest end too",
     ),
     Mutant(
@@ -67,9 +67,10 @@ MUTANTS = (
         "return (layout.sentinels - first) & layout.real",
         "return (layout.sentinels - first) & layout.real & ~layout.starts",
         "the unbounded fill loses each sequence's first position",
-        "first_allowed steps at least one position on from an end in the same"
-        " sequence, so it never gives a sequence's first position, and the fill"
-        " from it never holds one; the s-counts read first, not the fill",
+        "the fill is taken on unbounded gaps only, where first_allowed steps at"
+        " least one position on from an end in the same sequence, so it never"
+        " gives a sequence's first position, and the fill from it never holds"
+        " one; the s-counts read first, not the fill",
     ),
     Mutant(
         "upto-smear-short", MODEL,
@@ -103,14 +104,23 @@ MUTANTS = (
         "room-bound-strict", SEQUENCES,
         "(first := first_allowed(ends, layout)).bit_count() >= minc",
         "(first := first_allowed(ends, layout)).bit_count() > minc",
-        "the s-loop is skipped when exactly minc sequences leave room for a new element",
+        "the s-loop is skipped when first_allowed gives exactly minc bits, under"
+        " either gap rule: on unbounded gaps that is exactly minc sequences with"
+        " room for a new element",
     ),
     Mutant(
         "upto-as-items", SEQUENCES,
-        "(count := (first & last).bit_count()) >= minc",
-        "(count := (first & items[item]).bit_count()) >= minc",
-        "an s-extension counts only the sequences where its item sits exactly at"
-        " the first allowed position",
+        "hits = first & last",
+        "hits = first & items[item]",
+        "on unbounded gaps an s-extension counts only the sequences where its item"
+        " sits exactly at the first allowed position",
+    ),
+    Mutant(
+        "bounded-s-popcount", SEQUENCES,
+        "bounded, items = layout.bounded, layout.items",
+        "bounded, items = False, layout.items",
+        "the bounded flag is forced off, so a bounded s-child's popcount is taken"
+        " as its count and its projection is the fill of first",
     ),
     Mutant(
         "bounded-gap-s-rule", SEQUENCES,

@@ -34,23 +34,30 @@ element can end, in every sequence at once.
   exactly when the borrow from its first bit stops below it, that is when
   the sequence has a bit set. The sentinel stops every borrow, so no
   sequence's bits reach its neighbor's.
-* :func:`extend` is the one kernel that applies the gap rules: it gives
-  the positions the next element may take. Its shifts are bounded by a
+* :func:`first_allowed` is the one loop over the gap rules' steps: it
+  shifts ``ends`` by each allowed step. Its shifts are bounded by a
   constraint, never by a sequence's length, and a mask drops every bit a
-  shift carried past a sentinel.
-* Without ``max_gap`` and ``max_index_gap``, :func:`extend` is two steps:
-  :func:`first_allowed` gives each sequence at most one bit, the first
-  position the next element may take, and :func:`fill` sets every position
-  from there to the sentinel. The allowed positions are then a suffix, so
-  item x extends the pattern in a sequence exactly when x occurs at or
-  after that bit (LAPIN's last-position test, Yang, Wang & Kitsuregawa,
-  DASFAA 2007). :func:`frequent_layout` gives each frequent item an
-  ``upto`` int, every position of each sequence up to the item's last
-  occurrence in it, so an s-extension's count is
-  ``(first & upto[x]).bit_count()``: one AND and one popcount.
+  shift carried past a sentinel. Under ``max_gap`` or ``max_index_gap``
+  every end steps, and the positions reached are all those the next
+  element may take. Otherwise only each sequence's lowest end steps, and
+  each sequence gets at most one bit: the first position the next element
+  may take, from which every later one is allowed too.
+* :func:`extend` gives the positions the next element may take: the
+  positions :func:`first_allowed` gives under bounded gaps, and otherwise
+  their :func:`fill`, every position from each up to the sentinel.
+* :func:`frequent_layout` gives each frequent item the ``upto`` int its
+  s-candidate is tested against, so item x extends a pattern in a sequence
+  exactly where ``first & upto[x]`` has a bit, ``first`` being what
+  :func:`first_allowed` gives. Under bounded gaps ``upto`` is the items
+  dict itself. Otherwise ``upto[x]`` holds every position of each sequence
+  up to x's last occurrence in it (LAPIN's last-position test, Yang, Wang &
+  Kitsuregawa, DASFAA 2007), and as ``first`` has at most one bit per
+  sequence an s-extension's count is ``(first & upto[x]).bit_count()``:
+  one AND and one popcount.
 
 :func:`contains` and :func:`support`, GSP and PrefixSpan all grow ``ends``
-with it; the itemset miner takes its level-1 masks from :func:`item_ints`.
+with :func:`extend`; the itemset miner takes its level-1 masks from
+:func:`item_ints`.
 :func:`support` counts on the layout of the database's own columns, which
 the database keeps for the gap rules of the last call; neither builds
 ``upto``, which only the miners read past level 1.
@@ -379,14 +386,15 @@ class BitLayout(namedtuple("BitLayout", "starts sentinels real items bounded ste
 
     Transaction j of a sequence whose first bit is ``o`` is bit ``o + j``;
     the sentinel after the sequence is never set in ``items`` or ``real``.
-    ``steps`` holds ``(k, mask)`` pairs read by :func:`extend`: with
-    ``bounded`` set (``max_gap`` or ``max_index_gap``), bit j of ``mask``
-    says that an element matched at transaction j - k may be followed by
-    one at j; otherwise it says that j is the first transaction allowed
-    after one matched at j - k, and every later one is allowed too.
-    ``upto`` is None, except on a layout :func:`frequent_layout` built
-    without ``max_gap`` or ``max_index_gap``: there it maps each item id
-    to its last-position int.
+    ``steps`` holds ``(k, mask)`` pairs read by :func:`first_allowed`:
+    with ``bounded`` set (``max_gap`` or ``max_index_gap``), bit j of
+    ``mask`` says that an element matched at transaction j - k may be
+    followed by one at j; otherwise it says that j is the first transaction
+    allowed after one matched at j - k, and every later one is allowed too.
+    ``upto`` is None on a layout :func:`bit_layout` builds. On one
+    :func:`frequent_layout` builds it maps each item id to the int an
+    s-candidate by the item is tested against: the ``items`` dict itself
+    when ``bounded`` is set, each item's last-position int otherwise.
     """
 
     __slots__ = ()
@@ -490,29 +498,27 @@ def extend(ends: int, layout: BitLayout) -> int:
     """Positions the next element may take after an element ending at
     ``ends``; the one function that applies the gap rules.
 
-    Under ``max_gap`` or ``max_index_gap`` every end counts, through the
-    allowed steps. Otherwise only the lowest end of each sequence does, and
-    every position from the first one allowed after it is allowed: the
-    :func:`fill` of :func:`first_allowed`.
+    Under ``max_gap`` or ``max_index_gap`` they are the positions
+    :func:`first_allowed` gives. Otherwise they are its :func:`fill`: every
+    position from the first one allowed is allowed.
     """
-    if not layout.bounded:
-        return fill(first_allowed(ends, layout), layout)
-    out = 0
-    for k, mask in layout.steps:
-        out |= (ends << k) & mask
-    return out
+    first = first_allowed(ends, layout)
+    return first if layout.bounded else fill(first, layout)
 
 
 def first_allowed(ends: int, layout: BitLayout) -> int:
-    """On a layout without ``max_gap`` or ``max_index_gap``, the first
-    position the next element may take after an element ending at
-    ``ends``: at most one bit per sequence, none where nothing may follow."""
-    # the lowest end of each sequence: its borrow stops there
-    h = ends | layout.sentinels
-    lows = (h ^ (h - layout.starts)) & ends
+    """The positions ``ends`` reaches through the layout's steps. Under
+    ``max_gap`` or ``max_index_gap`` every end steps, and these are all the
+    positions the next element may take. Otherwise only the lowest end of
+    each sequence steps, and this is the first position the next element
+    may take: at most one bit per sequence, none where nothing may follow."""
+    if not layout.bounded:
+        # the lowest end of each sequence: its borrow stops there
+        h = ends | layout.sentinels
+        ends = (h ^ (h - layout.starts)) & ends
     out = 0
     for k, mask in layout.steps:
-        out |= (lows << k) & mask
+        out |= (ends << k) & mask
     return out
 
 
@@ -524,21 +530,23 @@ def fill(first: int, layout: BitLayout) -> int:
 
 
 def frequent_layout(layout: BitLayout, frequent: Iterable[int]) -> BitLayout:
-    """``layout`` holding the ints of the ``frequent`` items only, and on a
-    layout without ``max_gap`` or ``max_index_gap`` each one's ``upto``
-    int: every position of each sequence up to the item's last occurrence
-    in it. The next element may take a suffix of each sequence, from the
-    one bit :func:`first_allowed` gives, so item x extends a pattern in a
-    sequence exactly where that bit lies in ``upto[x]``.
+    """``layout`` holding the ints of the ``frequent`` items only, with
+    ``upto`` set to the int each one's s-candidate is tested against:
+    item x extends a pattern in a sequence exactly where
+    :func:`first_allowed` has a bit of ``upto[x]``. Under ``max_gap`` or
+    ``max_index_gap`` that is the item's own int, and ``upto`` is the
+    ``items`` dict itself. Otherwise the next element may take a suffix of
+    each sequence, from the one bit :func:`first_allowed` gives, and
+    ``upto[x]`` is every position of each sequence up to x's last
+    occurrence in it.
 
-    The ints are smeared down within each sequence by doubling steps: at
+    Those ints are smeared down within each sequence by doubling steps: at
     step k, ``span`` marks the j whose positions j to j + k all lie in one
     sequence, and the steps go on while some sequence is longer than k.
     """
     items = {i: layout.items[i] for i in frequent}
-    if layout.bounded:
-        return layout._replace(items=items)
-    upto, k, span = items, 1, layout.real & (layout.real >> 1)
+    # a bounded layout's s-candidates are tested against the item ints: no smear
+    upto, k, span = items, 1, 0 if layout.bounded else layout.real & (layout.real >> 1)
     while span:
         upto = {i: bits | ((bits >> k) & span) for i, bits in upto.items()}
         span, k = span & (span >> k), 2 * k

@@ -17,8 +17,8 @@ per transaction, then an always-zero sentinel bit, and each item has the
 int of the transactions that hold it. :func:`_frequent_items` reads level
 1 off those ints; past level 1 nothing reads an infrequent item's int, so
 each miner goes on with the layout :func:`seqmine.model.frequent_layout`
-gives, which holds the frequent items' ints only, and on unbounded gaps
-(no ``max_gap`` or ``max_index_gap``) each one's ``upto`` int too.
+gives, which holds the frequent items' ints only, and each one's ``upto``
+int, the int an s-candidate by the item is tested against.
 :func:`_level2_candidates` gives each frequent item its level-2
 candidates, and :func:`_children` is the one step that counts a
 pattern's extensions on that layout: it stores each frequent child's
@@ -28,14 +28,16 @@ is one int, the positions in every sequence where its last element can
 end; that frontier is exact even with gap constraints. An s-extension by
 x is ``extend(ends, layout) & items[x]`` and an i-extension by y is
 ``ends & items[y]``, so a candidate costs a few C-level big-int operations
-over the whole database. Under bounded gaps, and for every i-extension, a
-popcount of the child's projection is a cheap bound first, and
-:func:`seqmine.model.count_sequences` reads the support of the ones that
-pass it off the sentinels. On unbounded gaps an s-candidate costs one AND
-and one popcount: ``first_allowed(ends)`` has at most one bit per
-sequence, and its AND with ``upto[x]`` has one exactly where x extends the
-pattern. Only a frequent s-child gets its projection built, and when fewer
-than ``minc`` sequences have a ``first`` bit no s-candidate is tested.
+over the whole database. Every s-candidate of a pattern is tested against
+``first = first_allowed(ends)``, taken once: when fewer than ``minc``
+sequences have a ``first`` bit no s-candidate is tested, and otherwise x's
+is ``hits = first & upto[x]``. On unbounded gaps ``first`` has at most one
+bit per sequence and ``hits`` one exactly where x extends the pattern, so
+the candidate costs one AND and one popcount, and only a frequent s-child
+gets its projection built. Under bounded gaps ``hits`` is the child's
+projection. There, and for every i-extension, the projection's popcount is
+a cheap bound first, and :func:`seqmine.model.count_sequences` reads the
+support of the ones that pass it off the sentinels.
 Each candidate handed to that step counts once in
 ``MiningStats.candidates_generated``, whether it is tested or not.
 
@@ -98,7 +100,6 @@ from seqmine.model import (
     _pattern_ends,
     bit_layout,
     count_sequences,
-    extend,
     fill,
     first_allowed,
     frequent_layout,
@@ -173,31 +174,33 @@ def _children(
     s-extensions first, each list in order, and the items they add as two
     masks: S as new elements and I into the last element. ``ends`` is the
     pattern's projection. An i-candidate's int is the item's int; an
-    s-candidate's is its ``upto`` int where the layout has them."""
+    s-candidate's is its ``upto`` int.
+
+    An s-candidate by x is counted on ``hits = first & upto[x]``, ``first``
+    being :func:`seqmine.model.first_allowed` of ``ends``. On unbounded
+    gaps ``first`` has at most one bit per sequence, so the popcount of
+    ``hits`` is the count, and a frequent child's projection is
+    ``fill(first) & items[x]``. Under bounded gaps the popcount is a bound,
+    :func:`seqmine.model.count_sequences` reads the count, and ``hits`` is
+    the projection. An i-candidate is counted the bounded way."""
     stats.candidates_generated += len(s_items) + len(i_items)
     grown, s_found, i_found = [], 0, 0
     # separate loops, not one over both lists: most calls test a handful of
     # candidates, so the per-call setup of a shared loop shows
-    if layout.upto is None:  # bounded gaps: each child's projection is counted
-        allowed = extend(ends, layout) if s_items else 0
-        for item, bits in s_items:
-            c_ends = allowed & bits
-            # a cheap bound first: each sequence counted holds a bit
-            if c_ends.bit_count() >= minc and (count := count_sequences(c_ends, layout)) >= minc:
-                child = pattern + ((item,),)
-                found[child] = count
-                grown.append((child, c_ends))
-                s_found |= 1 << item
     # each sequence counted holds a bit of ``first``, so with fewer no child is frequent
-    elif s_items and (first := first_allowed(ends, layout)).bit_count() >= minc:
-        allowed, items = fill(first, layout), layout.items
-        # ``last`` is the item's ``upto`` int: it holds a sequence's bit of
-        # ``first`` exactly when the item occurs there at or after it
+    if s_items and (first := first_allowed(ends, layout)).bit_count() >= minc:
+        bounded, items = layout.bounded, layout.items
+        allowed = None if bounded else fill(first, layout)
+        # ``last`` is the item's ``upto`` int. It holds a bit of ``first``
+        # exactly when the item occurs there (bounded gaps) or at or after it
         for item, last in s_items:
-            if (count := (first & last).bit_count()) >= minc:
+            hits = first & last
+            if (count := hits.bit_count()) >= minc and (
+                not bounded or (count := count_sequences(hits, layout)) >= minc
+            ):
                 child = pattern + ((item,),)
                 found[child] = count
-                grown.append((child, allowed & items[item]))
+                grown.append((child, hits if bounded else allowed & items[item]))
                 s_found |= 1 << item
     for item, bits in i_items:
         c_ends = ends & bits
@@ -239,8 +242,7 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
         return _finalize(frequent, n, stats)
     layout = frequent_layout(layout, frequent_items)
     items = layout.items
-    # an s-list carries each item's ``upto`` int where the layout has them
-    ints = (layout.upto or items, items)
+    ints = (layout.upto, items)
     pairs = _level2_candidates(db.columns, frequent_items, layout, minc)
     # (pattern, its projection, its s- and i-candidates as (item, int))
     level = [(((i,),), items[i], *pairs[i]) for i in frequent_items]
@@ -317,7 +319,7 @@ def _level2_candidates(
 ) -> dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
     """Each frequent item's level-2 candidates, as an (s-list, i-list) of
     ``(item, int)`` for :func:`_children`: an i-list carries each item's
-    int, an s-list its ``upto`` int where the layout has them.
+    int, an s-list its ``upto`` int.
 
     Testing every pair of the F frequent items ANDs and popcounts an int of
     the layout's width W for each of about 1.5 F² pairs; :func:`_successors`
@@ -330,8 +332,7 @@ def _level2_candidates(
     element and the frequent items above it in its element; otherwise they
     are its successor lists.
     """
-    items = layout.items
-    s_ints = layout.upto or items
+    items, s_ints = layout.items, layout.upto
     visits = sum(items[i].bit_count() for i in frequent)
     if len(frequent) ** 2 * layout.sentinels.bit_length() <= _BITS_PER_VISIT * visits:
         s_every, every = [(i, s_ints[i]) for i in frequent], [(i, items[i]) for i in frequent]
@@ -376,11 +377,10 @@ def _prefixspan(
     held at once. A popped pattern with last item y ANDs its parent's
     masks with ``bs[y]`` and ``bi[y]`` as the module docstring says, and
     hands the items left to :func:`_children`, the counting step GSP uses
-    too; each mask's candidate list is built once per call, an s-list
-    of ``upto`` ints where the layout has them. That call also stores the
-    frequent children's counts and returns their S and I. Every pattern is
-    added after its parent (the pattern minus its last item), so the
-    result is parents-first. No caller reads that order: the stream's
+    too; each mask's candidate list is built once per call, an s-list of
+    ``upto`` ints. That call also stores the frequent children's counts and
+    returns their S and I. Every pattern is added after its parent (the
+    pattern minus its last item), so the result is parents-first. No caller reads that order: the stream's
     table stays prefix-closed because a mined pattern's parent is mined
     too, with at least its count.
     """
@@ -394,8 +394,7 @@ def _prefixspan(
     layout = frequent_layout(layout, frequent)
     items = layout.items
     pairs = _level2_candidates(columns, frequent, layout, minc)
-    # an s-list carries each item's ``upto`` int where the layout has them
-    bs, bi, s_listed, i_listed = {}, {}, _Listed(layout.upto or items), _Listed(items)
+    bs, bi, s_listed, i_listed = {}, {}, _Listed(layout.upto), _Listed(items)
     # (pattern, its item count, its projection or None at level 2, its parent's S, I)
     stack: list[tuple[Pattern, int, int | None, int, int]] = []
     for a in frequent:

@@ -41,6 +41,7 @@ from seqmine.model import (
     support,
 )
 from seqmine.oracle import contains_by_enumeration
+from seqmine.sequences import MiningStats, _children
 
 
 class TestCanonicalize:
@@ -289,48 +290,64 @@ class TestBitLayout:
 
 
 class TestFirstAllowedAndUpto:
-    """Without max_gap and max_index_gap the next element may take a suffix
-    of each sequence, from the one position :func:`first_allowed` gives; an
-    item extends a pattern there exactly when its last occurrence lies at or
-    after that position, which is one AND with its ``upto`` int."""
+    """An s-candidate by item x is tested against ``first_allowed(ends)``
+    and x's ``upto`` int. Under max_gap or max_index_gap ``first`` holds
+    every position the next element may take, and ``upto[x]`` is x's int.
+    Otherwise the next element may take a suffix of each sequence, from the
+    one position ``first`` gives; x extends a pattern there exactly when its
+    last occurrence lies at or after that position, which is one AND with
+    ``upto[x]``."""
 
     @settings(max_examples=100)
-    @given(
-        sequence_dbs(max_seqs=5, max_txns=20),
-        st.sampled_from(
-            [c for c in CONSTRAINT_GRID if c.max_gap is None and c.max_index_gap is None]
-        ),
-        st.data(),
-    )
-    def test_one_and_counts_each_s_extension(self, db, constraints, data):
-        whole = bit_layout(db.columns, constraints)
-        assert whole.upto is None
-        layout = frequent_layout(whole, whole.items)
-        assert layout.items == whole.items
-        ends = data.draw(st.integers(0, layout.real)) & layout.real
-        first = first_allowed(ends, layout)
-        assert count_sequences(first, layout) == first.bit_count()
-        allowed = extend(ends, layout)
-        assert fill(first, layout) == allowed
-        for item, bits in layout.items.items():
-            count = count_sequences(allowed & bits, layout)
-            assert (first & layout.upto[item]).bit_count() == count
-        # each sequence's positions up to the item's last occurrence in it
-        columns = db.columns
-        for item, upto in layout.upto.items():
-            want = 0
-            for start, sentinel in zip(columns.firsts, columns.sentinels()):
-                held = [j for j in range(start, sentinel) if item in columns.itemsets[j]]
-                if held:
-                    want |= (1 << (held[-1] + 1)) - (1 << start)
-            assert upto == want
+    @given(sequence_dbs(max_seqs=5, max_txns=20), st.data())
+    def test_one_and_counts_each_s_extension(self, db, data):
+        # every gap rule on each database drawn
+        for constraints in CONSTRAINT_GRID:
+            whole = bit_layout(db.columns, constraints)
+            assert whole.upto is None
+            layout = frequent_layout(whole, whole.items)
+            assert layout.items == whole.items
+            ends = data.draw(st.integers(0, layout.real)) & layout.real
+            first = first_allowed(ends, layout)
+            allowed = extend(ends, layout)
+            if layout.bounded:
+                assert first == allowed
+            else:
+                assert count_sequences(first, layout) == first.bit_count()
+                assert fill(first, layout) == allowed
+            # the s-step gives every child the count and projection of the kernel
+            found = {}
+            s_items = list(layout.upto.items())
+            grown, _, _ = _children((), ends, s_items, [], layout, 1, MiningStats(), found)
+            want = {}
+            for item, bits in layout.items.items():
+                if count := count_sequences(allowed & bits, layout):
+                    want[((item,),)] = (count, allowed & bits)
+            assert {child: (found[child], c_ends) for child, c_ends in grown} == want
+            if layout.bounded:
+                continue
+            # each sequence's positions up to the item's last occurrence in it
+            columns = db.columns
+            for item, upto in layout.upto.items():
+                want = 0
+                for start, sentinel in zip(columns.firsts, columns.sentinels()):
+                    held = [j for j in range(start, sentinel) if item in columns.itemsets[j]]
+                    if held:
+                        want |= (1 << (held[-1] + 1)) - (1 << start)
+                assert upto == want
 
     @pytest.mark.parametrize("constraints", CONSTRAINT_GRID)
     def test_only_unbounded_layouts_get_upto(self, db1, constraints):
-        layout = frequent_layout(bit_layout(db1.columns, constraints), [A, B])
-        assert set(layout.items) == {A, B}
+        # a bounded layout tests s-candidates against the item ints, so only
+        # an unbounded one builds new ints; the whole layout builds none
+        whole = bit_layout(db1.columns, constraints)
+        assert whole.upto is None
+        layout = frequent_layout(whole, [A, B])
+        assert set(layout.items) == set(layout.upto) == {A, B}
         bounded = constraints.max_gap is not None or constraints.max_index_gap is not None
-        assert (layout.upto is None) == bounded
+        assert (layout.upto is layout.items) == bounded
+        if not bounded:
+            assert all(layout.upto[i] != layout.items[i] for i in (A, B))
 
 
 class TestItemsetSupport:

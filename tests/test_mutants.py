@@ -1,7 +1,7 @@
 """scripts/mutants.py: the mutation catalogue stays in step with the source.
 
 The whole catalogue takes minutes (``python scripts/mutants.py``); here only
-its texts are checked and one cheap mutant is run."""
+its texts are checked and a few cheap mutants are run."""
 
 import runpy
 from pathlib import Path
@@ -24,8 +24,16 @@ def test_a_cheap_mutant_is_killed():
     assert killed
 
 
-def test_a_short_smear_is_killed_by_the_kernel_identity():
-    mutant = next(m for m in CATALOGUE["MUTANTS"] if m.name == "upto-smear-short")
+def _killed_by_the_kernel_identity(name):
+    mutant = next(m for m in CATALOGUE["MUTANTS"] if m.name == name)
     test = "tests/test_model.py::TestFirstAllowedAndUpto::test_one_and_counts_each_s_extension"
     killed, _ = CATALOGUE["run"](mutant, (test,))
-    assert killed
+    return killed
+
+
+def test_a_short_smear_is_killed_by_the_kernel_identity():
+    assert _killed_by_the_kernel_identity("upto-smear-short")
+
+
+def test_a_bounded_popcount_count_is_killed_by_the_kernel_identity():
+    assert _killed_by_the_kernel_identity("bounded-s-popcount")

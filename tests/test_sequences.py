@@ -18,6 +18,7 @@ from seqmine.model import (
     bit_layout,
     count_sequences,
     extend,
+    frequent_layout,
     min_count,
     pattern_length,
     support,
@@ -226,6 +227,7 @@ def level2(db, constraints):
     minc = min_count(constraints.min_support, len(db.sequences))
     layout = bit_layout(db.columns, constraints)
     frequent, _ = _frequent_items(layout, minc, MiningStats())
+    layout = frequent_layout(layout, frequent)
     candidates = _level2_candidates(db.columns, frequent, layout, minc)
     found = {}
     for a in frequent:

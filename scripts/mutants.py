@@ -50,17 +50,23 @@ MUTANTS = (
     ),
     Mutant(
         "layout-min-gap", MODEL,
-        "and c.min_gap < t - start <= high",
-        "and c.min_gap <= t - start <= high",
+        "if min_gap < t - start <= high",
+        "if min_gap <= t - start <= high",
         "min_gap becomes an inclusive bound",
     ),
     Mutant(
-        "layout-index-sentinel", MODEL,
-        "if i >= k\n",
-        "if i >= k - 1\n",
-        "a step may leave the bit k places back, one more than the sequence holds",
-        "the extra bit marked is a step out of a sentinel, and no projection"
-        " ever sets a sentinel bit",
+        "layout-same-sentinel", MODEL,
+        "same &= real << k",
+        "same &= real << (k - 1)",
+        "a step may leave the bit k places back, one more than the sequence holds,"
+        " which is the sentinel before it; with no gap rule step 1 marks each"
+        " sequence's first position",
+    ),
+    Mutant(
+        "layout-same-crosses", MODEL,
+        "same &= real << k",
+        "same &= real",
+        "a step may leave a bit of the sequence before, across the sentinel",
     ),
     Mutant(
         "extend-drop-starts", MODEL,

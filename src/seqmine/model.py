@@ -25,9 +25,13 @@ a sequence of rows it gives each item met the int of the rows that hold
 it. :func:`bit_layout` reads the columns and is the one reader of the gap
 rules: it builds the :class:`BitLayout` of a database, an int for every
 item from :func:`item_ints` and the masks the rules come down to, so the
-sequence miners read each item's support off its int. A pattern's
-projection is then one int ``ends``: the positions where its last
-element can end, in every sequence at once.
+sequence miners read each item's support off its int. Its one loop over
+the step lengths k serves every gap rule: an int ``same``, ANDed at each
+step with ``real`` (every bit but the sentinels) shifted by k, marks the
+positions j whose positions j - k to j all lie in one sequence. It bounds
+every step's mask, and the loop ends when no sequence is long enough for
+another step. A pattern's projection is then one int ``ends``: the
+positions where its last element can end, in every sequence at once.
 
 * :func:`count_sequences` counts the sequences with a bit in ``ends``:
   ``((ends | sentinels) - starts) & sentinels`` keeps a sequence's sentinel
@@ -72,7 +76,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from operator import ge, sub
+from operator import ge, index
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -154,6 +158,20 @@ class _Checked:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+    def _check_integers(self, error: type[Exception], names: str) -> None:
+        """Raise ``error`` naming the first of the space-separated fields
+        ``names`` that is not an integer, as :func:`operator.index` reads
+        one. A field whose default is None, which means unbounded, may be
+        None."""
+        for name in names.split():
+            value = getattr(self, name)
+            if value is None and self._field_defaults.get(name, 0) is None:
+                continue
+            try:
+                index(value)
+            except TypeError:
+                raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 class DataSequence(_Checked, namedtuple("DataSequence", "seq_id times itemsets")):
@@ -311,13 +329,17 @@ class Constraints(
     means unbounded.
 
     Construction (and ``_replace``) raises :class:`InvalidConstraintsError`
-    for an inconsistent set and :class:`InvalidThresholdError` for a
-    non-finite ``min_support``, so every instance is valid.
+    for an inconsistent set, a ``min_gap`` that is not an integer, or
+    another gap or length field that is neither None nor an integer (a
+    bool counts as one), and
+    :class:`InvalidThresholdError` for a non-finite ``min_support``, so
+    every instance is valid.
     """
 
     __slots__ = ()
 
     def _check(self):
+        self._check_integers(InvalidConstraintsError, "min_gap max_gap max_index_gap max_length")
         ms = exact_fraction(self.min_support)
         if not 0 < ms <= 1:
             raise InvalidConstraintsError(f"min_support must be in (0, 1], got {self.min_support}")
@@ -331,11 +353,6 @@ class Constraints(
             raise InvalidConstraintsError(f"max_index_gap must be >= 0, got {self.max_index_gap}")
         if self.max_length is not None and self.max_length < 1:
             raise InvalidConstraintsError(f"max_length must be >= 1, got {self.max_length}")
-
-    @property
-    def gaps_unbounded(self) -> bool:
-        """True when containment degenerates to plain subsequence matching."""
-        return self.min_gap == 0 and self.max_gap is None and self.max_index_gap is None
 
 
 UNCONSTRAINED = Constraints()
@@ -391,6 +408,8 @@ class BitLayout(namedtuple("BitLayout", "starts sentinels real items bounded ste
     ``mask`` says that an element matched at transaction j - k may be
     followed by one at j; otherwise it says that j is the first transaction
     allowed after one matched at j - k, and every later one is allowed too.
+    A mask never marks j unless j - k lies in j's sequence; with no gap rule
+    the one step is k = 1, marking every position but each sequence's first.
     ``upto`` is None on a layout :func:`bit_layout` builds. On one
     :func:`frequent_layout` builds it maps each item id to the int an
     s-candidate by the item is tested against: the ``items`` dict itself
@@ -432,51 +451,47 @@ def bit_layout(columns: Columns, constraints: Constraints) -> BitLayout:
     int for every item (:func:`item_ints`), and turn the gap rules into
     shift masks.
 
+    One loop builds the masks of every gap rule. At step k, ``same`` marks
+    each j whose positions j - k to j are all real, so all lie in one
+    sequence: a sentinel sits between any two. Step k's mask is ``same``
+    ANDed with the time test of the gap rule, and the loop ends once
+    ``same`` is empty, as no sequence has more than k transactions.
+
     With ``max_gap`` or ``max_index_gap`` set, step k is allowed when the
     time from j - k to j lies in (min_gap, max_gap] and at most
     ``max_index_gap`` transactions sit between; times strictly increase,
     so k never exceeds ``max_gap``. Otherwise the allowed positions after
     an element are a suffix of its sequence, and step k marks where that
-    suffix starts; it starts within ``min_gap + 1`` transactions, and with
-    no ``min_gap`` at the very next one.
+    suffix starts; it starts within ``min_gap + 1`` transactions. With no
+    gap rule at all it starts at the very next one: the time test cannot
+    fail, so it is skipped, and step 1's mask is ``same`` itself.
     """
     c = constraints
     size = len(columns.itemsets)
-    lasts = columns.sentinels()
-    sentinels = _int_of(lasts, size)
+    sentinels = _int_of(columns.sentinels(), size)
     real = ((1 << size) - 1) ^ sentinels
 
+    min_gap, high = c.min_gap, math.inf if c.max_gap is None else c.max_gap
     bounded = c.max_gap is not None or c.max_index_gap is not None
-    if c.gaps_unbounded:
-        # the suffix starts at the next transaction; ``real`` drops a shift
-        # off a sequence's last one
-        steps = [(1, real)]
+    if bounded:
+        reach = min(high, math.inf if c.max_index_gap is None else c.max_index_gap + 1)
     else:
-        high = c.max_gap if c.max_gap is not None else math.inf
-        if bounded:
-            reach = min(high, math.inf if c.max_index_gap is None else c.max_index_gap + 1)
-        else:
-            reach = c.min_gap + 1
-        # each bit's time and index in its sequence; a sentinel's index is -1
-        times = columns.times
-        index: list[int] = []
-        for first, last in zip(columns.firsts, lasts):
-            index.extend(range(last - first))
-            index.append(-1)
-        longest = max(map(sub, lasts, columns.firsts), default=0)
-        steps = []
-        for k in range(1, min(reach, longest - 1) + 1):
+        reach = min_gap + 1
+    times, steps, same = columns.times, [], real
+    for k in range(1, reach + 1):
+        same &= real << k
+        if not same:
+            break
+        mask = same
+        if bounded or min_gap:
             marked = [
                 j
-                for j, i, t, before, start in zip(
-                    range(k, size), index[k:], times[k:], times[k - 1:], times
-                )
-                if i >= k
-                and c.min_gap < t - start <= high
-                and (bounded or before - start <= c.min_gap)
+                for j, t, before, start in zip(range(k, size), times[k:], times[k - 1:], times)
+                if min_gap < t - start <= high and (bounded or before - start <= min_gap)
             ]
-            if marked:
-                steps.append((k, _int_of(marked, size)))
+            mask &= _int_of(marked, size)
+        if mask:
+            steps.append((k, mask))
     return BitLayout(
         starts=_int_of(columns.firsts, size),
         sentinels=sentinels,

@@ -129,13 +129,15 @@ class StreamConfig(
     """Stream parameters; epsilon < sigma is what makes the guarantees work.
 
     Construction (and ``_replace``) raises :class:`InvalidStreamConfigError`
-    for out-of-range values and :class:`InvalidThresholdError` for a
+    for out-of-range values or a ``batch_size`` or ``max_length`` that is
+    not an integer, and :class:`InvalidThresholdError` for a
     non-finite sigma or epsilon, so every instance is valid.
     """
 
     __slots__ = ()
 
     def _check(self):
+        self._check_integers(InvalidStreamConfigError, "batch_size max_length")
         sigma = exact_fraction(self.sigma)
         epsilon = exact_fraction(self.epsilon)
         if not 0 < sigma <= 1:

@@ -1,5 +1,7 @@
 """Core model: canonicalization, containment, support counting."""
 
+import math
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -220,6 +222,39 @@ def one_by_one(db, constraints):
         first += len(seq.itemsets) + 1
 
 
+# beside the grid, rules whose reach exceeds most drawn sequences
+STEP_RULES = CONSTRAINT_GRID + [
+    Constraints(max_gap=10),
+    Constraints(min_gap=4),
+    Constraints(max_index_gap=6),
+]
+
+
+def reference_steps(runs, constraints):
+    """The ``(k, mask)`` steps of ``runs`` under ``constraints``, read off
+    each sequence's times with no use of the kernel: bit j of step k is set
+    when j - k lies in j's sequence and the gap rule allows the step."""
+    c = constraints
+    bounded = c.max_gap is not None or c.max_index_gap is not None
+    high = math.inf if c.max_gap is None else c.max_gap
+    most_steps = math.inf if c.max_index_gap is None else c.max_index_gap + 1
+    masks = {}
+    first = 0
+    for _, times, _ in runs:
+        for j in range(len(times)):
+            for k in range(1, j + 1):
+                gap = times[j] - times[j - k]
+                if bounded:
+                    allowed = c.min_gap < gap <= high and k <= most_steps
+                else:
+                    # the first transaction allowed after one at j - k
+                    allowed = gap > c.min_gap >= times[j - 1] - times[j - k]
+                if allowed:
+                    masks[k] = masks.get(k, 0) | 1 << (first + j)
+        first += len(times) + 1
+    return tuple(sorted(masks.items()))
+
+
 class TestBitLayout:
     """The whole database as one bit string: each sequence's transactions,
     then a sentinel bit that no item sets."""
@@ -267,6 +302,16 @@ class TestBitLayout:
         assert layout.real == 0b0101010101
         assert count_sequences(layout.real, layout) == 5
         assert extend(layout.real, layout) == 0
+
+    @settings(max_examples=100)
+    @given(sequence_dbs(max_seqs=5, max_txns=8), st.data())
+    def test_steps_equal_a_reference_built_from_times_alone(self, db, data):
+        # a one-transaction sequence among them, at a drawn place
+        runs = list(db.columns.runs())
+        runs.insert(data.draw(st.integers(0, len(runs))), ("one", (2,), ((0,),)))
+        columns = Columns.from_runs(runs)
+        for constraints in STEP_RULES:
+            assert bit_layout(columns, constraints).steps == reference_steps(runs, constraints)
 
     @settings(max_examples=80)
     @given(sequence_dbs(max_seqs=5, max_txns=6), constraint_grid(), st.data())
@@ -391,7 +436,28 @@ class TestConstraints:
 
     def test_defaults_are_valid_and_unbounded(self):
         c = Constraints(min_support=0.5)
-        assert c.gaps_unbounded
+        assert (c.min_gap, c.max_gap, c.max_index_gap) == (0, None, None)
+
+    @pytest.mark.parametrize("field", ["min_gap", "max_gap", "max_index_gap", "max_length"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, Fraction(2), "2"], ids=repr)
+    def test_gap_and_length_fields_must_be_integers(self, field, value):
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidConstraintsError, match=message):
+            Constraints(0.5, **{field: value})
+        with pytest.raises(InvalidConstraintsError, match=message):
+            Constraints(0.5)._replace(**{field: value})
+        for whole in (True, 3):
+            assert getattr(Constraints(0.5, **{field: whole}), field) is whole
+
+    def test_only_min_gap_may_not_be_none(self):
+        with pytest.raises(InvalidConstraintsError, match=r"^min_gap must be an integer, got None$"):
+            Constraints(0.5, min_gap=None)
+        assert Constraints(0.5, max_gap=None, max_index_gap=None, max_length=None)
+
+    def test_fractional_max_length_is_rejected(self):
+        # it let the miners return 3-item patterns where the oracle stops at 2
+        with pytest.raises(InvalidConstraintsError, match=r"^max_length must be an integer, got 2.5$"):
+            Constraints(0.5, max_length=2.5)
 
     def test_replace_checks_like_construction(self):
         valid = Constraints(0.5, max_gap=3)

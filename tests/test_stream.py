@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -81,6 +83,17 @@ class TestConfig:
             match=r"^epsilon must be in \(0, sigma\), got epsilon=0.6 sigma=0.5$",
         ):
             StreamConfig(0.5, 0.1, 2)._replace(epsilon=0.6)
+
+    @pytest.mark.parametrize("field", ["batch_size", "max_length"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, Fraction(2), "2", None], ids=repr)
+    def test_batch_size_and_max_length_must_be_integers(self, field, value):
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidStreamConfigError, match=message):
+            StreamConfig(0.5, 0.1, **{"batch_size": 2, field: value})
+        with pytest.raises(InvalidStreamConfigError, match=message):
+            StreamConfig(0.5, 0.1, 2)._replace(**{field: value})
+        for whole in (True, 3):
+            assert getattr(StreamConfig(0.5, 0.1, 2)._replace(**{field: whole}), field) is whole
 
 
 class TestProcessBatch:

@@ -17,7 +17,6 @@ imports only the modules it runs.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from decimal import Decimal, InvalidOperation
@@ -33,7 +32,7 @@ from seqmine.errors import (
     ParseError,
     SeqmineError,
 )
-from seqmine.model import Alphabet, Constraints
+from seqmine.model import Alphabet, Constraints, unit_fraction
 
 # The miners the commands call, each imported on first use, so that a command
 # loads only the miner it runs. A command calls them as attributes of this
@@ -89,19 +88,12 @@ def _write_out(path: str | None, lines: list[str]) -> None:
             handle.write(text)
 
 
-def _check_fraction(value: float, flag: str) -> None:
-    if not math.isfinite(value):
-        raise UsageError(f"threshold must be a finite number, got {value} for {flag}")
-    if not 0 < value <= 1:
-        raise UsageError(f"{flag} must be in (0, 1], got {value}")
-
-
 def _build_config(config_class, **fields):
     """``config_class(**fields)``, its error re-raised with every field name
     spelled as the flag that sets it (``max_gap`` -> ``--max-gap``)."""
     try:
         return config_class(**fields)
-    except (InvalidConstraintsError, InvalidStreamConfigError) as exc:
+    except (InvalidConstraintsError, InvalidStreamConfigError, InvalidThresholdError) as exc:
         names = re.compile(r"\b(" + "|".join(fields) + r")\b")
         raise type(exc)(names.sub(lambda m: "--" + m[1].replace("_", "-"), str(exc))) from None
 
@@ -116,9 +108,9 @@ def _mine_itemsets(args):
 
 
 def _cmd_mine_itemsets(args) -> int:
-    _check_fraction(args.min_support, "--min-support")
+    unit_fraction(args.min_support, "--min-support", UsageError)
     if args.min_confidence is not None:
-        _check_fraction(args.min_confidence, "--min-confidence")
+        unit_fraction(args.min_confidence, "--min-confidence", UsageError)
     frequent, alphabet = _mine_itemsets(args)
     lines = textfmt.frequent_itemset_lines(frequent, alphabet)
     if args.min_confidence is not None:
@@ -129,7 +121,6 @@ def _cmd_mine_itemsets(args) -> int:
 
 
 def _build_constraints(args) -> Constraints:
-    _check_fraction(args.min_support, "--min-support")
     return _build_config(
         Constraints,
         min_support=args.min_support,
@@ -163,8 +154,6 @@ def _cmd_mine_seq(args) -> int:
 def _cmd_mine_stream(args) -> int:
     from seqmine.stream import StreamConfig, replay
 
-    _check_fraction(args.sigma, "--sigma")
-    _check_fraction(args.epsilon, "--epsilon")
     config = _build_config(
         StreamConfig,
         sigma=args.sigma,

@@ -58,7 +58,10 @@ def read_lines(path: str, idle_timeout: float | None = None) -> Iterator[str]:
     finds no byte. With it, the file is watched: reading goes on past the
     current end, and the file ends once ``idle_timeout`` seconds go by with
     no new byte, counted from when the lines of the last bytes read were
-    taken."""
+    taken; ``inf`` watches for ever, and a NaN or negative ``idle_timeout``
+    is a ValueError, raised before the file is opened."""
+    if idle_timeout is not None and not idle_timeout >= 0:
+        raise ValueError(f"idle_timeout must be >= 0, got {idle_timeout}")
     with open(path, "rb") as handle:
         yield from _lines(handle, idle_timeout)
 

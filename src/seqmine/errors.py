@@ -18,7 +18,8 @@ class EmptyDatabaseError(SeqmineError):
 
 
 class InvalidThresholdError(SeqmineError):
-    """A support or confidence threshold is outside (0, 1] or not finite."""
+    """A threshold is not finite, or an itemset support or confidence
+    threshold is outside (0, 1] (:func:`seqmine.model.unit_fraction`)."""
 
 
 class InvalidConstraintsError(SeqmineError):

@@ -33,17 +33,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Container, Sequence
-from fractions import Fraction
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from seqmine.errors import (
-    EmptyDatabaseError,
-    InvalidThresholdError,
-    MissingSubsetSupportError,
-    MixedSizesError,
-)
-from seqmine.model import Itemset, exact_fraction, item_ints, min_count
+from seqmine.errors import EmptyDatabaseError, MissingSubsetSupportError, MixedSizesError
+from seqmine.model import Itemset, item_ints, min_count, unit_fraction
 
 
 FrequentItemset = namedtuple("FrequentItemset", "itemset count support")
@@ -90,13 +84,6 @@ def generate_candidates(
     return candidates  # already sorted: prev is, and so is each group's pair order
 
 
-def _validate_threshold(value: float, name: str) -> Fraction:
-    frac = exact_fraction(value)
-    if not 0 < frac <= 1:
-        raise InvalidThresholdError(f"{name} must be in (0, 1], got {value}")
-    return frac
-
-
 def mine_frequent_itemsets(
     transactions: Sequence[Itemset], min_support: float
 ) -> list[FrequentItemset]:
@@ -120,7 +107,7 @@ def mine_frequent_itemsets(
     classes. The candidates are exactly those of a global level-by-level
     join. Output is sorted by (size, lexicographic).
     """
-    _validate_threshold(min_support, "min_support")
+    unit_fraction(min_support, "min_support")
     if not transactions:
         raise EmptyDatabaseError("mine_frequent_itemsets needs transactions")
     n = len(transactions)
@@ -178,7 +165,7 @@ def generate_rules(
     rule comes of it. The rule inherits Z's support.
     Output order: Z in (size, lexicographic) order, then X likewise.
     """
-    min_conf = _validate_threshold(min_confidence, "min_confidence")
+    min_conf = unit_fraction(min_confidence, "min_confidence")
     num, den = min_conf.numerator, min_conf.denominator
     count_by_itemset = {f.itemset: f.count for f in frequent}
     rules = []

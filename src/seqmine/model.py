@@ -65,6 +65,11 @@ with :func:`extend`; the itemset miner takes its level-1 masks from
 :func:`support` counts on the layout of the database's own columns, which
 the database keeps for the gap rules of the last call; neither builds
 ``upto``, which only the miners read past level 1.
+:func:`unit_fraction` is the one check of a threshold, be it a support, a
+confidence, sigma or epsilon: it refuses a value that is not finite or not
+in (0, 1], and gives the rest as the exact fraction every count is taken
+from. The configs, both itemset functions, the itemset oracle and the CLI
+call it.
 Every type is immutable after construction, except that a database builds
 its ``sequences`` once and keeps that layout, and every function here is
 pure except :func:`support`, which fills the database's layout slot.
@@ -297,19 +302,32 @@ def exact_fraction(x) -> Fraction:
     Thresholds arrive as floats (0.25, 0.07, ...). Multiplying floats by
     database sizes and flooring/ceiling them is exactly the kind of place
     where 0.07 * 100 == 7.000000000000001 ruins a count, so every threshold
-    comparison in the toolkit goes through this, and so does the check that
-    rejects an infinite or NaN float. A nonzero value too small to round
-    (below 5e-10) keeps its exact binary value, so that a positive
-    threshold never becomes 0.
+    comparison in the toolkit goes through this, after :func:`unit_fraction`
+    has checked the threshold. A nonzero value too small to round (below
+    5e-10) keeps its exact binary value, so that a positive threshold never
+    becomes 0.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float) and not math.isfinite(x):
-        raise InvalidThresholdError(f"threshold must be a finite number, got {x}")
     exact = Fraction(x)
     return exact.limit_denominator(10**9) or exact
+
+
+def unit_fraction(value, name: str, error: type[Exception] = InvalidThresholdError) -> Fraction:
+    """The threshold ``value`` as :func:`exact_fraction` makes it, checked:
+    a value that is not finite raises :class:`InvalidThresholdError`, and
+    one outside (0, 1] raises ``error``, each message naming ``name``. The
+    range is tested on the value as given, so a value just above 1 is
+    refused even where it would round to 1. Every support, confidence,
+    sigma and epsilon threshold in the toolkit is checked here.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidThresholdError(f"threshold must be a finite number, got {value} for {name}")
+    if not 0 < Fraction(value) <= 1:
+        raise error(f"{name} must be in (0, 1], got {value}")
+    return exact_fraction(value)
 
 
 class Constraints(
@@ -329,20 +347,18 @@ class Constraints(
     means unbounded.
 
     Construction (and ``_replace``) raises :class:`InvalidConstraintsError`
-    for an inconsistent set, a ``min_gap`` that is not an integer, or
-    another gap or length field that is neither None nor an integer (a
-    bool counts as one), and
-    :class:`InvalidThresholdError` for a non-finite ``min_support``, so
-    every instance is valid.
+    for an inconsistent set, a ``min_support`` outside (0, 1], a
+    ``min_gap`` that is not an integer, or another gap or length field that
+    is neither None nor an integer (a bool counts as one), and
+    :class:`InvalidThresholdError` for a non-finite ``min_support``
+    (:func:`unit_fraction`), so every instance is valid.
     """
 
     __slots__ = ()
 
     def _check(self):
         self._check_integers(InvalidConstraintsError, "min_gap max_gap max_index_gap max_length")
-        ms = exact_fraction(self.min_support)
-        if not 0 < ms <= 1:
-            raise InvalidConstraintsError(f"min_support must be in (0, 1], got {self.min_support}")
+        unit_fraction(self.min_support, "min_support", InvalidConstraintsError)
         if self.min_gap < 0:
             raise InvalidConstraintsError(f"min_gap must be >= 0, got {self.min_gap}")
         if self.max_gap is not None and self.min_gap >= self.max_gap:
@@ -390,7 +406,8 @@ def pattern_sort_key(pattern: Pattern) -> tuple[int, Pattern]:
 
 
 def min_count(min_support, db_size: int) -> int:
-    """Absolute minimum count for a fractional threshold: ceil(s * n)."""
+    """Absolute minimum count for a threshold :func:`unit_fraction` accepts:
+    ceil(s * n)."""
     return math.ceil(exact_fraction(min_support) * db_size)
 
 

@@ -15,7 +15,7 @@ from seqmine.errors import (
     EmptyDatabaseError,
     InstanceTooLargeError,
 )
-from seqmine.itemsets import FrequentItemset, _validate_threshold
+from seqmine.itemsets import FrequentItemset
 from seqmine.model import (
     Constraints,
     DataSequence,
@@ -27,6 +27,7 @@ from seqmine.model import (
     min_count,
     pattern_length,
     pattern_sort_key,
+    unit_fraction,
 )
 
 MAX_ITEMSET_ALPHABET = 16
@@ -61,7 +62,7 @@ def contains_by_enumeration(
 
 def brute_itemsets(transactions: Sequence[Itemset], min_support: float) -> list[FrequentItemset]:
     """Every frequent itemset, by enumerating all subsets of the alphabet."""
-    _validate_threshold(min_support, "min_support")
+    unit_fraction(min_support, "min_support")
     if not transactions:
         raise EmptyDatabaseError("brute_itemsets needs transactions")
     alphabet = sorted({item for t in transactions for item in t})

@@ -47,6 +47,7 @@ from seqmine.model import (
     SupportedPattern,
     _Checked,
     exact_fraction,
+    unit_fraction,
 )
 from seqmine.sequences import _prefixspan
 
@@ -130,19 +131,18 @@ class StreamConfig(
 
     Construction (and ``_replace``) raises :class:`InvalidStreamConfigError`
     for out-of-range values or a ``batch_size`` or ``max_length`` that is
-    not an integer, and :class:`InvalidThresholdError` for a
-    non-finite sigma or epsilon, so every instance is valid.
+    not an integer, and :class:`InvalidThresholdError` for a non-finite
+    sigma or epsilon; sigma and then epsilon are checked against (0, 1] by
+    :func:`seqmine.model.unit_fraction` before epsilon is tested against
+    sigma, so every instance is valid.
     """
 
     __slots__ = ()
 
     def _check(self):
         self._check_integers(InvalidStreamConfigError, "batch_size max_length")
-        sigma = exact_fraction(self.sigma)
-        epsilon = exact_fraction(self.epsilon)
-        if not 0 < sigma <= 1:
-            raise InvalidStreamConfigError(f"sigma must be in (0, 1], got {self.sigma}")
-        if not 0 < epsilon < sigma:
+        sigma = unit_fraction(self.sigma, "sigma", InvalidStreamConfigError)
+        if not unit_fraction(self.epsilon, "epsilon", InvalidStreamConfigError) < sigma:
             raise InvalidStreamConfigError(
                 f"epsilon must be in (0, sigma), got epsilon={self.epsilon} sigma={self.sigma}"
             )
@@ -165,13 +165,9 @@ class StreamState:
         self.batches_seen = batches_seen
 
 
-def _local_threshold(epsilon, batch_len: int) -> int:
-    return max(1, math.floor(exact_fraction(epsilon) * batch_len))
-
-
 def _absorb_batch(state: StreamState, batch: Sequence[Run], config: StreamConfig) -> None:
     eps = exact_fraction(config.epsilon)
-    local_t = _local_threshold(eps, len(batch))
+    local_t = max(1, math.floor(eps * len(batch)))
     constraints = Constraints(min_support=1.0, max_length=config.max_length)
     mined = _prefixspan(Columns.from_runs(batch), local_t, constraints)
     insert_delta = math.floor(eps * state.sequences_seen)

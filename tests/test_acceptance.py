@@ -93,7 +93,7 @@ GRID = [
     Constraints(min_support=0.5, max_gap=2, max_length=3),
     Constraints(min_support=0.5, max_index_gap=0, max_length=3),
     Constraints(min_support=0.5, max_index_gap=1, max_length=3),
-    Constraints(min_support=0.5, min_gap=0, max_length=3),
+    Constraints(min_support=0.5, min_gap=1, max_gap=2, max_index_gap=1, max_length=3),
     Constraints(min_support=0.5, min_gap=1, max_length=3),
 ]
 

@@ -473,16 +473,44 @@ class TestMineStream:
         ("mine-stream", "--sigma", "nan", "--epsilon", "0.1", "--batch-size", "2"),
         ("mine-stream", "--sigma", "0.5", "--epsilon", "inf", "--batch-size", "2"),
         ("mine-stream", "--sigma", "0.5", "--epsilon", "nan", "--batch-size", "2"),
+        ("mine-itemsets", "--min-support", "inf"),
+        ("mine-itemsets", "--min-support", "nan"),
+        ("mine-itemsets", "--min-support", "0.5", "--min-confidence", "inf"),
+        ("mine-itemsets", "--min-support", "0.5", "--min-confidence", "nan"),
     ],
-    ids=["seq-inf", "seq-nan", "sigma-inf", "sigma-nan", "epsilon-inf", "epsilon-nan"],
+    ids=[
+        "seq-inf", "seq-nan", "sigma-inf", "sigma-nan", "epsilon-inf", "epsilon-nan",
+        "itemsets-support-inf", "itemsets-support-nan",
+        "itemsets-confidence-inf", "itemsets-confidence-nan",
+    ],
 )
-def test_non_finite_threshold_exit_3(db1_file, flags):
-    proc = run_cli(flags[0], db1_file, *flags[1:])
+def test_non_finite_threshold_exit_3(db1_file, tdb1_file, flags):
+    proc = run_cli(flags[0], tdb1_file if flags[0] == "mine-itemsets" else db1_file, *flags[1:])
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: threshold must be a finite number, got ")
     assert proc.stderr.count("\n") == 1
     bad_flag = next(flag for flag, value in zip(flags, flags[1:]) if value in ("inf", "nan"))
     assert bad_flag in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("mine-seq", "--min-support", "1.0000000001"),
+        ("mine-itemsets", "--min-support", "1.0000000001"),
+        ("mine-itemsets", "--min-support", "0.5", "--min-confidence", "1.0000000001"),
+        ("mine-stream", "--sigma", "1.0000000001", "--epsilon", "0.1", "--batch-size", "2"),
+        ("mine-stream", "--sigma", "0.5", "--epsilon", "1.0000000001", "--batch-size", "2"),
+    ],
+    ids=["seq-support", "itemsets-support", "itemsets-confidence", "sigma", "epsilon"],
+)
+def test_threshold_just_above_one_exit_3(db1_file, tdb1_file, flags):
+    # rounding makes this value exactly 1, but a threshold is judged as given
+    proc = run_cli(flags[0], tdb1_file if flags[0] == "mine-itemsets" else db1_file, *flags[1:])
+    bad_flag = flags[flags.index("1.0000000001") - 1]
+    assert (proc.returncode, proc.stderr) == (
+        3, f"error: {bad_flag} must be in (0, 1], got 1.0000000001\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """File formats, the bundled results data, discretization, trends."""
 
 import hashlib
+import math
 import re
 import tracemalloc
 from decimal import Decimal
@@ -9,6 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+from conftest import run_cli
 from strategies import CONSTRAINT_GRID, sequence_dbs
 from synthetic import generate_db
 
@@ -189,6 +191,34 @@ def test_where_a_read_stops_does_not_change_the_rows(case):
     whole = rows_or_error(data.decode("utf-8-sig", "surrogateescape"))
     assert rows_or_error(_lines(_Reads([data]), None)) == whole
     assert rows_or_error(_lines(_Reads(reads), None)) == whole
+
+
+# list() over read_lines, printing the ValueError it raises if it raises one
+_READ_ALL = """import sys
+from seqmine.dataset import read_lines
+try:
+    print(list(read_lines(sys.argv[1], float(sys.argv[2]))))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+def test_read_lines_refuses_a_bad_idle_timeout(tmp_path, value):
+    # monotonic() - idle_since >= nan is never true, so a NaN once watched for
+    # ever; in a child with a timeout, such a hang fails instead of stalling
+    path = tmp_path / "one.csv"
+    path.write_text("s1,1,a\n")
+    proc = run_cli(str(path), value, python_args=("-c", _READ_ALL), timeout=10)
+    assert proc.stdout == f"idle_timeout must be >= 0, got {float(value)}\n"
+
+
+def test_read_lines_takes_zero_and_infinite_idle_timeouts(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("s1,1,a\n")
+    assert list(read_lines(str(path), 0.0)) == ["s1,1,a"]
+    # inf watches for ever, yet hands out each line as soon as it is read
+    assert next(read_lines(str(path), math.inf)) == "s1,1,a"
 
 
 class TestIterSequenceDb:

@@ -20,8 +20,10 @@ from seqmine.errors import (
     EmptyElementError,
     EmptyPatternError,
     InvalidConstraintsError,
+    InvalidStreamConfigError,
     InvalidThresholdError,
 )
+from seqmine.itemsets import generate_rules, mine_frequent_itemsets
 from seqmine.model import (
     Alphabet,
     Columns,
@@ -41,9 +43,11 @@ from seqmine.model import (
     min_count,
     pattern_length,
     support,
+    unit_fraction,
 )
-from seqmine.oracle import contains_by_enumeration
+from seqmine.oracle import brute_itemsets, contains_by_enumeration
 from seqmine.sequences import MiningStats, _children
+from seqmine.stream import StreamConfig
 
 
 class TestCanonicalize:
@@ -463,7 +467,9 @@ class TestConstraints:
         valid = Constraints(0.5, max_gap=3)
         with pytest.raises(InvalidConstraintsError, match=r"^min_gap \(3\) must be < max_gap \(3\)$"):
             valid._replace(min_gap=3)
-        with pytest.raises(InvalidThresholdError, match="^threshold must be a finite number, got nan$"):
+        with pytest.raises(
+            InvalidThresholdError, match="^threshold must be a finite number, got nan for min_support$"
+        ):
             valid._replace(min_support=float("nan"))
 
     @given(sequence_dbs())
@@ -476,6 +482,58 @@ class TestConstraints:
         assert tighter_gap <= loose
         assert tighter_idx <= loose
         assert more_min <= loose
+
+
+# every entry point that takes a threshold: its field's name, the class it
+# raises for a finite value outside (0, 1], and a call that passes it the value
+THRESHOLD_ENTRY_POINTS = {
+    "Constraints": ("min_support", InvalidConstraintsError, lambda v: Constraints(v)),
+    "Constraints._replace": (
+        "min_support", InvalidConstraintsError, lambda v: Constraints(0.5)._replace(min_support=v)
+    ),
+    "StreamConfig-sigma": ("sigma", InvalidStreamConfigError, lambda v: StreamConfig(v, 1e-13, 2)),
+    "StreamConfig-epsilon": ("epsilon", InvalidStreamConfigError, lambda v: StreamConfig(1, v, 2)),
+    "mine_frequent_itemsets": (
+        "min_support", InvalidThresholdError, lambda v: mine_frequent_itemsets([(A,)], v)
+    ),
+    "generate_rules": ("min_confidence", InvalidThresholdError, lambda v: generate_rules([], v)),
+    "brute_itemsets": ("min_support", InvalidThresholdError, lambda v: brute_itemsets([(A,)], v)),
+}
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("entry", THRESHOLD_ENTRY_POINTS)
+    # exact_fraction rounds 1.0000000001 to 1, so the range must be tested
+    # on the value as given
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 0, -0.5, 1.5, 1.0000000001], ids=repr
+    )
+    def test_bad_value_raises_naming_its_field(self, entry, value):
+        name, error, call = THRESHOLD_ENTRY_POINTS[entry]
+        message = f"{name} must be in (0, 1], got {value}"
+        if not math.isfinite(value):
+            error = InvalidThresholdError
+            message = f"threshold must be a finite number, got {value} for {name}"
+        with pytest.raises(Exception) as info:
+            call(value)
+        assert (type(info.value), str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize("entry", THRESHOLD_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [1, 1.0, 1e-12, Fraction(1, 3)], ids=repr)
+    def test_value_in_range_is_accepted(self, entry, value):
+        name, _, call = THRESHOLD_ENTRY_POINTS[entry]
+        if name == "epsilon" and value == 1:
+            # 1 is a threshold, but no sigma lies above it
+            with pytest.raises(InvalidStreamConfigError, match=r"^epsilon must be in \(0, sigma\)"):
+                call(value)
+        else:
+            call(value)
+
+    def test_value_is_made_exact(self):
+        assert unit_fraction(0.07, "x") == Fraction(7, 100)
+        assert unit_fraction(Fraction(1, 3), "x") == Fraction(1, 3)
+        # too small to round: kept as its exact binary value, never 0
+        assert unit_fraction(1e-12, "x") == Fraction(1e-12)
 
 
 class TestDeletionAntiMonotonicity:

@@ -86,6 +86,19 @@ MUTANTS = (
         " position no longer reaches the start of a long sequence",
     ),
     Mutant(
+        "item-ints-short-growth", MODEL,
+        "got += pad",
+        "got += pad[1:]",
+        "each growth of the per-item byte rows is one byte short, so a row"
+        " met before a growth has no byte for the last rows of the new width",
+    ),
+    Mutant(
+        "item-ints-row-late", MODEL,
+        "byte, bit = j >> 3, 1 << (j & 7)",
+        "byte, bit = (j + 1) >> 3, 1 << ((j + 1) & 7)",
+        "every row sets its items' bit one row late",
+    ),
+    Mutant(
         "pattern-ends-no-extend", MODEL,
         "ends = extend(ends, layout)",
         "ends = ends",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections.abc import Iterable
 from decimal import Decimal, InvalidOperation
 
 import seqmine
@@ -75,17 +76,33 @@ def _err(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _write_out(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    # stdout takes UTF-8 bytes, as --out does, whatever the locale; a stream
-    # with no byte layer (io.StringIO) takes the text
-    if path is None and hasattr(sys.stdout, "buffer"):
-        sys.stdout.buffer.write(text.encode())
-    elif path is None:
-        sys.stdout.write(text)
-    else:
+# _write_out joins, encodes and writes this many lines at a time
+_CHUNK_LINES = 2048
+
+
+def _write_out(path: str | None, sections: Iterable[list[str]]) -> None:
+    """Write the lines of each section in ``sections``, each line ended by
+    a newline, to the file ``path``, or to stdout when it is None. A
+    section is written ``_CHUNK_LINES`` lines at a time, so no copy of the
+    whole output is made, as text or as bytes, and it is dropped before
+    the next section is taken: a generator can build each section once
+    the one before it is written. stdout takes UTF-8 bytes, as ``--out``
+    does, whatever the locale; a stream with no byte layer (io.StringIO)
+    takes the text."""
+    if path is not None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            _write_sections(handle.write, sections)
+    elif hasattr(sys.stdout, "buffer"):
+        _write_sections(lambda text: sys.stdout.buffer.write(text.encode()), sections)
+    else:
+        _write_sections(sys.stdout.write, sections)
+
+
+def _write_sections(write, sections: Iterable[list[str]]) -> None:
+    for lines in sections:
+        for start in range(0, len(lines), _CHUNK_LINES):
+            write("\n".join(lines[start : start + _CHUNK_LINES]) + "\n")
+        del lines  # dropped before the next section is built
 
 
 def _build_config(config_class, **fields):
@@ -100,11 +117,19 @@ def _build_config(config_class, **fields):
 
 def _mine_itemsets(args):
     """The frequent itemsets of ``args.input`` and its alphabet; the
-    transactions are freed on return, before anything is formatted."""
-    transactions, alphabet = dataset.load_transactions(dataset.read_lines(args.input))
-    if not transactions:
+    baskets' ints are freed on return, before anything is formatted."""
+    baskets, alphabet = dataset.load_transactions(dataset.read_lines(args.input))
+    if not baskets.size:
         raise ParseError(None, f"{args.input} has no data line")
-    return _cli.mine_frequent_itemsets(transactions, args.min_support), alphabet
+    return _cli.mine_frequent_itemsets(baskets, args.min_support), alphabet
+
+
+def _itemset_sections(frequent, alphabet: Alphabet, min_confidence: float | None):
+    """The lines of ``frequent``, then those of its rules, which are built
+    only once the itemset lines are written and dropped."""
+    yield textfmt.frequent_itemset_lines(frequent, alphabet)
+    if min_confidence is not None:
+        yield textfmt.rule_lines(_cli.generate_rules(frequent, min_confidence), alphabet)
 
 
 def _cmd_mine_itemsets(args) -> int:
@@ -112,11 +137,7 @@ def _cmd_mine_itemsets(args) -> int:
     if args.min_confidence is not None:
         unit_fraction(args.min_confidence, "--min-confidence", UsageError)
     frequent, alphabet = _mine_itemsets(args)
-    lines = textfmt.frequent_itemset_lines(frequent, alphabet)
-    if args.min_confidence is not None:
-        rules = _cli.generate_rules(frequent, args.min_confidence)
-        lines.extend(textfmt.rule_lines(rules, alphabet))
-    _write_out(args.out, lines)
+    _write_out(args.out, _itemset_sections(frequent, alphabet, args.min_confidence))
     return 0
 
 
@@ -147,7 +168,7 @@ def _cmd_mine_seq(args) -> int:
         result = _cli.prefixspan_mine(db, constraints)
     if args.closed:
         result = _cli.filter_closed(result)
-    _write_out(args.out, textfmt.supported_pattern_lines(result.patterns, db.alphabet))
+    _write_out(args.out, [textfmt.supported_pattern_lines(result.patterns, db.alphabet)])
     return 0
 
 
@@ -179,7 +200,7 @@ def _cmd_mine_stream(args) -> int:
         )
         shown = textfmt.supported_pattern_lines(report.patterns, alphabet, rendered)
         # one write per report: under unbuffered output each print is a syscall
-        _write_out(None, [header, *shown])
+        _write_out(None, [[header, *shown]])
         sys.stdout.flush()
         rendered = {sp.pattern: rendered[sp.pattern] for sp in report.patterns}
     return 0
@@ -244,7 +265,7 @@ def _cmd_analyze_results(args) -> int:
         if args.plot_dir is not None:
             svg = charts.svg_line_chart(subject, rows)
             (plot_dir / f"{subject}.svg").write_text(svg, encoding="utf-8", newline="\n")
-    _write_out(None, lines)
+    _write_out(None, [lines])
     return 0
 
 

@@ -22,6 +22,8 @@ take ASCII digits only.
   columns and :func:`iter_sequence_db` yields it as it is: a valid run,
   not checked again.
 * transactions-CSV: ``txn_id,items``, each txn_id non-empty and unique.
+  :func:`load_transactions` reads it into :class:`Baskets`, one int per
+  item, keeping no object per basket.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from collections.abc import Iterator
 from time import monotonic, sleep
 
 from seqmine.errors import DuplicateKeyError, NonIntegerTimeError, ParseError
-from seqmine.model import Alphabet, Columns, Run, SequenceDatabase
+from seqmine.model import Alphabet, Baskets, Columns, Run, SequenceDatabase, item_ints
 
 
 def _not_utf8(char: str) -> str:
@@ -261,20 +263,26 @@ def serialize_sequence_db(db: SequenceDatabase) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def load_transactions(source) -> tuple[list[tuple[int, ...]], Alphabet]:
-    """Parse transactions-CSV into (itemset list, alphabet), in file order.
+def load_transactions(source) -> tuple[Baskets, Alphabet]:
+    """Parse transactions-CSV into (:class:`Baskets`, alphabet): basket j,
+    in file order, is bit j of each of its items' ints.
 
-    Each txn_id names one transaction: an empty or repeated txn_id is an
-    error, as a repeat would otherwise count one basket as two.
+    Each txn_id names one basket: an empty or repeated txn_id is an error,
+    as a repeat would otherwise count one basket as two. The baskets go
+    into :func:`seqmine.model.item_ints` as they are parsed, so no object
+    is kept per basket; only the set of txn_ids grows until the end.
     """
     alphabet = Alphabet()
-    transactions = []
     seen: set[str] = set()
-    for line_no, (txn_id, items_text) in _rows(source, "txn_id,items"):
-        if not txn_id:
-            raise ParseError(line_no, "empty txn_id")
-        if txn_id in seen:
-            raise DuplicateKeyError(line_no, f"duplicate txn_id {txn_id!r}")
-        seen.add(txn_id)
-        transactions.append(tuple(sorted(_items(line_no, items_text, alphabet))))
-    return transactions, alphabet
+
+    def baskets() -> Iterator[frozenset[int]]:
+        for line_no, (txn_id, items_text) in _rows(source, "txn_id,items"):
+            if not txn_id:
+                raise ParseError(line_no, "empty txn_id")
+            if txn_id in seen:
+                raise DuplicateKeyError(line_no, f"duplicate txn_id {txn_id!r}")
+            seen.add(txn_id)
+            yield _items(line_no, items_text, alphabet)
+
+    items = item_ints(baskets())
+    return Baskets(len(seen), items), alphabet

@@ -25,8 +25,9 @@ by ascending count: the items are mined under their ranks in that order
 and named by their ids again in the output, so the most frequent items,
 which would head the widest classes, head the smallest.
 Rules keep X -> Z \\ X when count(X) is at most one integer bound computed
-per Z from the exact confidence threshold. Transactions here are plain
-itemsets; time plays no role.
+per Z from the exact confidence threshold. The miner reads the
+transactions only as each item's bitmask, a :class:`seqmine.model.Baskets`,
+so no object is held per transaction; time plays no role.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import combinations, groupby
 from operator import itemgetter
 
 from seqmine.errors import EmptyDatabaseError, MissingSubsetSupportError, MixedSizesError
-from seqmine.model import Itemset, item_ints, min_count, unit_fraction
+from seqmine.model import Baskets, Itemset, item_ints, min_count, unit_fraction
 
 
 FrequentItemset = namedtuple("FrequentItemset", "itemset count support")
@@ -85,13 +86,16 @@ def generate_candidates(
 
 
 def mine_frequent_itemsets(
-    transactions: Sequence[Itemset], min_support: float
+    transactions: Baskets | Sequence[Itemset], min_support: float
 ) -> list[FrequentItemset]:
     """All itemsets whose count meets ceil(min_support * |transactions|).
 
-    Level 1 gives each item the bitmask of the transactions that hold it,
-    from :func:`seqmine.model.item_ints`, so unsorted or repeated items in
-    a transaction count once; the frequent items are then renamed by their
+    ``transactions`` is a :class:`seqmine.model.Baskets`, as
+    :func:`seqmine.dataset.load_transactions` gives, or a sequence of
+    itemsets, which is laid out as one first. Level 1 takes each item's
+    bitmask of the transactions that hold it from the Baskets' ints, built
+    by :func:`seqmine.model.item_ints`, so unsorted or repeated items in a
+    transaction count once; the frequent items are then renamed by their
     rank in ascending count (ties by id) until the output. Level 2's
     candidates are one :func:`generate_candidates` call on the frequent
     items. Then each prefix class (the itemsets whose smallest item is a),
@@ -105,16 +109,19 @@ def mine_frequent_itemsets(
     past it, so the masks held at once are two adjacent levels of one
     class; ranked by count, the most frequent items head the smallest
     classes. The candidates are exactly those of a global level-by-level
-    join. Output is sorted by (size, lexicographic).
+    join. The output list is built straight from the counts found, which
+    are then dropped, and sorted in place by (size, lexicographic).
     """
     unit_fraction(min_support, "min_support")
-    if not transactions:
+    if not isinstance(transactions, Baskets):
+        transactions = Baskets(len(transactions), item_ints(transactions))
+    n = transactions.size
+    if not n:
         raise EmptyDatabaseError("mine_frequent_itemsets needs transactions")
-    n = len(transactions)
     minc = min_count(min_support, n)
 
     # ranks by ascending count: the most frequent items head the smallest classes
-    ranked = sorted((mask.bit_count(), i, mask) for i, mask in item_ints(transactions).items())
+    ranked = sorted((mask.bit_count(), i, mask) for i, mask in transactions.items.items())
     ranked = [entry for entry in ranked if entry[0] >= minc]
     frequent = {(rank,): count for rank, (count, _, _) in enumerate(ranked)}
     pairs = generate_candidates(list(frequent))
@@ -146,9 +153,13 @@ def mine_frequent_itemsets(
             masks = level_masks
 
     items = [i for _, i, _ in ranked]
-    found = [(tuple(sorted(items[r] for r in ranks)), count) for ranks, count in frequent.items()]
-    found.sort(key=lambda kv: (len(kv[0]), kv[0]))
-    return [FrequentItemset(itemset, count, count / n) for itemset, count in found]
+    found = [
+        FrequentItemset(tuple(sorted(items[r] for r in ranks)), count, count / n)
+        for ranks, count in frequent.items()
+    ]
+    del frequent
+    found.sort(key=lambda f: (len(f.itemset), f.itemset))
+    return found
 
 
 def generate_rules(

@@ -21,8 +21,9 @@ entry included, beside each sequence's id and first position. The
 sequence-CSV loader fills the columns in one pass, and ``db.sequences``
 builds :class:`DataSequence` objects from them only when it is read.
 :func:`item_ints` is the one builder of per-item bitmaps: in one scan of
-a sequence of rows it gives each item met the int of the rows that hold
-it. :func:`bit_layout` reads the columns and is the one reader of the gap
+any iterable of rows it gives each item met the int of the rows that hold
+it, so a loader can feed it rows as it parses them and keep none.
+:func:`bit_layout` reads the columns and is the one reader of the gap
 rules: it builds the :class:`BitLayout` of a database, an int for every
 item from :func:`item_ints` and the masks the rules come down to, so the
 sequence miners read each item's support off its int. Its one loop over
@@ -60,8 +61,8 @@ positions where its last element can end, in every sequence at once.
   one AND and one popcount.
 
 :func:`contains` and :func:`support`, GSP and PrefixSpan all grow ``ends``
-with :func:`extend`; the itemset miner takes its level-1 masks from
-:func:`item_ints`.
+with :func:`extend`. The itemset miner takes its level-1 masks from
+:class:`Baskets`, whose ints :func:`item_ints` builds.
 :func:`support` counts on the layout of the database's own columns, which
 the database keeps for the gap rules of the last call; neither builds
 ``upto``, which only the miners read past level 1.
@@ -81,7 +82,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from operator import ge, index
+from operator import ge, index, length_hint
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -436,6 +437,15 @@ class BitLayout(namedtuple("BitLayout", "starts sentinels real items bounded ste
     __slots__ = ()
 
 
+class Baskets(namedtuple("Baskets", "size items")):
+    """Transactions as one int per item, the form the itemset miner reads:
+    ``size`` is the number of baskets, and ``items`` maps each item id to
+    its int, with bit j set where basket j, in file order, holds the item.
+    """
+
+    __slots__ = ()
+
+
 def _int_of(bits: Iterable[int], size: int) -> int:
     buf = bytearray((size + 7) >> 3)
     for b in bits:
@@ -443,18 +453,27 @@ def _int_of(bits: Iterable[int], size: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def item_ints(rows: Sequence[Iterable[int]]) -> dict[int, int]:
-    """Each item met in ``rows`` -> its int, with bit j set where ``rows[j]``
+def item_ints(rows: Iterable[Iterable[int]]) -> dict[int, int]:
+    """Each item met in ``rows`` -> its int, with bit j set where row j
     holds the item; an item repeated in a row sets its bit once.
 
-    The bits go into one byte row per item, set in place during the one
-    scan: OR-ing them into a growing int would copy the int once per row,
-    quadratic in ``len(rows)``.
+    ``rows`` may be any iterable, a generator included, and is read once.
+    The bits go into one byte row per item, set in place during the scan:
+    OR-ing them into a growing int would copy the int once per row,
+    quadratic in the number of rows. The byte rows start as wide as
+    ``len(rows)`` needs when ``rows`` tells its length, and every one of
+    them doubles when a row's bit falls past their end, checked once per
+    row.
     """
-    width = (len(rows) + 7) >> 3
+    width = (length_hint(rows) + 7) >> 3
     found: dict[int, bytearray] = {}
     for j, row in enumerate(rows):
         byte, bit = j >> 3, 1 << (j & 7)
+        if byte == width:
+            pad = bytes(width or 8)
+            width += len(pad)
+            for got in found.values():
+                got += pad
         for item in row:
             got = found.get(item)
             if got is None:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -133,6 +134,63 @@ class TestMineItemsets:
         assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
             "7abb67bd0dd581ea323e403aa6e9295e9c36572985df3ca05552193849d607ec"
         )
+
+
+class TestChunkedOutput:
+    """``_write_out`` writes ``cli._CHUNK_LINES`` lines at a time, and
+    mine-itemsets writes its itemset lines before it builds its rules."""
+
+    FLAGS = ("--min-support", "0.15", "--min-confidence", "0.7")
+
+    @pytest.fixture
+    def baskets_file(self, tmp_path):
+        rng = random.Random(7)
+        lines = [
+            f"t{j}," + " ".join(f"i{x}" for x in rng.sample(range(14), rng.randint(7, 12)))
+            for j in range(100)
+        ]
+        path = tmp_path / "baskets.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @staticmethod
+    def expected(path):
+        from seqmine.dataset import load_transactions
+        from seqmine.itemsets import generate_rules, mine_frequent_itemsets
+
+        baskets, alphabet = load_transactions(path.read_text())
+        frequent = mine_frequent_itemsets(baskets, 0.15)
+        itemset_lines = textfmt.frequent_itemset_lines(frequent, alphabet)
+        rule_lines = textfmt.rule_lines(generate_rules(frequent, 0.7), alphabet)
+        # each section spans more than one chunk
+        assert len(itemset_lines) > cli._CHUNK_LINES and len(rule_lines) > cli._CHUNK_LINES
+        return "\n".join(itemset_lines + rule_lines) + "\n"
+
+    def test_stdout_and_out_bytes_equal_the_joined_lines(self, baskets_file, tmp_path):
+        out = tmp_path / "out.txt"
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = [sys.executable, "-m", "seqmine", "mine-itemsets", str(baskets_file), *self.FLAGS]
+        to_stdout = subprocess.run(argv, capture_output=True, env=env, check=True)
+        to_file = subprocess.run([*argv, "--out", str(out)], capture_output=True, env=env, check=True)
+        want = self.expected(baskets_file).encode()
+        assert to_stdout.stdout == want
+        assert to_file.stdout == b"" and out.read_bytes() == want
+
+    def test_a_stream_with_no_byte_layer_takes_the_same_text(self, baskets_file):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert cli.main(["mine-itemsets", str(baskets_file), *self.FLAGS]) == 0
+        assert buf.getvalue() == self.expected(baskets_file)
+
+    def test_no_frequent_itemset_still_creates_an_empty_out_file(self, tmp_path):
+        path = tmp_path / "baskets.csv"
+        path.write_text("t1,a\nt2,b\n")
+        out = tmp_path / "out.txt"
+        proc = run_cli(
+            "mine-itemsets", str(path), "--min-support", "1.0", "--min-confidence", "0.7",
+            "--out", str(out),
+        )
+        assert proc.returncode == 0 and proc.stdout == ""
+        assert out.read_bytes() == b""
 
 
 class TestMineSeq:

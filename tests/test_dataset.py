@@ -2,16 +2,17 @@
 
 import hashlib
 import math
+import random
 import re
 import tracemalloc
 from decimal import Decimal
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from conftest import run_cli
-from strategies import CONSTRAINT_GRID, sequence_dbs
+from strategies import CONSTRAINT_GRID, messy_transaction_dbs, sequence_dbs
 from synthetic import generate_db
 
 from seqmine import dataset
@@ -31,7 +32,8 @@ from seqmine.errors import (
     OutOfRangeError,
     ParseError,
 )
-from seqmine.model import Alphabet, Columns, Constraints, DataSequence, bit_layout
+from seqmine.itemsets import mine_frequent_itemsets
+from seqmine.model import Alphabet, Baskets, Columns, Constraints, DataSequence, bit_layout
 from seqmine.results import (
     DEFAULT_BANDS,
     bundled_results,
@@ -463,9 +465,41 @@ class TestParseTables:
 
 class TestLoadTransactions:
     def test_basic(self):
-        transactions, alphabet = load_transactions("t1,a b c\nt2,b a")
-        assert transactions == [(0, 1, 2), (0, 1)]
+        baskets, alphabet = load_transactions("t1,a b c\nt2,b a")
+        assert baskets == Baskets(2, {0: 0b11, 1: 0b11, 2: 0b01})
         assert alphabet.tokens() == ("a", "b", "c")
+
+    def test_keeps_no_object_per_basket(self):
+        # 60 items' ints over 10,000 baskets are 7.5 B per basket; a tuple
+        # per basket alone would take several times the bound
+        rng = random.Random(5)
+        lines = [
+            f"t{j}," + " ".join(f"i{x}" for x in rng.sample(range(60), rng.randint(1, 8)))
+            for j in range(10_000)
+        ]
+        tracemalloc.start()
+        try:
+            baskets, alphabet = load_transactions(lines)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert baskets.size == 10_000 and len(alphabet) == 60
+        assert kept / baskets.size < 16
+
+    @settings(max_examples=200)
+    @given(messy_transaction_dbs(max_items=8, max_txns=30), st.sampled_from([0.01, 0.2, 0.5, 1.0]))
+    @example([(0, 0)], 1.0)
+    def test_mines_as_the_parsed_itemsets(self, baskets, min_support):
+        text = "\n".join(
+            f"t{j}," + " ".join(f"i{x}" for x in basket) for j, basket in enumerate(baskets)
+        )
+        loaded, alphabet = load_transactions(text)
+        ids = {token: i for i, token in enumerate(alphabet.tokens())}
+        parsed = [tuple(ids[f"i{x}"] for x in basket) for basket in baskets]
+        assert loaded.size == len(parsed)
+        assert mine_frequent_itemsets(loaded, min_support) == mine_frequent_itemsets(
+            parsed, min_support
+        )
 
     def test_empty_items_rejected(self):
         with pytest.raises(ParseError):

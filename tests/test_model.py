@@ -338,6 +338,26 @@ class TestBitLayout:
             assert [bits >> j & 1 for j in range(len(flat))] == [item in txn for txn in flat]
 
 
+class TestItemInts:
+    def test_a_generator_gives_the_ints_of_a_tuple(self):
+        # a generator gives no length, so 3,000 rows grow the byte rows from
+        # 8 to 512 bytes; item 0 is in nearly every row, so each growth must
+        # keep every byte, and items 9 to 14 are first met between growths
+        rows = tuple(
+            () if j % 11 == 5 else (0, j % 7, j % 7, 9 + j // 500) for j in range(3000)
+        )
+        want = {
+            item: sum(1 << j for j, row in enumerate(rows) if item in row)
+            for item in set().union(*rows)
+        }
+        assert model.item_ints(rows) == want
+        assert model.item_ints(row for row in rows) == want
+
+    @pytest.mark.parametrize("rows", [(), ((3,),), ((), (2, 2))])
+    def test_few_rows(self, rows):
+        assert model.item_ints(iter(rows)) == model.item_ints(rows)
+
+
 class TestFirstAllowedAndUpto:
     """An s-candidate by item x is tested against ``first_allowed(ends)``
     and x's ``upto`` int. Under max_gap or max_index_gap ``first`` holds

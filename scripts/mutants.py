@@ -1,4 +1,5 @@
-"""Run a fixed catalogue of mutations of the shared mining kernels.
+"""Run a fixed catalogue of mutations of the shared mining kernels and of
+the CLI's output sections.
 
 Each entry names a module under ``src/``, an exact text that occurs once
 in it, the text that replaces it, and the fault that the change plants.
@@ -34,12 +35,15 @@ TESTS = (
     "tests/test_sequences.py",
     "tests/test_oracle.py",
     "tests/test_stream.py",
+    "tests/test_cli.py::TestMineItemsets::test_sections_bytes_pinned",
 )
 
 # ``equivalent`` is None, or why no input can tell the mutant apart
 Mutant = namedtuple("Mutant", "name path old new why equivalent", defaults=(None,))
 
-MODEL, SEQUENCES, STREAM = (f"src/seqmine/{m}.py" for m in ("model", "sequences", "stream"))
+MODEL, SEQUENCES, STREAM, CLI = (
+    f"src/seqmine/{m}.py" for m in ("model", "sequences", "stream", "cli")
+)
 
 MUTANTS = (
     Mutant(
@@ -203,6 +207,13 @@ MUTANTS = (
         "                    mined[pattern] = count\n",
         "a tracked pattern the batch evicts goes back to the insert step, and is"
         " inserted again when its mined count clears the bar as a new pattern's",
+    ),
+    Mutant(
+        "itemset-sections-split", CLI,
+        "frequent[len(items) :]",
+        "frequent[len(items) + 1 :]",
+        "mine-itemsets' second section starts one itemset late, so the first"
+        " itemset of two items is never written",
     ),
 )
 

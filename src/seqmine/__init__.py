@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "AssociationRule": "itemsets",
     "FrequentItemset": "itemsets",
+    "frequent_items": "itemsets",
     "generate_candidates": "itemsets",
     "generate_rules": "itemsets",
     "mine_frequent_itemsets": "itemsets",

@@ -38,9 +38,10 @@ from seqmine.model import Alphabet, Constraints, unit_fraction
 # The miners the commands call, each imported on first use, so that a command
 # loads only the miner it runs. A command calls them as attributes of this
 # module (``_cli.gsp_mine``): perfbench's probes rebind them here.
-_MINERS = frozenset(
-    {"gsp_mine", "prefixspan_mine", "filter_closed", "mine_frequent_itemsets", "generate_rules"}
-)
+_MINERS = frozenset({
+    "gsp_mine", "prefixspan_mine", "filter_closed",
+    "frequent_items", "mine_frequent_itemsets", "generate_rules",
+})
 
 
 def __getattr__(name):
@@ -82,7 +83,9 @@ _CHUNK_LINES = 2048
 
 def _write_out(path: str | None, sections: Iterable[list[str]]) -> None:
     """Write the lines of each section in ``sections``, each line ended by
-    a newline, to the file ``path``, or to stdout when it is None. A
+    a newline, to the file ``path``, or to stdout when it is None, and
+    flush the destination after each section, so a reader gets a section
+    as soon as it is written, not when a buffer fills or the run ends. A
     section is written ``_CHUNK_LINES`` lines at a time, so no copy of the
     whole output is made, as text or as bytes, and it is dropped before
     the next section is taken: a generator can build each section once
@@ -91,17 +94,20 @@ def _write_out(path: str | None, sections: Iterable[list[str]]) -> None:
     takes the text."""
     if path is not None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            _write_sections(handle.write, sections)
+            _write_sections(handle.write, handle.flush, sections)
     elif hasattr(sys.stdout, "buffer"):
-        _write_sections(lambda text: sys.stdout.buffer.write(text.encode()), sections)
+        _write_sections(
+            lambda text: sys.stdout.buffer.write(text.encode()), sys.stdout.flush, sections
+        )
     else:
-        _write_sections(sys.stdout.write, sections)
+        _write_sections(sys.stdout.write, sys.stdout.flush, sections)
 
 
-def _write_sections(write, sections: Iterable[list[str]]) -> None:
+def _write_sections(write, flush, sections: Iterable[list[str]]) -> None:
     for lines in sections:
         for start in range(0, len(lines), _CHUNK_LINES):
             write("\n".join(lines[start : start + _CHUNK_LINES]) + "\n")
+        flush()
         del lines  # dropped before the next section is built
 
 
@@ -115,19 +121,28 @@ def _build_config(config_class, **fields):
         raise type(exc)(names.sub(lambda m: "--" + m[1].replace("_", "-"), str(exc))) from None
 
 
-def _mine_itemsets(args):
-    """The frequent itemsets of ``args.input`` and its alphabet; the
-    baskets' ints are freed on return, before anything is formatted."""
+def _load_baskets(args):
     baskets, alphabet = dataset.load_transactions(dataset.read_lines(args.input))
     if not baskets.size:
         raise ParseError(None, f"{args.input} has no data line")
-    return _cli.mine_frequent_itemsets(baskets, args.min_support), alphabet
+    return baskets, alphabet
 
 
-def _itemset_sections(frequent, alphabet: Alphabet, min_confidence: float | None):
-    """The lines of ``frequent``, then those of its rules, which are built
-    only once the itemset lines are written and dropped."""
-    yield textfmt.frequent_itemset_lines(frequent, alphabet)
+def _itemset_sections(
+    baskets, alphabet: Alphabet, min_support: float, min_confidence: float | None
+):
+    """The output's sections in the order each becomes final: the lines of
+    the frequent items, counted in one pass over the items; those of the
+    larger itemsets, once mining ends; then those of the rules, which are
+    built only then. Lines sort by (size, tokens), so the first two are
+    the lines of every frequent itemset. The baskets are dropped once
+    mined."""
+    items = _cli.frequent_items(baskets, min_support)
+    yield textfmt.frequent_itemset_lines(items, alphabet)
+    frequent = _cli.mine_frequent_itemsets(baskets, min_support)
+    del baskets
+    # the mined list's one-item head is ``items``
+    yield textfmt.frequent_itemset_lines(frequent[len(items) :], alphabet)
     if min_confidence is not None:
         yield textfmt.rule_lines(_cli.generate_rules(frequent, min_confidence), alphabet)
 
@@ -136,8 +151,10 @@ def _cmd_mine_itemsets(args) -> int:
     unit_fraction(args.min_support, "--min-support", UsageError)
     if args.min_confidence is not None:
         unit_fraction(args.min_confidence, "--min-confidence", UsageError)
-    frequent, alphabet = _mine_itemsets(args)
-    _write_out(args.out, _itemset_sections(frequent, alphabet, args.min_confidence))
+    # a bad input raises here, before --out is opened; the sections hold
+    # the only reference to the baskets
+    sections = _itemset_sections(*_load_baskets(args), args.min_support, args.min_confidence)
+    _write_out(args.out, sections)
     return 0
 
 
@@ -199,9 +216,9 @@ def _cmd_mine_stream(args) -> int:
             f"tree_nodes={report.tree_nodes}"
         )
         shown = textfmt.supported_pattern_lines(report.patterns, alphabet, rendered)
-        # one write per report: under unbuffered output each print is a syscall
+        # one write and one flush per report: under unbuffered output each
+        # print is a syscall
         _write_out(None, [[header, *shown]])
-        sys.stdout.flush()
         rendered = {sp.pattern: rendered[sp.pattern] for sp in report.patterns}
     return 0
 

@@ -24,6 +24,9 @@ are exactly the level-wise join, candidate for candidate. "Smallest" is
 by ascending count: the items are mined under their ranks in that order
 and named by their ids again in the output, so the most frequent items,
 which would head the widest classes, head the smallest.
+Level 1 is :func:`frequent_items`, one popcount per item. Its itemsets are
+final before any pair is counted, and they sort first, so the CLI writes
+them while the deeper levels are still to be mined.
 Rules keep X -> Z \\ X when count(X) is at most one integer bound computed
 per Z from the exact confidence threshold. The miner reads the
 transactions only as each item's bitmask, a :class:`seqmine.model.Baskets`,
@@ -85,6 +88,25 @@ def generate_candidates(
     return candidates  # already sorted: prev is, and so is each group's pair order
 
 
+def frequent_items(transactions: Baskets, min_support: float) -> list[FrequentItemset]:
+    """The frequent 1-itemsets of ``transactions``, in ascending id order:
+    each item whose count, the popcount of its bitmask, meets
+    ceil(min_support * size). It is level 1 of
+    :func:`mine_frequent_itemsets`; no baskets raise EmptyDatabaseError.
+    """
+    unit_fraction(min_support, "min_support")
+    n = transactions.size
+    if not n:
+        raise EmptyDatabaseError("itemset mining needs transactions")
+    minc = min_count(min_support, n)
+    found = []
+    for i, mask in sorted(transactions.items.items()):
+        count = mask.bit_count()
+        if count >= minc:
+            found.append(FrequentItemset((i,), count, count / n))
+    return found
+
+
 def mine_frequent_itemsets(
     transactions: Baskets | Sequence[Itemset], min_support: float
 ) -> list[FrequentItemset]:
@@ -92,9 +114,9 @@ def mine_frequent_itemsets(
 
     ``transactions`` is a :class:`seqmine.model.Baskets`, as
     :func:`seqmine.dataset.load_transactions` gives, or a sequence of
-    itemsets, which is laid out as one first. Level 1 takes each item's
-    bitmask of the transactions that hold it from the Baskets' ints, built
-    by :func:`seqmine.model.item_ints`, so unsorted or repeated items in a
+    itemsets, which is laid out as one first. Level 1 is
+    :func:`frequent_items` over the Baskets' ints, built by
+    :func:`seqmine.model.item_ints`, so unsorted or repeated items in a
     transaction count once; the frequent items are then renamed by their
     rank in ascending count (ties by id) until the output. Level 2's
     candidates are one :func:`generate_candidates` call on the frequent
@@ -112,17 +134,15 @@ def mine_frequent_itemsets(
     join. The output list is built straight from the counts found, which
     are then dropped, and sorted in place by (size, lexicographic).
     """
-    unit_fraction(min_support, "min_support")
     if not isinstance(transactions, Baskets):
         transactions = Baskets(len(transactions), item_ints(transactions))
-    n = transactions.size
-    if not n:
-        raise EmptyDatabaseError("mine_frequent_itemsets needs transactions")
-    minc = min_count(min_support, n)
-
     # ranks by ascending count: the most frequent items head the smallest classes
-    ranked = sorted((mask.bit_count(), i, mask) for i, mask in transactions.items.items())
-    ranked = [entry for entry in ranked if entry[0] >= minc]
+    ranked = sorted(
+        (count, i, transactions.items[i])
+        for (i,), count, _ in frequent_items(transactions, min_support)
+    )
+    n = transactions.size
+    minc = min_count(min_support, n)
     frequent = {(rank,): count for rank, (count, _, _) in enumerate(ranked)}
     pairs = generate_candidates(list(frequent))
     classes = [list(group) for _, group in groupby(pairs, key=itemgetter(0))]

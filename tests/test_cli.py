@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -134,6 +135,93 @@ class TestMineItemsets:
         assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == (
             "7abb67bd0dd581ea323e403aa6e9295e9c36572985df3ca05552193849d607ec"
         )
+
+
+    def test_sections_bytes_pinned(self, tmp_path):
+        # items of four sizes and rules; i11 is in two baskets, never frequent,
+        # so the frequent items skip an id
+        rng = random.Random(11)
+        lines = []
+        for b in range(600):
+            items = rng.sample(range(11), rng.randint(1, 5))
+            if rng.random() < 0.3:
+                items += [0, 1, 2, 3][: rng.randint(2, 4)]
+            if rng.random() < 0.01:
+                items.append(11)
+            lines.append(f"t{b},{' '.join(f'i{i}' for i in items)}")
+        path = tmp_path / "baskets.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.txt"
+        flags = ("--min-support", "0.05", "--min-confidence", "0.5")
+        to_stdout = run_cli("mine-itemsets", str(path), *flags)
+        to_file = run_cli("mine-itemsets", str(path), *flags, "--out", str(out))
+        assert to_stdout.returncode == to_file.returncode == 0
+        assert to_file.stdout == "" and out.read_text(encoding="utf-8") == to_stdout.stdout
+        sizes = Counter(
+            len(line[2 : line.index("}")].split()) if line.startswith("<") else "rule"
+            for line in to_stdout.stdout.splitlines()
+        )
+        assert sizes == {1: 11, 2: 54, 3: 42, 4: 12, "rule": 148}
+        assert hashlib.sha256(to_stdout.stdout.encode("utf-8")).hexdigest() == (
+            "fa3734d75147c2e923d479fb07f3bc3777ce2561c0f84057710085b1c91eb0b8"
+        )
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"t1,a b\n\xff,c\n", "line 2: byte 0xff is not UTF-8"),
+            (b"t1,a\nt2,b\nt3,a,b\n", "line 3: expected 'txn_id,items', got 't3,a,b'"),
+        ],
+        ids=["undecodable", "field-count"],
+    )
+    def test_bad_input_leaves_out_as_it_was(self, tmp_path, content, message):
+        # the input is read and checked before --out is opened
+        path = tmp_path / "baskets.csv"
+        path.write_bytes(content)
+        kept, absent = tmp_path / "kept.txt", tmp_path / "absent.txt"
+        kept.write_bytes(b"<{x}> count=1 support=1.0000\n")
+        for out in (kept, absent):
+            proc = run_cli("mine-itemsets", str(path), "--min-support", "0.5", "--out", str(out))
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == f"error: {message}\n"
+        assert kept.read_bytes() == b"<{x}> count=1 support=1.0000\n"
+        assert not absent.exists()
+
+    def test_items_are_flushed_before_mining(self, tdb1_file, monkeypatch):
+        # stdout's byte layer holds 1 MiB, so only a flush reaches the sink
+        class Sink(io.RawIOBase):
+            def __init__(self):
+                super().__init__()
+                self.data = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.data += b
+                return len(b)
+
+        sink = Sink()
+        monkeypatch.setattr(
+            sys, "stdout", io.TextIOWrapper(io.BufferedWriter(sink, 1 << 20), encoding="utf-8")
+        )
+        seen = []
+        mine = cli.mine_frequent_itemsets
+
+        def mine_after_reading_the_sink(*args):
+            seen.append(bytes(sink.data))
+            return mine(*args)
+
+        monkeypatch.setattr(cli, "mine_frequent_itemsets", mine_after_reading_the_sink)
+        flags = ("--min-support", "0.5", "--min-confidence", "0.6")
+        assert cli.main(["mine-itemsets", tdb1_file, *flags]) == 0
+        assert seen == [
+            b"<{a}> count=3 support=0.7500\n"
+            b"<{b}> count=3 support=0.7500\n"
+            b"<{c}> count=3 support=0.7500\n"
+        ]
+        # the later sections are flushed too, and the bytes are the whole output
+        assert sink.data.decode() == run_cli("mine-itemsets", tdb1_file, *flags).stdout
 
 
 class TestChunkedOutput:

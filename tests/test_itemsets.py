@@ -9,7 +9,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import A, B, C
 from strategies import messy_transaction_dbs, transaction_dbs
@@ -24,11 +24,12 @@ from seqmine.errors import (
 )
 from seqmine.itemsets import (
     FrequentItemset,
+    frequent_items,
     generate_candidates,
     generate_rules,
     mine_frequent_itemsets,
 )
-from seqmine.model import exact_fraction, itemset_support, min_count
+from seqmine.model import Baskets, exact_fraction, item_ints, itemset_support, min_count
 from seqmine.oracle import brute_itemsets
 
 
@@ -71,6 +72,20 @@ class TestGenerateCandidates:
             and all(sub in prev_set for sub in combinations(a + b[-1:], size))
         )
         assert generate_candidates(prev) == want
+
+
+class TestFrequentItems:
+    @settings(max_examples=100)
+    @given(messy_transaction_dbs(), st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    @example([(A,), (B,)], 1.0)  # no item is frequent
+    @example([(C, A), (B,), (A, B, C)], 0.25)  # every item is frequent
+    def test_equals_the_one_item_itemsets_of_the_miners(self, transactions, min_support):
+        got = frequent_items(Baskets(len(transactions), item_ints(transactions)), min_support)
+        for mined in (
+            mine_frequent_itemsets(transactions, min_support),
+            brute_itemsets(transactions, min_support),
+        ):
+            assert got == [f for f in mined if len(f.itemset) == 1]
 
 
 class TestMineFrequentItemsets:

@@ -23,9 +23,10 @@ from seqmine.errors import (
     InvalidStreamConfigError,
     InvalidThresholdError,
 )
-from seqmine.itemsets import generate_rules, mine_frequent_itemsets
+from seqmine.itemsets import frequent_items, generate_rules, mine_frequent_itemsets
 from seqmine.model import (
     Alphabet,
+    Baskets,
     Columns,
     Constraints,
     DataSequence,
@@ -513,6 +514,9 @@ THRESHOLD_ENTRY_POINTS = {
     ),
     "StreamConfig-sigma": ("sigma", InvalidStreamConfigError, lambda v: StreamConfig(v, 1e-13, 2)),
     "StreamConfig-epsilon": ("epsilon", InvalidStreamConfigError, lambda v: StreamConfig(1, v, 2)),
+    "frequent_items": (
+        "min_support", InvalidThresholdError, lambda v: frequent_items(Baskets(1, {A: 1}), v)
+    ),
     "mine_frequent_itemsets": (
         "min_support", InvalidThresholdError, lambda v: mine_frequent_itemsets([(A,)], v)
     ),

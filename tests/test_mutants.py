@@ -37,3 +37,10 @@ def test_a_short_smear_is_killed_by_the_kernel_identity():
 
 def test_a_bounded_popcount_count_is_killed_by_the_kernel_identity():
     assert _killed_by_the_kernel_identity("bounded-s-popcount")
+
+
+def test_a_late_section_split_is_killed_by_the_pinned_bytes():
+    mutant = next(m for m in CATALOGUE["MUTANTS"] if m.name == "itemset-sections-split")
+    test = "tests/test_cli.py::TestMineItemsets::test_sections_bytes_pinned"
+    killed, _ = CATALOGUE["run"](mutant, (test,))
+    assert killed

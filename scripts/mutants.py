@@ -5,10 +5,11 @@ Each entry names a module under ``src/``, an exact text that occurs once
 in it, the text that replaces it, and the fault that the change plants.
 For each entry the script copies ``src/`` and ``tests/`` into a temporary
 directory, applies the mutation there, runs a fast test subset with
-``pytest -x`` and prints whether the mutant was killed (a test failed) or
-survived, with the time taken. The working tree is never changed. An
-entry whose mutant cannot change any result is kept, with the argument
-for why, so that a later change of the code shows up here as well.
+``pytest -x`` and prints whether the mutant was killed (a test failed, or
+the package no longer imports) or survived, with the time taken. The
+working tree is never changed. An entry whose mutant cannot change any
+result is kept, with the argument for why, so that a later change of the
+code shows up here as well.
 Run from anywhere::
 
     python scripts/mutants.py
@@ -114,6 +115,14 @@ MUTANTS = (
         "kept[0] != c[0:1]:\n        kept = db._layout = (c[0:1],",
         "support keeps its layout per min_support, so a call under other gap"
         " rules counts on a stale layout",
+    ),
+    Mutant(
+        "at-least-strict", MODEL,
+        "not value >= low",
+        "not value > low",
+        "every floor refuses its own value: a min_gap or max_index_gap of 0, a"
+        " max_length or batch_size of 1, and an idle_timeout of 0; the package"
+        " no longer imports, as UNCONSTRAINED's min_gap is 0",
     ),
     Mutant(
         "children-i-threshold", SEQUENCES,
@@ -245,9 +254,15 @@ def run(mutant: Mutant, tests: tuple[str, ...] = TESTS) -> tuple[bool, float]:
             cwd=copy, env=env, capture_output=True, text=True, check=False,
         )
         seconds = time.perf_counter() - started
-    if done.returncode not in (0, 1):  # 1: a test failed; anything else is no verdict
-        raise RuntimeError(f"{mutant.name}: pytest exited {done.returncode}\n{done.stdout[-2000:]}")
-    return done.returncode == 1, seconds
+        # 1: a test failed. Any other exit is no verdict, unless the mutant
+        # stops the package from importing, which fails every test
+        if done.returncode not in (0, 1) and subprocess.run(
+            [sys.executable, "-c", "from seqmine import *"], env=env, capture_output=True, check=False
+        ).returncode == 0:
+            raise RuntimeError(
+                f"{mutant.name}: pytest exited {done.returncode}\n{done.stdout[-2000:]}"
+            )
+    return done.returncode != 0, seconds
 
 
 def main() -> int:

@@ -33,7 +33,7 @@ from seqmine.errors import (
     ParseError,
     SeqmineError,
 )
-from seqmine.model import Alphabet, Constraints, unit_fraction
+from seqmine.model import Alphabet, Constraints, at_least, unit_fraction
 
 # The miners the commands call, each imported on first use, so that a command
 # loads only the miner it runs. A command calls them as attributes of this
@@ -199,10 +199,8 @@ def _cmd_mine_stream(args) -> int:
         batch_size=args.batch_size,
         max_length=args.max_length,
     )
-    if args.report_every < 1:
-        raise UsageError(f"--report-every must be >= 1, got {args.report_every}")
-    if not args.idle_timeout >= 0:
-        raise UsageError(f"--idle-timeout must be >= 0, got {args.idle_timeout}")
+    at_least(args.report_every, 1, "--report-every", UsageError)
+    at_least(args.idle_timeout, 0, "--idle-timeout", UsageError)
     alphabet = Alphabet()
     lines = dataset.read_lines(args.input, args.idle_timeout if args.watch else None)
     sequences = dataset.iter_sequence_db(lines, alphabet)

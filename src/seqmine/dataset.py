@@ -34,7 +34,7 @@ from collections.abc import Iterator
 from time import monotonic, sleep
 
 from seqmine.errors import DuplicateKeyError, NonIntegerTimeError, ParseError
-from seqmine.model import Alphabet, Baskets, Columns, Run, SequenceDatabase, item_ints
+from seqmine.model import Alphabet, Baskets, Columns, Run, SequenceDatabase, at_least, item_ints
 
 
 def _not_utf8(char: str) -> str:
@@ -62,8 +62,7 @@ def read_lines(path: str, idle_timeout: float | None = None) -> Iterator[str]:
     no new byte, counted from when the lines of the last bytes read were
     taken; ``inf`` watches for ever, and a NaN or negative ``idle_timeout``
     is a ValueError, raised before the file is opened."""
-    if idle_timeout is not None and not idle_timeout >= 0:
-        raise ValueError(f"idle_timeout must be >= 0, got {idle_timeout}")
+    at_least(idle_timeout, 0, "idle_timeout", ValueError)
     with open(path, "rb") as handle:
         yield from _lines(handle, idle_timeout)
 

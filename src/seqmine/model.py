@@ -70,7 +70,10 @@ the database keeps for the gap rules of the last call; neither builds
 confidence, sigma or epsilon: it refuses a value that is not finite or not
 in (0, 1], and gives the rest as the exact fraction every count is taken
 from. The configs, both itemset functions, the itemset oracle and the CLI
-call it.
+call it. :func:`at_least` is the one check of a floor, be it a gap, a
+length, a batch size, a report interval or a timeout: it refuses a value
+below the floor, NaN included, and lets None, which means unbounded or
+unwatched, through. The configs, the CLI and the file reader call it.
 Every type is immutable after construction, except that a database builds
 its ``sequences`` once and keeps that layout, and every function here is
 pure except :func:`support`, which fills the database's layout slot.
@@ -82,7 +85,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from operator import ge, index, length_hint
+from operator import ge, index
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -132,9 +135,6 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: object) -> bool:
-        return token in self._id_by_token
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Alphabet):
             return NotImplemented
@@ -142,11 +142,6 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return f"Alphabet({self._tokens!r})"
-
-
-def anonymous_alphabet(size: int) -> Alphabet:
-    """An alphabet with placeholder tokens, for databases built from raw ids."""
-    return Alphabet(f"item{i}" for i in range(size))
 
 
 class _Checked:
@@ -310,8 +305,6 @@ def exact_fraction(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     exact = Fraction(x)
     return exact.limit_denominator(10**9) or exact
 
@@ -329,6 +322,14 @@ def unit_fraction(value, name: str, error: type[Exception] = InvalidThresholdErr
     if not 0 < Fraction(value) <= 1:
         raise error(f"{name} must be in (0, 1], got {value}")
     return exact_fraction(value)
+
+
+def at_least(value, low, name: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is None or at least
+    ``low``; a NaN never is. Every floor of a count, length, gap or timeout
+    in the toolkit is checked here."""
+    if value is not None and not value >= low:
+        raise error(f"{name} must be >= {low}, got {value}")
 
 
 class Constraints(
@@ -360,16 +361,13 @@ class Constraints(
     def _check(self):
         self._check_integers(InvalidConstraintsError, "min_gap max_gap max_index_gap max_length")
         unit_fraction(self.min_support, "min_support", InvalidConstraintsError)
-        if self.min_gap < 0:
-            raise InvalidConstraintsError(f"min_gap must be >= 0, got {self.min_gap}")
+        at_least(self.min_gap, 0, "min_gap", InvalidConstraintsError)
         if self.max_gap is not None and self.min_gap >= self.max_gap:
             raise InvalidConstraintsError(
                 f"min_gap ({self.min_gap}) must be < max_gap ({self.max_gap})"
             )
-        if self.max_index_gap is not None and self.max_index_gap < 0:
-            raise InvalidConstraintsError(f"max_index_gap must be >= 0, got {self.max_index_gap}")
-        if self.max_length is not None and self.max_length < 1:
-            raise InvalidConstraintsError(f"max_length must be >= 1, got {self.max_length}")
+        at_least(self.max_index_gap, 0, "max_index_gap", InvalidConstraintsError)
+        at_least(self.max_length, 1, "max_length", InvalidConstraintsError)
 
 
 UNCONSTRAINED = Constraints()
@@ -460,12 +458,10 @@ def item_ints(rows: Iterable[Iterable[int]]) -> dict[int, int]:
     ``rows`` may be any iterable, a generator included, and is read once.
     The bits go into one byte row per item, set in place during the scan:
     OR-ing them into a growing int would copy the int once per row,
-    quadratic in the number of rows. The byte rows start as wide as
-    ``len(rows)`` needs when ``rows`` tells its length, and every one of
-    them doubles when a row's bit falls past their end, checked once per
-    row.
+    quadratic in the number of rows. Every byte row doubles, from 8 bytes,
+    when a row's bit falls past their end, checked once per row.
     """
-    width = (length_hint(rows) + 7) >> 3
+    width = 0
     found: dict[int, bytearray] = {}
     for j, row in enumerate(rows):
         byte, bit = j >> 3, 1 << (j & 7)

@@ -17,13 +17,13 @@ from seqmine.errors import (
 )
 from seqmine.itemsets import FrequentItemset
 from seqmine.model import (
+    Alphabet,
     Constraints,
     DataSequence,
     Itemset,
     Pattern,
     SequenceDatabase,
     SupportedPattern,
-    anonymous_alphabet,
     min_count,
     pattern_length,
     pattern_sort_key,
@@ -143,7 +143,7 @@ def brute_stream(
     if not stream:
         return []
     max_item = max(item for seq in stream for items in seq.itemsets for item in items)
-    db = SequenceDatabase(tuple(stream), anonymous_alphabet(max_item + 1))
+    db = SequenceDatabase(tuple(stream), Alphabet(f"item{i}" for i in range(max_item + 1)))
     return brute_sequences(db, Constraints(min_support=sigma, max_length=max_length))
 
 

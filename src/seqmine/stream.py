@@ -46,6 +46,7 @@ from seqmine.model import (
     Run,
     SupportedPattern,
     _Checked,
+    at_least,
     exact_fraction,
     unit_fraction,
 )
@@ -146,10 +147,8 @@ class StreamConfig(
             raise InvalidStreamConfigError(
                 f"epsilon must be in (0, sigma), got epsilon={self.epsilon} sigma={self.sigma}"
             )
-        if self.batch_size < 1:
-            raise InvalidStreamConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_length < 1:
-            raise InvalidStreamConfigError(f"max_length must be >= 1, got {self.max_length}")
+        at_least(self.batch_size, 1, "batch_size", InvalidStreamConfigError)
+        at_least(self.max_length, 1, "max_length", InvalidStreamConfigError)
 
 
 class StreamState:

@@ -474,7 +474,7 @@ class TestMineStream:
             "--watch", "--idle-timeout", value, timeout=30,
         )
         assert proc.returncode == 3
-        assert proc.stderr.startswith("error: --idle-timeout")
+        assert proc.stderr == f"error: --idle-timeout must be >= 0, got {float(value)}\n"
 
     def test_empty_input_one_final_report(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -657,6 +657,56 @@ def test_threshold_just_above_one_exit_3(db1_file, tdb1_file, flags):
     assert (proc.returncode, proc.stderr) == (
         3, f"error: {bad_flag} must be in (0, 1], got 1.0000000001\n"
     )
+
+
+FLOOR_RUNS = {
+    "min-gap": (
+        ("mine-seq", "--min-support", "0.5", "--min-gap", "-1"), "--min-gap must be >= 0, got -1"
+    ),
+    "max-index-gap": (
+        ("mine-seq", "--min-support", "0.5", "--max-index-gap", "-1"),
+        "--max-index-gap must be >= 0, got -1",
+    ),
+    "seq-max-length": (
+        ("mine-seq", "--min-support", "0.5", "--max-length", "0"),
+        "--max-length must be >= 1, got 0",
+    ),
+    # two faults each: the first checked is named
+    "gaps-then-length": (
+        ("mine-seq", "--min-support", "0.5",
+         "--min-gap", "3", "--max-gap", "3", "--max-length", "0"),
+        "--min-gap (3) must be < --max-gap (3)",
+    ),
+    "support-then-gap": (
+        ("mine-seq", "--min-support", "1.5", "--min-gap", "-1"),
+        "--min-support must be in (0, 1], got 1.5",
+    ),
+    "batch-size": (("--batch-size", "0"), "--batch-size must be >= 1, got 0"),
+    "stream-max-length": (
+        ("--batch-size", "1", "--max-length", "0"), "--max-length must be >= 1, got 0"
+    ),
+    "report-every": (
+        ("--batch-size", "1", "--report-every", "0"), "--report-every must be >= 1, got 0"
+    ),
+    # checked even without --watch, which alone reads it
+    "idle-timeout": (
+        ("--batch-size", "1", "--idle-timeout", "-1"), "--idle-timeout must be >= 0, got -1.0"
+    ),
+    "watch-idle-timeout": (
+        ("--batch-size", "1", "--watch", "--idle-timeout", "nan"),
+        "--idle-timeout must be >= 0, got nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", FLOOR_RUNS)
+def test_flag_below_its_floor_exit_3_before_the_input_is_read(tmp_path, run):
+    flags, message = FLOOR_RUNS[run]
+    if flags[0] != "mine-seq":
+        flags = ("mine-stream", "--sigma", "0.5", "--epsilon", "0.1", *flags)
+    # the input does not exist: reading it would exit 2
+    proc = run_cli(flags[0], str(tmp_path / "missing.csv"), *flags[1:])
+    assert (proc.returncode, proc.stderr) == (3, f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

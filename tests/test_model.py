@@ -13,7 +13,7 @@ from strategies import CONSTRAINT_GRID, constraint_grid, sequence_dbs, transacti
 from synthetic import generate_db
 
 from seqmine import model
-from seqmine.dataset import load_sequence_db, serialize_sequence_db
+from seqmine.dataset import load_sequence_db, read_lines, serialize_sequence_db
 
 from seqmine.errors import (
     EmptyDatabaseError,
@@ -558,6 +558,81 @@ class TestThresholds:
         assert unit_fraction(Fraction(1, 3), "x") == Fraction(1, 3)
         # too small to round: kept as its exact binary value, never 0
         assert unit_fraction(1e-12, "x") == Fraction(1e-12)
+
+
+def _first_line(idle_timeout):
+    lines = read_lines(__file__, idle_timeout)  # a generator: it checks at the first next()
+    return next(lines)
+
+
+# every entry point that checks a floor: its field's name, the floor, the
+# class it raises for a value below it, whether None (unbounded or
+# unwatched) passes, and a call that passes it the value
+FLOOR_ENTRY_POINTS = {
+    "Constraints-min_gap": (
+        "min_gap", 0, InvalidConstraintsError, False, lambda v: Constraints(0.5, min_gap=v)
+    ),
+    "Constraints._replace-min_gap": (
+        "min_gap", 0, InvalidConstraintsError, False,
+        lambda v: Constraints(0.5)._replace(min_gap=v),
+    ),
+    "Constraints-max_index_gap": (
+        "max_index_gap", 0, InvalidConstraintsError, True,
+        lambda v: Constraints(0.5, max_index_gap=v),
+    ),
+    "Constraints._replace-max_index_gap": (
+        "max_index_gap", 0, InvalidConstraintsError, True,
+        lambda v: Constraints(0.5)._replace(max_index_gap=v),
+    ),
+    "Constraints-max_length": (
+        "max_length", 1, InvalidConstraintsError, True, lambda v: Constraints(0.5, max_length=v)
+    ),
+    "Constraints._replace-max_length": (
+        "max_length", 1, InvalidConstraintsError, True,
+        lambda v: Constraints(0.5)._replace(max_length=v),
+    ),
+    "StreamConfig-batch_size": (
+        "batch_size", 1, InvalidStreamConfigError, False, lambda v: StreamConfig(0.5, 0.1, v)
+    ),
+    "StreamConfig-max_length": (
+        "max_length", 1, InvalidStreamConfigError, False, lambda v: StreamConfig(0.5, 0.1, 2, v)
+    ),
+    "read_lines": ("idle_timeout", 0, ValueError, True, _first_line),
+}
+# one below each floor, and the timeouts that are no number of seconds
+BELOW_THE_FLOOR = [(entry, row[1] - 1) for entry, row in FLOOR_ENTRY_POINTS.items()] + [
+    ("read_lines", -math.inf),
+    ("read_lines", math.nan),
+]
+
+
+class TestFloors:
+    @pytest.mark.parametrize(
+        "entry, value", BELOW_THE_FLOOR, ids=[f"{e}-{v}" for e, v in BELOW_THE_FLOOR]
+    )
+    def test_value_below_the_floor_raises_naming_its_field(self, entry, value):
+        name, low, error, _, call = FLOOR_ENTRY_POINTS[entry]
+        with pytest.raises(Exception) as info:
+            call(value)
+        assert (type(info.value), str(info.value)) == (error, f"{name} must be >= {low}, got {value}")
+
+    @pytest.mark.parametrize("entry", FLOOR_ENTRY_POINTS)
+    def test_the_floor_and_none_where_allowed_are_accepted(self, entry):
+        _, low, _, none_passes, call = FLOOR_ENTRY_POINTS[entry]
+        call(low)
+        if none_passes:
+            call(None)
+
+    def test_each_floor_is_checked_in_field_order(self):
+        # min_gap before min_gap < max_gap, which comes before max_length
+        with pytest.raises(InvalidConstraintsError, match=r"^min_gap must be >= 0, got -1$"):
+            Constraints(0.5, min_gap=-1, max_index_gap=-1, max_length=0)
+        with pytest.raises(InvalidConstraintsError, match=r"^min_gap \(3\) must be < max_gap"):
+            Constraints(0.5, min_gap=3, max_gap=3, max_length=0)
+        with pytest.raises(InvalidConstraintsError, match=r"^max_index_gap must be >= 0"):
+            Constraints(0.5, max_index_gap=-1, max_length=0)
+        with pytest.raises(InvalidStreamConfigError, match=r"^batch_size must be >= 1, got 0$"):
+            StreamConfig(0.5, 0.1, 0, 0)
 
 
 class TestDeletionAntiMonotonicity:

@@ -44,3 +44,9 @@ def test_a_late_section_split_is_killed_by_the_pinned_bytes():
     test = "tests/test_cli.py::TestMineItemsets::test_sections_bytes_pinned"
     killed, _ = CATALOGUE["run"](mutant, (test,))
     assert killed
+
+
+def test_a_strict_floor_is_killed_though_the_package_no_longer_imports():
+    mutant = next(m for m in CATALOGUE["MUTANTS"] if m.name == "at-least-strict")
+    killed, _ = CATALOGUE["run"](mutant, ("tests/test_model.py::TestFloors",))
+    assert killed

@@ -125,6 +125,13 @@ MUTANTS = (
         " no longer imports, as UNCONSTRAINED's min_gap is 0",
     ),
     Mutant(
+        "min-count-floor-zero", MODEL,
+        "at_least(db_size, 1,",
+        "at_least(db_size, 0,",
+        "min_count lets an empty database through with a count of 0, which every"
+        " pattern clears",
+    ),
+    Mutant(
         "children-i-threshold", SEQUENCES,
         "c_ends = ends & bits\n"
         "        if c_ends.bit_count() >= minc and (count := count_sequences(c_ends, layout)) >= minc",

@@ -40,7 +40,7 @@ from collections.abc import Container, Sequence
 from itertools import combinations, groupby
 from operator import itemgetter
 
-from seqmine.errors import EmptyDatabaseError, MissingSubsetSupportError, MixedSizesError
+from seqmine.errors import MissingSubsetSupportError, MixedSizesError
 from seqmine.model import Baskets, Itemset, item_ints, min_count, unit_fraction
 
 
@@ -92,12 +92,11 @@ def frequent_items(transactions: Baskets, min_support: float) -> list[FrequentIt
     """The frequent 1-itemsets of ``transactions``, in ascending id order:
     each item whose count, the popcount of its bitmask, meets
     ceil(min_support * size). It is level 1 of
-    :func:`mine_frequent_itemsets`; no baskets raise EmptyDatabaseError.
+    :func:`mine_frequent_itemsets`; no baskets raise EmptyDatabaseError
+    (:func:`~seqmine.model.min_count`).
     """
     unit_fraction(min_support, "min_support")
     n = transactions.size
-    if not n:
-        raise EmptyDatabaseError("itemset mining needs transactions")
     minc = min_count(min_support, n)
     found = []
     for i, mask in sorted(transactions.items.items()):

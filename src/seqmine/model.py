@@ -71,9 +71,13 @@ confidence, sigma or epsilon: it refuses a value that is not finite or not
 in (0, 1], and gives the rest as the exact fraction every count is taken
 from. The configs, both itemset functions, the itemset oracle and the CLI
 call it. :func:`at_least` is the one check of a floor, be it a gap, a
-length, a batch size, a report interval or a timeout: it refuses a value
-below the floor, NaN included, and lets None, which means unbounded or
-unwatched, through. The configs, the CLI and the file reader call it.
+length, a batch size, a report interval, a timeout or a database size: it
+refuses a value below the floor, NaN included, and lets None, which means
+unbounded or unwatched, through. The configs, the CLI, the file reader and
+the stream's ``replay`` call it. So does :func:`min_count`, which every
+miner and oracle takes its count from, on the database size: an empty
+database is refused there, and in :func:`support` and
+:func:`itemset_support`, which take no threshold.
 Every type is immutable after construction, except that a database builds
 its ``sequences`` once and keeps that layout, and every function here is
 pure except :func:`support`, which fills the database's layout slot.
@@ -326,8 +330,8 @@ def unit_fraction(value, name: str, error: type[Exception] = InvalidThresholdErr
 
 def at_least(value, low, name: str, error: type[Exception]) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is None or at least
-    ``low``; a NaN never is. Every floor of a count, length, gap or timeout
-    in the toolkit is checked here."""
+    ``low``; a NaN never is. Every floor of a count, length, gap, timeout
+    or database size in the toolkit is checked here."""
     if value is not None and not value >= low:
         raise error(f"{name} must be >= {low}, got {value}")
 
@@ -406,7 +410,10 @@ def pattern_sort_key(pattern: Pattern) -> tuple[int, Pattern]:
 
 def min_count(min_support, db_size: int) -> int:
     """Absolute minimum count for a threshold :func:`unit_fraction` accepts:
-    ceil(s * n)."""
+    ceil(s * n). A database of no record raises
+    :class:`~seqmine.errors.EmptyDatabaseError` (:func:`at_least`), so the
+    count is never 0, which every pattern would clear."""
+    at_least(db_size, 1, "database size", EmptyDatabaseError)
     return math.ceil(exact_fraction(min_support) * db_size)
 
 
@@ -637,8 +644,7 @@ def support(
     ``max_gap``, ``max_index_gap``), the only fields :func:`bit_layout`
     reads, so a run of calls under one set of gap rules builds it once.
     """
-    if not len(db):
-        raise EmptyDatabaseError("support needs a non-empty database")
+    at_least(len(db), 1, "database size", EmptyDatabaseError)
     c = constraints or UNCONSTRAINED
     # read the slot once: a concurrent call may replace it
     kept = db._layout
@@ -651,8 +657,7 @@ def support(
 
 def itemset_support(itemset: Itemset, transactions: Sequence[Itemset]) -> tuple[int, float]:
     """(count, fraction) of transactions containing ``itemset``."""
-    if not transactions:
-        raise EmptyDatabaseError("itemset_support needs a non-empty transaction list")
+    at_least(len(transactions), 1, "database size", EmptyDatabaseError)
     wanted = frozenset(itemset)
     count = sum(1 for t in transactions if wanted <= frozenset(t))
     return count, count / len(transactions)

@@ -10,11 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from itertools import combinations
 
-from seqmine.errors import (
-    AlphabetTooLargeError,
-    EmptyDatabaseError,
-    InstanceTooLargeError,
-)
+from seqmine.errors import AlphabetTooLargeError, InstanceTooLargeError
 from seqmine.itemsets import FrequentItemset
 from seqmine.model import (
     Alphabet,
@@ -63,15 +59,13 @@ def contains_by_enumeration(
 def brute_itemsets(transactions: Sequence[Itemset], min_support: float) -> list[FrequentItemset]:
     """Every frequent itemset, by enumerating all subsets of the alphabet."""
     unit_fraction(min_support, "min_support")
-    if not transactions:
-        raise EmptyDatabaseError("brute_itemsets needs transactions")
+    n = len(transactions)
+    minc = min_count(min_support, n)
     alphabet = sorted({item for t in transactions for item in t})
     if len(alphabet) > MAX_ITEMSET_ALPHABET:
         raise AlphabetTooLargeError(
             f"{len(alphabet)} distinct items exceed the enumeration cap of {MAX_ITEMSET_ALPHABET}"
         )
-    n = len(transactions)
-    minc = min_count(min_support, n)
     tsets = [frozenset(t) for t in transactions]
     out = []
     for size in range(1, len(alphabet) + 1):
@@ -114,8 +108,8 @@ def brute_sequences(db: SequenceDatabase, constraints: Constraints) -> list[Supp
     a pattern using any other item supports zero sequences and can never
     reach a positive threshold.
     """
-    if not db.sequences:
-        raise EmptyDatabaseError("brute_sequences needs a non-empty database")
+    n = len(db.sequences)
+    minc = min_count(constraints.min_support, n)
     if len(db.alphabet) > MAX_SEQUENCE_ALPHABET:
         raise InstanceTooLargeError(
             f"alphabet of {len(db.alphabet)} exceeds the cap of {MAX_SEQUENCE_ALPHABET}"
@@ -125,8 +119,6 @@ def brute_sequences(db: SequenceDatabase, constraints: Constraints) -> list[Supp
             f"max_length must be set and <= {MAX_SEQUENCE_PATTERN_LENGTH} for exhaustive mining"
         )
     present = sorted({item for s in db.sequences for items in s.itemsets for item in items})
-    n = len(db.sequences)
-    minc = min_count(constraints.min_support, n)
     out = []
     for pattern in iter_canonical_patterns(present, constraints.max_length):
         count = sum(1 for seq in db.sequences if contains_by_enumeration(pattern, seq, constraints))

@@ -89,7 +89,6 @@ from collections import Counter, defaultdict, namedtuple
 from collections.abc import Sequence
 from itertools import chain, combinations
 
-from seqmine.errors import EmptyDatabaseError
 from seqmine.model import (
     BitLayout,
     Columns,
@@ -229,8 +228,6 @@ def gsp_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     item on narrow alphabets, the item's successor lists on wide ones.
     ``stats.database_passes`` counts one counting sweep per level attempted.
     """
-    if not len(db):
-        raise EmptyDatabaseError("gsp_mine needs a non-empty database")
     n = len(db)
     minc = min_count(constraints.min_support, n)
     max_len = constraints.max_length
@@ -421,8 +418,6 @@ def _prefixspan(
 
 def prefixspan_mine(db: SequenceDatabase, constraints: Constraints) -> MiningResult:
     """Pattern-growth mining; contract identical to :func:`gsp_mine`."""
-    if not len(db):
-        raise EmptyDatabaseError("prefixspan_mine needs a non-empty database")
     n = len(db)
     stats = MiningStats(database_passes=1)
     found = _prefixspan(db.columns, min_count(constraints.min_support, n), constraints, stats)

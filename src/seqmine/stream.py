@@ -234,8 +234,10 @@ def replay(
     :class:`seqmine.model.DataSequence` is one too. Yields a report after
     every ``report_every`` batches and one final report after the residual
     flush. A periodic report that would coincide with the final boundary is
-    folded into the final one.
+    folded into the final one. A ``report_every`` below 1 is a ValueError
+    (:func:`~seqmine.model.at_least`), raised at the first ``next()``.
     """
+    at_least(report_every, 1, "report_every", ValueError)
     state = state if state is not None else StreamState()
     batch: list[Run] = []
     for sequence in sequences:
@@ -243,7 +245,7 @@ def replay(
         if len(batch) == config.batch_size:
             process_batch(state, batch, config)
             batch = []
-            if report_every > 0 and state.batches_seen % report_every == 0:
+            if state.batches_seen % report_every == 0:
                 yield StreamReport(
                     False,
                     state.batches_seen,

@@ -459,13 +459,6 @@ class TestMineStream:
         offline = run_cli("mine-seq", stream_file, "--min-support", "0.5", "--max-length", "3")
         assert final.split("\n", 1)[1] == offline.stdout != ""
 
-    def test_batch_size_error_names_flag(self, stream_file):
-        proc = run_cli(
-            "mine-stream", stream_file, "--sigma", "0.5", "--epsilon", "0.1", "--batch-size", "0"
-        )
-        assert proc.returncode == 3
-        assert proc.stderr == "error: --batch-size must be >= 1, got 0\n"
-
     @pytest.mark.parametrize("value", ["nan", "-1"])
     def test_bad_idle_timeout_exit_3(self, stream_file, value):
         # idle >= nan is never true, so an unchecked nan would watch forever

@@ -46,9 +46,9 @@ from seqmine.model import (
     support,
     unit_fraction,
 )
-from seqmine.oracle import brute_itemsets, contains_by_enumeration
-from seqmine.sequences import MiningStats, _children
-from seqmine.stream import StreamConfig
+from seqmine.oracle import brute_itemsets, brute_sequences, contains_by_enumeration
+from seqmine.sequences import MiningStats, _children, gsp_mine, prefixspan_mine
+from seqmine.stream import StreamConfig, replay
 
 
 class TestCanonicalize:
@@ -598,12 +598,37 @@ FLOOR_ENTRY_POINTS = {
         "max_length", 1, InvalidStreamConfigError, False, lambda v: StreamConfig(0.5, 0.1, 2, v)
     ),
     "read_lines": ("idle_timeout", 0, ValueError, True, _first_line),
+    # a generator: it checks at the first next()
+    "replay": (
+        "report_every", 1, ValueError, False,
+        lambda v: next(replay([], StreamConfig(0.5, 0.1, 2), report_every=v)),
+    ),
 }
 # one below each floor, and the timeouts that are no number of seconds
 BELOW_THE_FLOOR = [(entry, row[1] - 1) for entry, row in FLOOR_ENTRY_POINTS.items()] + [
     ("read_lines", -math.inf),
     ("read_lines", math.nan),
+    ("replay", -1),
 ]
+
+_NO_SEQUENCES = SequenceDatabase((), Alphabet())
+# every entry point that counts over a database, each called on an empty one
+EMPTY_DATABASE_ENTRY_POINTS = {
+    "min_count": lambda: min_count(0.5, 0),
+    "gsp_mine": lambda: gsp_mine(_NO_SEQUENCES, Constraints(0.5)),
+    "prefixspan_mine": lambda: prefixspan_mine(_NO_SEQUENCES, Constraints(0.5)),
+    "support": lambda: support(((A,),), _NO_SEQUENCES),
+    "itemset_support": lambda: itemset_support((A,), []),
+    "frequent_items": lambda: frequent_items(Baskets(0, {}), 0.5),
+    "mine_frequent_itemsets": lambda: mine_frequent_itemsets([], 0.5),
+    "brute_itemsets": lambda: brute_itemsets([], 0.5),
+    "brute_sequences": lambda: brute_sequences(_NO_SEQUENCES, Constraints(0.5, max_length=2)),
+    # empty, not past the caps: 7 tokens exceed the alphabet cap, and
+    # max_length None the pattern-length cap
+    "brute_sequences-7-tokens": lambda: brute_sequences(
+        SequenceDatabase((), Alphabet("abcdefg")), Constraints(0.5)
+    ),
+}
 
 
 class TestFloors:
@@ -633,6 +658,15 @@ class TestFloors:
             Constraints(0.5, max_index_gap=-1, max_length=0)
         with pytest.raises(InvalidStreamConfigError, match=r"^batch_size must be >= 1, got 0$"):
             StreamConfig(0.5, 0.1, 0, 0)
+
+
+@pytest.mark.parametrize("entry", EMPTY_DATABASE_ENTRY_POINTS)
+def test_an_empty_database_is_refused_by_one_floor(entry):
+    with pytest.raises(Exception) as info:
+        EMPTY_DATABASE_ENTRY_POINTS[entry]()
+    assert (type(info.value), str(info.value)) == (
+        EmptyDatabaseError, "database size must be >= 1, got 0"
+    )
 
 
 class TestDeletionAntiMonotonicity:

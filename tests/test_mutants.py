@@ -50,3 +50,10 @@ def test_a_strict_floor_is_killed_though_the_package_no_longer_imports():
     mutant = next(m for m in CATALOGUE["MUTANTS"] if m.name == "at-least-strict")
     killed, _ = CATALOGUE["run"](mutant, ("tests/test_model.py::TestFloors",))
     assert killed
+
+
+def test_a_floor_of_zero_records_is_killed_by_the_empty_database_table():
+    mutant = next(m for m in CATALOGUE["MUTANTS"] if m.name == "min-count-floor-zero")
+    test = "tests/test_model.py::test_an_empty_database_is_refused_by_one_floor"
+    killed, _ = CATALOGUE["run"](mutant, (test,))
+    assert killed

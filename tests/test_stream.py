@@ -73,10 +73,6 @@ class TestConfig:
         with pytest.raises(InvalidStreamConfigError):
             StreamConfig(sigma=0.5, epsilon=0.5, batch_size=2)
 
-    def test_bad_batch_size(self):
-        with pytest.raises(InvalidStreamConfigError):
-            StreamConfig(sigma=0.5, epsilon=0.1, batch_size=0)
-
     def test_replace_checks_like_construction(self):
         with pytest.raises(
             InvalidStreamConfigError,

@@ -17,6 +17,7 @@ imports only the modules it runs.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from collections.abc import Iterable
@@ -91,16 +92,41 @@ def _write_out(path: str | None, sections: Iterable[list[str]]) -> None:
     the next section is taken: a generator can build each section once
     the one before it is written. stdout takes UTF-8 bytes, as ``--out``
     does, whatever the locale; a stream with no byte layer (io.StringIO)
-    takes the text."""
+    takes the text. ``path`` is written all or nothing
+    (:func:`_replace_file`)."""
     if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            _write_sections(handle.write, handle.flush, sections)
+        _replace_file(path, sections)
     elif hasattr(sys.stdout, "buffer"):
         _write_sections(
             lambda text: sys.stdout.buffer.write(text.encode()), sys.stdout.flush, sections
         )
     else:
         _write_sections(sys.stdout.write, sys.stdout.flush, sections)
+
+
+def _replace_file(path: str, sections: Iterable[list[str]]) -> None:
+    """Write ``sections`` to a new file beside ``path``, which gets the mode
+    of a new file, and move it onto ``path`` once the last section is
+    written. A run that fails or is interrupted therefore leaves ``path`` as
+    it was, or absent, and removes the new file. ``path`` is resolved
+    first, so a symlink stays one and the file it names is replaced. An
+    OSError of the open or of the move names ``path``, as a direct write's
+    would."""
+    target = os.path.realpath(path)
+    partial = f"{target}.{os.getpid()}.partial"
+    try:
+        handle = open(partial, "x", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with handle:
+            _write_sections(handle.write, handle.flush, sections)
+        os.replace(partial, target)
+    except BaseException as exc:
+        os.remove(partial)
+        if isinstance(exc, OSError) and exc.filename == partial:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _write_sections(write, flush, sections: Iterable[list[str]]) -> None:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from conftest import SRC, run_cli, start_cli
 
 from seqmine import cli, textfmt
+from seqmine.errors import SeqmineError
 
 TDB1_CSV = "t1,a b c\nt2,a b\nt3,a c\nt4,b c\n"
 DB1_CSV = (
@@ -222,6 +223,55 @@ class TestMineItemsets:
         ]
         # the later sections are flushed too, and the bytes are the whole output
         assert sink.data.decode() == run_cli("mine-itemsets", tdb1_file, *flags).stdout
+
+    @pytest.mark.parametrize("existing", [b"<{x}> count=1 support=1.0000\n", None], ids=["kept", "absent"])
+    @pytest.mark.parametrize("fault", [SeqmineError("rules failed"), KeyboardInterrupt()], ids=repr)
+    def test_a_failure_between_sections_leaves_out_as_it_was(
+        self, tdb1_file, tmp_path, monkeypatch, capsys, existing, fault
+    ):
+        out = tmp_path / "out.txt"
+        if existing is not None:
+            out.write_bytes(existing)
+        before = sorted(tmp_path.iterdir())
+        written = []
+
+        def rules_after_two_sections(*args):
+            (partial,) = set(tmp_path.iterdir()) - set(before)
+            written.append(partial.read_bytes())
+            raise fault
+
+        monkeypatch.setattr(cli, "generate_rules", rules_after_two_sections)
+        argv = ["mine-itemsets", tdb1_file, "--min-support", "0.5"]
+        run = [*argv, "--min-confidence", "0.6", "--out", str(out)]
+        if isinstance(fault, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(run)
+        else:
+            assert cli.main(run) == 4
+        # the itemset sections were written, to a file that is gone
+        assert written == [run_cli(*argv).stdout.encode()]
+        # no new file is left, whether the output or the one it was written to
+        assert sorted(tmp_path.iterdir()) == before
+        assert (out.read_bytes() if out.exists() else None) == existing
+        assert capsys.readouterr().out == ""
+
+    def test_a_symlinked_out_stays_a_symlink(self, tdb1_file, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target.name)
+        flags = ("--min-support", "0.5")
+        assert run_cli("mine-itemsets", tdb1_file, *flags, "--out", str(link)).returncode == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == run_cli("mine-itemsets", tdb1_file, *flags).stdout
+
+    def test_out_that_is_a_directory_exits_2_naming_it(self, tdb1_file, tmp_path):
+        out = tmp_path / "dir"
+        out.mkdir()
+        before = sorted(tmp_path.iterdir())
+        proc = run_cli("mine-itemsets", tdb1_file, "--min-support", "0.5", "--out", str(out))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestChunkedOutput:

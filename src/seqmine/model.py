@@ -410,9 +410,9 @@ def pattern_sort_key(pattern: Pattern) -> tuple[int, Pattern]:
 
 def min_count(min_support, db_size: int) -> int:
     """Absolute minimum count for a threshold :func:`unit_fraction` accepts:
-    ceil(s * n). A database of no record raises
-    :class:`~seqmine.errors.EmptyDatabaseError` (:func:`at_least`), so the
-    count is never 0, which every pattern would clear."""
+    ceil(s * n). An empty database (n < 1) raises
+    :class:`~seqmine.errors.EmptyDatabaseError` through :func:`at_least`,
+    so the count is never 0, which every pattern would clear."""
     at_least(db_size, 1, "database size", EmptyDatabaseError)
     return math.ceil(exact_fraction(min_support) * db_size)
 

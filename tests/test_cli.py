@@ -224,7 +224,9 @@ class TestMineItemsets:
         # the later sections are flushed too, and the bytes are the whole output
         assert sink.data.decode() == run_cli("mine-itemsets", tdb1_file, *flags).stdout
 
-    @pytest.mark.parametrize("existing", [b"<{x}> count=1 support=1.0000\n", None], ids=["kept", "absent"])
+    @pytest.mark.parametrize(
+        "existing", [b"<{x}> count=1 support=1.0000\n", None], ids=["kept", "absent"]
+    )
     @pytest.mark.parametrize("fault", [SeqmineError("rules failed"), KeyboardInterrupt()], ids=repr)
     def test_a_failure_between_sections_leaves_out_as_it_was(
         self, tdb1_file, tmp_path, monkeypatch, capsys, existing, fault

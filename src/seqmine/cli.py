@@ -17,6 +17,7 @@ imports only the modules it runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import re
 import sys
@@ -109,21 +110,25 @@ def _replace_file(path: str, sections: Iterable[list[str]]) -> None:
     of a new file, and move it onto ``path`` once the last section is
     written. A run that fails or is interrupted therefore leaves ``path`` as
     it was, or absent, and removes the new file. ``path`` is resolved
-    first, so a symlink stays one and the file it names is replaced. An
-    OSError of the open or of the move names ``path``, as a direct write's
-    would."""
+    first, so a symlink stays one and the file it names is replaced. A
+    ``path`` that exists but is no regular file (a device, a FIFO, a pipe
+    named as /dev/stdout, a directory) is opened and written as it is, so
+    it keeps its type, and a directory is refused before any section is
+    built. An OSError names ``path``, as a direct write's would."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            _write_sections(handle.write, handle.flush, sections)
+        return
     target = os.path.realpath(path)
     partial = f"{target}.{os.getpid()}.partial"
     try:
-        handle = open(partial, "x", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with handle:
+        with open(partial, "x", encoding="utf-8", newline="\n") as handle:
             _write_sections(handle.write, handle.flush, sections)
         os.replace(partial, target)
     except BaseException as exc:
-        os.remove(partial)
+        # absent if the open failed or the move was made
+        with contextlib.suppress(OSError):
+            os.remove(partial)
         if isinstance(exc, OSError) and exc.filename == partial:
             raise OSError(exc.errno, exc.strerror, path) from None
         raise

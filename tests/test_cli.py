@@ -6,6 +6,7 @@ import io
 import os
 import random
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -266,14 +267,60 @@ class TestMineItemsets:
         assert link.is_symlink() and os.readlink(link) == target.name
         assert target.read_text() == run_cli("mine-itemsets", tdb1_file, *flags).stdout
 
-    def test_out_that_is_a_directory_exits_2_naming_it(self, tdb1_file, tmp_path):
+    def test_out_that_is_a_directory_exits_2_naming_it(
+        self, tdb1_file, tmp_path, monkeypatch, capsys
+    ):
         out = tmp_path / "dir"
         out.mkdir()
         before = sorted(tmp_path.iterdir())
-        proc = run_cli("mine-itemsets", tdb1_file, "--min-support", "0.5", "--out", str(out))
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        called = []
+        for name in ("mine_frequent_itemsets", "generate_rules"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
+        argv = ["mine-itemsets", tdb1_file, "--min-support", "0.5", "--min-confidence", "0.6"]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        )
+        assert called == []
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("parent", ["missing", "a-file"])
+    def test_an_unopenable_out_exits_2_with_a_direct_opens_error(
+        self, tdb1_file, tmp_path, capsys, parent
+    ):
+        if parent == "a-file":
+            (tmp_path / parent).write_text("")
+        out = tmp_path / parent / "out.txt"
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(OSError) as direct:
+            open(out, "w")
+        assert cli.main(["mine-itemsets", tdb1_file, "--min-support", "0.5", "--out", str(out)]) == 2
+        # the removal of the new file that was never made hides nothing
+        assert capsys.readouterr() == ("", f"error: {direct.value}\n")
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_fifo_out_is_written_through_and_stays_a_fifo(self, tdb1_file, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        before = sorted(tmp_path.iterdir())
+        flags = ("--min-support", "0.5", "--min-confidence", "0.6")
+        # a reader first, so the write end opens at once; the output fits the pipe
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert cli.main(["mine-itemsets", tdb1_file, *flags, "--out", str(fifo)]) == 0
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert got == run_cli("mine-itemsets", tdb1_file, *flags).stdout.encode()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_out_dev_stdout_on_a_pipe_writes_the_pipe(self, tdb1_file):
+        flags = ("--min-support", "0.5", "--min-confidence", "0.6")
+        proc = run_cli("mine-itemsets", tdb1_file, *flags, "--out", "/dev/stdout")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli("mine-itemsets", tdb1_file, *flags).stdout
 
 
 class TestChunkedOutput:
